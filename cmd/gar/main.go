@@ -211,7 +211,7 @@ func buildSystem(s *spec, opts gar.Options, loadModels string) (*gar.System, *ga
 
 // buildSystemModels is buildSystem, additionally returning the deployed
 // models (loaded from loadModels, or trained on the spec's examples) so
-// callers can persist them or Swap them into another live system.
+// callers can persist them.
 func buildSystemModels(s *spec, opts gar.Options, loadModels string) (*gar.System, *gar.Content, *gar.Models, error) {
 	if err := validateSpec(s); err != nil {
 		return nil, nil, nil, err
@@ -297,13 +297,7 @@ func deploySystem(sys *gar.System, s *spec, opts gar.Options, loadModels string)
 	if err := sys.Prepare(s.Samples); err != nil {
 		return nil, err
 	}
-	var models *gar.Models
-	var err error
-	if loadModels != "" {
-		models, err = gar.LoadModelsFile(loadModels)
-	} else {
-		models, err = gar.TrainModels([]gar.TrainingSet{{System: sys, Examples: specExamples(s)}}, opts)
-	}
+	models, err := specModels(sys, s, opts, loadModels)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +305,40 @@ func deploySystem(sys *gar.System, s *spec, opts gar.Options, loadModels string)
 		return nil, err
 	}
 	return models, nil
+}
+
+// specModels loads the ranking models from loadModels, or trains them
+// on the spec's examples over sys's prepared pool.
+func specModels(sys *gar.System, s *spec, opts gar.Options, loadModels string) (*gar.Models, error) {
+	if loadModels != "" {
+		return gar.LoadModelsFile(loadModels)
+	}
+	return gar.TrainModels([]gar.TrainingSet{{System: sys, Examples: specExamples(s)}}, opts)
+}
+
+// reloadModels builds what a hot reload swaps into a live system: the
+// spec's content and its ranking models. Training runs on a prepared
+// throwaway system that is never deployed — Swap builds the serving
+// pool, index and feature table itself — and loaded models need no
+// throwaway pool at all.
+func reloadModels(s *spec, opts gar.Options, loadModels string) (*gar.Content, *gar.Models, error) {
+	if err := validateSpec(s); err != nil {
+		return nil, nil, err
+	}
+	sys, content, err := newSystem(s, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if loadModels == "" {
+		if err := sys.Prepare(s.Samples); err != nil {
+			return nil, nil, err
+		}
+	}
+	models, err := specModels(sys, s, opts, loadModels)
+	if err != nil {
+		return nil, nil, err
+	}
+	return content, models, nil
 }
 
 // specExamples converts the spec's training examples.

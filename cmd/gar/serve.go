@@ -736,7 +736,7 @@ func runServe(args []string) {
 		if err != nil {
 			return err
 		}
-		_, content, models, err := buildSystemModels(fresh, opts, *loadModels)
+		content, models, err := reloadModels(fresh, opts, *loadModels)
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ func (s *specDirSource) Reload(ctx context.Context, name string, sys *gar.System
 	if err != nil {
 		return err
 	}
-	_, content, models, err := buildSystemModels(sp, s.opts, "")
+	content, models, err := reloadModels(sp, s.opts, "")
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ltr"
+	"repro/internal/rerank"
 	"repro/internal/schema/schematest"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
@@ -206,13 +207,16 @@ func runTranslateBench(iters int, outPath string) error {
 	}
 
 	// Two hand-assembled pipelines over one shared pool and index: the
-	// sequential baseline has no precomputed dialect embeddings and one
-	// worker; the parallel one is shaped exactly as core builds it.
+	// sequential baseline has no precomputed dialect embeddings, feature
+	// table or second worker; the parallel one is shaped as core builds
+	// it, minus the cost feature the legacy path cannot see.
 	pool := sys.Pool()
 	vecs := make([]vector.Vec, len(pool))
+	dialects := make([]string, len(pool))
 	index := vindex.NewFlat()
 	for i, c := range pool {
 		vecs[i] = models.Encoder.Encode(c.Dialect)
+		dialects[i] = c.Dialect
 		index.Add(i, vecs[i])
 	}
 	base := &ltr.Pipeline{
@@ -230,6 +234,7 @@ func runTranslateBench(iters int, outPath string) error {
 		Pool:     pool,
 		K:        opts.RetrievalK,
 		DialVecs: vecs,
+		Table:    rerank.NewTable(dialects),
 	}
 
 	ctx := context.Background()

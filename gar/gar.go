@@ -596,9 +596,11 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 // falling back generation-by-generation past anything torn, corrupt or
 // incompatible (each recorded in skipped). A nil returned checkpoint
 // with nil error means nothing recoverable exists and the system is
-// unchanged — the caller starts from a clean empty state.
+// unchanged — the caller starts from a clean empty state. A
+// checkpointer on the same store counts the restored state as already
+// written, so a tenant that never changes is never re-checkpointed.
 func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint, []checkpoint.Skipped, error) {
-	return st.Recover(s.inner.RestoreCheckpoint)
+	return s.inner.RecoverCheckpoint(st)
 }
 
 // NewCheckpointer couples this system with a checkpoint store. Start

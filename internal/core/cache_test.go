@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faults"
 )
 
@@ -124,5 +125,67 @@ func TestFaultInjectorBypassesCache(t *testing.T) {
 	sys.SetFaultInjector(nil)
 	if _, err := sys.Translate(nl); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheHitEqualsMiss pins the by-reference translation cache: a hit
+// re-fills the cached pool ids from the same snapshot and must return
+// exactly the translation the miss produced — SQL text (including
+// filled values, two of them equally long), dialects, bit-exact
+// scores, verdicts and generation — with and without execution
+// guidance, and must not alias the cache's entry.
+func TestCacheHitEqualsMiss(t *testing.T) {
+	questions := []string{
+		"which employees live in Madrid or Austin",
+		"which employees live in Austin or Madrid",
+		"which employees are older than 30",
+		"what is the age of employees living in Austin",
+		"who is the oldest employee",
+		"which shop has the most products",
+	}
+	for _, guided := range []bool{false, true} {
+		sys := trainedSystem(t, core.Options{ExecGuide: guided})
+		in := engine.NewInstance(sys.DB)
+		n, s := engine.Num, engine.Str
+		in.MustInsert("employee", n(1), s("George"), n(45), s("Madrid"))
+		in.MustInsert("employee", n(2), s("John"), n(32), s("Austin"))
+		sys.SetContent(in)
+		sawVerdicts := false
+		for i, nl := range questions {
+			miss, err := sys.Translate(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hit, err := sys.Translate(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each question hits twice: hit, then again below.
+			if st := sys.CacheStats().Translations; st.Hits != uint64(2*i+1) {
+				t.Fatalf("guided=%v %q: %d cache hits, want %d", guided, nl, st.Hits, 2*i+1)
+			}
+			want := renderTranslation(miss)
+			if got := renderTranslation(hit); got != want {
+				t.Errorf("guided=%v %q: hit differs from miss:\n%s\n---\n%s", guided, nl, got, want)
+			}
+			if hit.Top != &hit.Ranked[0] {
+				t.Errorf("guided=%v %q: Top is not the first ranked candidate", guided, nl)
+			}
+			sawVerdicts = sawVerdicts || len(hit.Verdicts) > 0
+			hit.Ranked[0].Score++
+			if len(hit.Verdicts) > 0 {
+				hit.Verdicts[0].Rows++
+			}
+			again, err := sys.Translate(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderTranslation(again); got != want {
+				t.Errorf("guided=%v %q: a served hit aliased the cache entry", guided, nl)
+			}
+		}
+		if guided != sawVerdicts {
+			t.Errorf("guided=%v but verdicts seen = %v", guided, sawVerdicts)
+		}
 	}
 }

@@ -479,3 +479,132 @@ func TestCheckpointRestoredSystemKeepsEvolving(t *testing.T) {
 		t.Fatalf("re-export generation %d, want %d", m2.Generation, gen)
 	}
 }
+
+// recoveredSystem writes a trained system's checkpoint into st and
+// warm-starts a fresh system from it through RecoverCheckpoint.
+func recoveredSystem(t *testing.T, st *checkpoint.Store) *core.System {
+	t.Helper()
+	if err := core.NewCheckpointer(trainedSystem(t, core.Options{}), st, core.CheckpointerConfig{}).Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sys := restoreTarget()
+	ck, skipped, err := sys.RecoverCheckpoint(st)
+	if err != nil || ck == nil || len(skipped) != 0 {
+		t.Fatalf("recover: ck=%v skipped=%v err=%v", ck, skipped, err)
+	}
+	return sys
+}
+
+// TestCheckpointerSkipsCleanRecoveredState: a system warm-started from
+// a store is already durable there, so shutting its checkpointer down
+// (the eviction path) writes nothing — until a publication changes the
+// state. A checkpointer on another store still writes.
+func TestCheckpointerSkipsCleanRecoveredState(t *testing.T) {
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := recoveredSystem(t, st)
+	c := core.NewCheckpointer(sys, st, core.CheckpointerConfig{Coalesce: time.Millisecond, Backoff: time.Millisecond})
+	c.Start()
+	c.Notify()
+	for _, q := range checkpointQuestions {
+		if _, err := sys.Translate(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Writes != 0 || s.Pending {
+		t.Fatalf("untouched warm start was checkpointed again: %+v", s)
+	}
+
+	other, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.NewCheckpointer(sys, other, core.CheckpointerConfig{}).Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := other.List(); err != nil || len(entries) != 1 {
+		t.Fatalf("checkpointer on another store: %d entries (%v)", len(entries), err)
+	}
+
+	models, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, sys.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.Swap(employeeSamples(), models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Writes != 1 || s.LastGeneration != gen {
+		t.Fatalf("flush after swap: %+v, want one write of generation %d", s, gen)
+	}
+}
+
+// TestCheckpointerWritesAfterPromotion: a trainer promotion publishes a
+// new state on a warm-started system, and the next flush persists it.
+func TestCheckpointerWritesAfterPromotion(t *testing.T) {
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := recoveredSystem(t, st)
+	c := core.NewCheckpointer(sys, st, core.CheckpointerConfig{Backoff: time.Millisecond})
+	tr := core.NewTrainer(sys, feedbackLog(t, trainerFeedback), nil, trainerBase(), core.TrainerConfig{ShadowThreshold: 1})
+	if err := tr.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats().Promotions != 1 {
+		t.Fatalf("no promotion: %+v", tr.Stats())
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Writes != 1 || s.LastGeneration != sys.Generation() {
+		t.Fatalf("flush after promotion: %+v, want one write of generation %d", s, sys.Generation())
+	}
+}
+
+// TestCheckpointerFlushesPublishDuringWrite: a publication that lands
+// while a background write of the previous state is in flight must
+// still be flushed, even though that write clears the pending flag when
+// it completes.
+func TestCheckpointerFlushesPublishDuringWrite(t *testing.T) {
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.NewInjector(5)
+	gate := make(chan struct{})
+	inj.Inject(faults.FSSync, faults.Plan{Kind: faults.KindBlock, Until: gate, Times: 1})
+	st.SetFaultInjector(inj)
+
+	sys, models := swapSystem(t, core.Options{})
+	c := core.NewCheckpointer(sys, st, core.CheckpointerConfig{Coalesce: time.Millisecond, Backoff: time.Millisecond})
+	c.Start()
+	c.Notify()
+	waitFor(t, "background write to park at fsync", func() bool { return inj.Fired(faults.FSSync) == 1 })
+	gen, err := sys.Swap(employeeSamples(), models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	waitFor(t, "parked write to land", func() bool { return c.Stats().Writes >= 1 })
+	c.Stop()
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 || entries[0].Generation != gen {
+		t.Fatalf("newest checkpoint %+v, want generation %d", entries, gen)
+	}
+}

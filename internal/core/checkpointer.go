@@ -87,6 +87,11 @@ type Checkpointer struct {
 	// writeMu serializes writeOnce between the background loop and
 	// Flush, so a shutdown flush cannot interleave with a retry.
 	writeMu sync.Mutex
+	// durable reports that the store holds the state of publication
+	// written — one this checkpointer wrote, or the one RecoverCheckpoint
+	// restored from the same store. writeMu-guarded.
+	durable bool
+	written uint64
 
 	mu      sync.Mutex
 	stats   CheckpointStats
@@ -100,13 +105,17 @@ type Checkpointer struct {
 // to begin background writes; Flush works with or without Start.
 func NewCheckpointer(sys *System, store *checkpoint.Store, cfg CheckpointerConfig) *Checkpointer {
 	cfg.fill()
-	return &Checkpointer{
+	c := &Checkpointer{
 		sys:    sys,
 		store:  store,
 		cfg:    cfg,
 		notify: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(sys.Opts.Seed + 0x6172)),
 	}
+	if r := sys.recovered.Load(); r != nil && r.store == store {
+		c.durable, c.written = true, r.pub
+	}
+	return c
 }
 
 // Notify marks the serving state dirty and wakes the writer. It never
@@ -126,8 +135,7 @@ func (c *Checkpointer) Notify() {
 // Start registers the publish hook and launches the background writer.
 // A second Start is a no-op.
 //
-//garlint:allow ctxpass -- owns the background goroutine's lifetime:
-// the root context lives until Stop, not until any caller returns
+//garlint:allow ctxpass -- owns the background goroutine's lifetime: the root context lives until Stop, not until any caller returns
 func (c *Checkpointer) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -174,7 +182,8 @@ func (c *Checkpointer) Shutdown(ctx context.Context) error {
 
 // Flush synchronously checkpoints the current serving state, retrying
 // with backoff until it succeeds or ctx ends. A system with nothing to
-// persist (not Ready yet) flushes trivially.
+// persist (not Ready yet), or whose published state is already the one
+// in the store, flushes trivially.
 func (c *Checkpointer) Flush(ctx context.Context) error {
 	backoff := c.cfg.Backoff
 	for {
@@ -244,14 +253,27 @@ func (c *Checkpointer) loop(ctx context.Context) {
 }
 
 // writeOnce exports, writes and prunes one checkpoint, updating the
-// counters. Serialized against concurrent Flush/loop writes.
+// counters. It skips the write when the published state is the one the
+// store already holds: publications are numbered, so a publish that
+// lands while a write is in flight still counts as unwritten.
+// Serialized against concurrent Flush/loop writes.
 func (c *Checkpointer) writeOnce() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 
-	m, sections, err := c.sys.ExportCheckpoint()
+	st := c.sys.state.Load()
+	if c.durable && st.pub == c.written {
+		c.mu.Lock()
+		c.stats.Pending = false
+		c.mu.Unlock()
+		return nil
+	}
+	m, sections, err := c.sys.exportState(st)
 	if err == nil {
 		err = c.store.Write(m, sections)
+	}
+	if err == nil {
+		c.durable, c.written = true, st.pub
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,12 +155,16 @@ func (o *Options) fill() {
 type state struct {
 	// gen is the pool generation, bumped by every Prepare/Swap that
 	// replaces the candidate pool.
-	gen       uint64
-	pool      []ltr.Candidate
-	poolIdx   *ltr.PoolIndex
-	encoder   *embed.Encoder
-	pipeline  *ltr.Pipeline
-	linker    *values.Linker
+	gen uint64
+	// pub numbers the publication that made this state current (0 for
+	// the state New installs); every publication gets a fresh number,
+	// so it names exactly one state.
+	pub      uint64
+	pool     []ltr.Candidate
+	poolIdx  *ltr.PoolIndex
+	encoder  *embed.Encoder
+	pipeline *ltr.Pipeline
+	linker   *values.Linker
 	// guide, when non-nil, is the execution-guided reranking stage's
 	// seeded sample instance; rebuilt by SetContent so seeded rows draw
 	// from the spec's value index.
@@ -189,6 +194,8 @@ type System struct {
 
 	// writeMu serializes mutators; readers never take it.
 	writeMu sync.Mutex
+	// pubs is the number of the latest publication; writeMu-guarded.
+	pubs uint64
 	// samples and content feed the exec-guide's seeded sample instance
 	// (literal harvesting and cell values); both are writeMu-guarded and
 	// only read to rebuild the guide inside a mutation.
@@ -216,7 +223,8 @@ type System struct {
 	// tenant by SetResources.
 	resources atomic.Pointer[resources]
 	// snapMem accounts the published snapshot's candidate-pool bytes
-	// and vecMem its dialect-embedding bytes, both against the budget.
+	// and vecMem its dialect-embedding and feature-table bytes, both
+	// against the budget.
 	// They are writeMu-guarded and replaced at each publication that
 	// rebuilds the matching half (a model redeploy replaces only the
 	// embeddings); snapBytes mirrors their sum for lock-free gauges.
@@ -233,7 +241,12 @@ type System struct {
 	// entry from an older snapshot can never be served after a hot
 	// reload. Nil when Options.NoCache is set (a nil cache never hits).
 	embedCache *transcache.Cache[vector.Vec]
-	transCache *transcache.Cache[*Translation]
+	transCache *transcache.Cache[*cachedTranslation]
+
+	// recovered records the store and publication of the state the last
+	// RecoverCheckpoint restored, so a checkpointer on that store knows
+	// the state is already durable; see RecoverCheckpoint.
+	recovered atomic.Pointer[recovery]
 }
 
 // New creates a GAR system for the database.
@@ -257,7 +270,7 @@ func New(db *schema.Database, opts Options) *System {
 	s.resources.Store(&resources{budget: budget, spillDir: opts.SpillDir, bufBytes: opts.SpillBufferBytes})
 	if !opts.NoCache {
 		s.embedCache = transcache.New[vector.Vec](s.Opts.CacheSize)
-		s.transCache = transcache.New[*Translation](s.Opts.CacheSize)
+		s.transCache = transcache.New[*cachedTranslation](s.Opts.CacheSize)
 		s.governCaches(budget)
 	}
 	return s
@@ -356,10 +369,12 @@ func (s *System) SetPublishHook(fn func()) {
 	s.publishHook.Store(&fn)
 }
 
-// publish is the single publication point of a new snapshot: the atomic
-// store makes it visible to readers, then the publish hook (if any) is
-// signalled. Callers hold writeMu.
+// publish is the single publication point of a new snapshot: it numbers
+// the publication, the atomic store makes it visible to readers, then
+// the publish hook (if any) is signalled. Callers hold writeMu.
 func (s *System) publish(next *state) {
+	s.pubs++
+	next.pub = s.pubs
 	s.state.Store(next)
 	if fn := s.publishHook.Load(); fn != nil {
 		(*fn)()
@@ -390,7 +405,7 @@ func (s *System) Prepare(samples []*sqlast.Query) {
 	// Generalization is the expensive part; with copy-on-write
 	// snapshots it runs off to the side and in-flight translations keep
 	// serving the old snapshot untouched.
-	build := s.buildPoolGoverned(samples)
+	build := s.buildPoolGoverned(samples, nil)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	next := *s.state.Load()
@@ -673,25 +688,55 @@ func (s *System) UseModels(m *Models) error {
 }
 
 // Swap builds a complete new snapshot — candidate pool, dialect
-// expressions, vector index and deployed models — entirely off to the
-// side and publishes it with one atomic pointer swap. Unlike the
+// expressions, vector index and deployed models — off to the side and
+// publishes it with one atomic pointer swap. Unlike the
 // Prepare+UseModels sequence there is no intermediate untrained
 // window: translations serve the old snapshot until the instant the
 // new one is complete, which is what makes zero-downtime hot reload
-// possible. It returns the new pool generation.
+// possible. When the samples regenerate exactly the published pool — a
+// reload of an unchanged spec — the published candidates are kept
+// rather than materialized a second time, so the memory budget never
+// holds one pool twice. It returns the new pool generation.
 func (s *System) Swap(samples []*sqlast.Query, m *Models) (uint64, error) {
 	if m == nil || m.Encoder == nil {
 		return 0, fmt.Errorf("core: Swap without models")
 	}
-	build := s.buildPoolGoverned(samples)
+	build := s.buildPoolGoverned(samples, s.Pool())
 	if len(build.pool) == 0 {
 		build.mem.Release()
 		return 0, fmt.Errorf("core: Swap produced an empty candidate pool for %s", s.DB.Name)
 	}
+
+	// Like UseModels, the lock is held across the index build so the
+	// reservation a kept pool shares cannot change underneath it.
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	cur := s.state.Load()
+	poolMem := build.mem
+	if build.kept {
+		if len(cur.pool) == len(build.pool) && &cur.pool[0] == &build.pool[0] {
+			build.mem.Release()
+			poolMem, build.idx = s.snapMem, cur.poolIdx
+		} else {
+			// A concurrent Prepare or Swap replaced the kept pool, and
+			// with it the reservation that accounted for it.
+			var n int64
+			for _, c := range build.pool {
+				n += candBytesOf(c)
+			}
+			if err := poolMem.Grow(n); err != nil {
+				poolMem.Release()
+				return 0, fmt.Errorf("core: memory budget cannot hold the swapped pool: %w", err)
+			}
+			build.idx = ltr.NewPoolIndex(build.pool)
+		}
+	}
 	pipeline, pool, idx, vecMem, truncated, err := newPipelineGoverned(
-		build.pool, build.idx, m, s.Opts, s.resources.Load().budget, build.mem)
+		build.pool, build.idx, m, s.Opts, s.resources.Load().budget, poolMem)
 	if err != nil {
-		build.mem.Release()
+		if poolMem != s.snapMem {
+			poolMem.Release()
+		}
 		return 0, err
 	}
 	if truncated {
@@ -700,9 +745,7 @@ func (s *System) Swap(samples []*sqlast.Query, m *Models) (uint64, error) {
 		s.memDegradedBuilds.Add(1)
 	}
 
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	next := *s.state.Load()
+	next := *cur
 	next.gen++
 	next.pool = pool
 	next.poolIdx = idx
@@ -715,7 +758,7 @@ func (s *System) Swap(samples []*sqlast.Query, m *Models) (uint64, error) {
 	if guide := s.buildGuide(); guide != nil {
 		next.guide = guide
 	}
-	s.adoptSnapMem(build.mem, vecMem)
+	s.adoptSnapMem(poolMem, vecMem)
 	s.publish(&next)
 	// The generation bump already invalidates every cached entry; the
 	// purge just releases their memory eagerly.
@@ -827,8 +870,8 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 	// stage attribution whether or not the answer happens to be cached.
 	useCache := inj == nil && ctx.Err() == nil
 	if useCache {
-		if cached, ok := s.transCache.Get(st.gen, nl); ok {
-			return copyTranslation(cached), nil
+		if cached, ok := s.transCache.Get(st.gen, nl); ok && cached.pub == st.pub {
+			return cached.translation(st, nl), nil
 		}
 	}
 
@@ -904,19 +947,24 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 
 	// Stage 3: value post-processing (filter by value-implied columns,
 	// then instantiate placeholders). On failure the ranked SQL is
-	// returned as-is, placeholders still masked.
+	// returned as-is, placeholders still masked. ids holds each
+	// processed candidate's pool id, for the translation cache.
 	var processed []Candidate
+	var ids []int32
 	pctx, pcancel := stageCtx(ctx, s.Opts.StageBudget.Postprocess)
 	err = runStage(pctx, StagePostprocess, func() error {
 		if ferr := inj.Fire(pctx, faults.Postprocess); ferr != nil {
 			return ferr
 		}
+		// The question's literal values, extracted once for the filter
+		// and the fill of every candidate.
+		vals := linker.Extract(nl)
 		// Post-processing 1: drop candidates whose dialect lacks a
 		// column implied by a literal value in the NL query. If every
 		// candidate would be dropped, keep the original ranking.
 		filtered := make([]ltr.Ranked, 0, len(ranked))
 		for _, r := range ranked {
-			if s.Opts.NoDialect || linker.DialectMentionsColumns(nl, r.Dialect) {
+			if s.Opts.NoDialect || linker.Mentions(vals, r.Dialect) {
 				filtered = append(filtered, r)
 			}
 		}
@@ -928,16 +976,17 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 				return cerr
 			}
 			// Post-processing 2: instantiate placeholders from the NL.
-			sql := linker.FillPlaceholders(r.SQL, nl)
-			processed = append(processed, Candidate{SQL: sql, Dialect: r.Dialect, Score: r.Score})
+			processed = append(processed, Candidate{SQL: linker.Fill(r.SQL, vals), Dialect: r.Dialect, Score: r.Score})
+			ids = append(ids, int32(r.ID))
 		}
 		return nil
 	})
 	pcancel()
 	if err != nil {
-		processed = processed[:0]
+		processed, ids = processed[:0], ids[:0]
 		for _, r := range ranked {
 			processed = append(processed, Candidate{SQL: r.SQL, Dialect: r.Dialect, Score: r.Score})
+			ids = append(ids, int32(r.ID))
 		}
 		degrade(StagePostprocess, err)
 	}
@@ -967,10 +1016,12 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		} else {
 			order := execguide.Reorder(len(processed), verdicts)
 			reordered := make([]Candidate, 0, len(processed))
+			reorderedIDs := make([]int32, 0, len(ids))
 			for _, idx := range order {
 				reordered = append(reordered, processed[idx])
+				reorderedIDs = append(reorderedIDs, ids[idx])
 			}
-			processed = reordered
+			processed, ids = reordered, reorderedIDs
 			out.Verdicts = verdicts
 			s.execExecuted.Add(uint64(len(verdicts)))
 			for _, v := range verdicts {
@@ -995,24 +1046,52 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 	// Only clean, fully-processed results are cached: a degraded answer
 	// must not outlive the transient failure that produced it.
 	if useCache && !out.Degraded {
-		s.transCache.Put(st.gen, nl, copyTranslation(out))
+		c := &cachedTranslation{
+			pub:      st.pub,
+			ids:      ids,
+			scores:   make([]float64, len(processed)),
+			verdicts: slices.Clone(out.Verdicts),
+		}
+		for i := range processed {
+			c.scores[i] = processed[i].Score
+		}
+		s.transCache.Put(st.gen, nl, c)
 	}
 	return out, nil
 }
 
-// copyTranslation returns a Translation whose slices are private to the
-// caller, so the cache's copy and the served copy cannot alias through
-// Ranked/Warnings. The Candidates themselves are shared read-only —
-// their SQL was already cloned by placeholder filling.
-func copyTranslation(t *Translation) *Translation {
-	cp := *t
-	cp.Ranked = append([]Candidate(nil), t.Ranked...)
-	cp.Warnings = append([]string(nil), t.Warnings...)
-	cp.Verdicts = append([]execguide.Verdict(nil), t.Verdicts...)
-	if len(cp.Ranked) > 0 {
-		cp.Top = &cp.Ranked[0]
+// cachedTranslation is a clean translation held by reference into the
+// snapshot that produced it: the final order of pool ids, their scores
+// and the exec-guide verdicts. It retains no SQL: a hit re-fills the
+// placeholders from the same snapshot, which reproduces the miss
+// exactly because value extraction is deterministic.
+type cachedTranslation struct {
+	// pub is the publication of the state that produced the entry; a
+	// hit is served only from that state.
+	pub      uint64
+	ids      []int32
+	scores   []float64
+	verdicts []execguide.Verdict
+}
+
+// translation rebuilds the Translation the entry was cached from, on
+// the state that produced it.
+func (c *cachedTranslation) translation(st *state, nl string) *Translation {
+	pool, linker := st.pipeline.Pool, st.linker
+	vals := linker.Extract(nl)
+	out := &Translation{
+		Generation: st.gen,
+		Ranked:     make([]Candidate, len(c.ids)),
+		Verdicts:   slices.Clone(c.verdicts),
 	}
-	return &cp
+	for i, id := range c.ids {
+		cand := pool[id]
+		out.Ranked[i] = Candidate{SQL: linker.Fill(cand.SQL, vals), Dialect: cand.Dialect, Score: c.scores[i]}
+	}
+	if len(out.Ranked) > 0 {
+		out.Top = &out.Ranked[0]
+	}
+	return out
 }
 
 // ExecGuideStats is a point-in-time snapshot of the exec-guide stage's

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/parallel"
+	"repro/internal/rerank"
 	"repro/internal/schema"
 	"repro/internal/spill"
 	"repro/internal/sqlast"
@@ -22,11 +23,12 @@ import (
 
 // This file is the resource-governance layer of pool construction and
 // serving: every byte a published snapshot retains (candidate pool,
-// dialect embeddings) is accounted against a memgov budget, pool
-// construction streams candidates through a bounded RAM buffer that
-// overflows into crash-safe spill runs (internal/spill), and every
-// pressure or spill-disk failure degrades — truncated pool, Degraded
-// flag, healthz counters — instead of OOM-killing or panicking.
+// dialect embeddings, re-rank feature table) is accounted against a
+// memgov budget, pool construction streams candidates through a
+// bounded RAM buffer that overflows into crash-safe spill runs
+// (internal/spill), and every pressure or spill-disk failure degrades
+// — truncated pool, Degraded flag, healthz counters — instead of
+// OOM-killing or panicking.
 //
 // The degradation ladder, mildest first:
 //
@@ -66,21 +68,17 @@ func (s *System) SetResources(budget *memgov.Budget, spillDir string) {
 // as the snapshot they were computed from.
 func (s *System) governCaches(budget *memgov.Budget) {
 	s.embedCache.Govern(budget, vecBytes)
-	s.transCache.Govern(budget, translationBytes)
+	s.transCache.Govern(budget, cachedBytes)
 }
 
-// translationBytes estimates the retained size of a cached translation:
-// each ranked candidate's dialect string plus its (heavier) SQL AST,
-// the warnings, and the execution verdicts.
-func translationBytes(t *Translation) int64 {
-	n := int64(256)
-	for i := range t.Ranked {
-		n += int64(len(t.Ranked[i].Dialect))*9 + 128
+// cachedBytes is the retained size of a cached translation: its pool
+// ids, scores and execution verdicts.
+func cachedBytes(c *cachedTranslation) int64 {
+	n := int64(96) + int64(len(c.ids))*4 + int64(len(c.scores))*8
+	for _, v := range c.verdicts {
+		n += 48 + int64(len(v.Detail))
 	}
-	for _, w := range t.Warnings {
-		n += int64(len(w))
-	}
-	return n + int64(len(t.Verdicts))*64
+	return n
 }
 
 // spillRunBytes rotates a spill run once it grows past this size, so
@@ -103,6 +101,13 @@ func candBytes(r poolRec) int64 { return int64(len(r.sql)+len(r.dialect))*8 + 25
 
 // vecBytes estimates one dialect embedding.
 func vecBytes(v vector.Vec) int64 { return int64(len(v))*8 + 48 }
+
+// tableBytes estimates one candidate's share of the re-rank feature
+// table (rerank.Table.Bytes reads 400–600 B per candidate on the
+// committed suites and SPIDER-like pools): the id sets and trigrams
+// grow with the dialect, the header, offset and vocabulary share do
+// not.
+func tableBytes(dialect string) int64 { return int64(len(dialect)) + 320 }
 
 // buildInfo is the degradation record of one pool build, published
 // with the snapshot and surfaced through MemStats / healthz.
@@ -131,6 +136,9 @@ type poolBuild struct {
 	// against the tenant budget; the snapshot that publishes this pool
 	// adopts it, and it is released when that pool is replaced.
 	mem *memgov.Reservation
+	// kept reports that the build reproduced the pool it was asked to
+	// keep, so pool is that pool, idx is nil and mem holds nothing.
+	kept bool
 }
 
 // poolRec is the serialized form of one streamed candidate: exactly
@@ -404,6 +412,21 @@ func materialize(db *schema.Database, rec poolRec, snap *memgov.Reservation) (lt
 	return ltr.Candidate{SQL: q, Dialect: rec.dialect}, nil
 }
 
+// reproduces reports whether the buffered records are exactly pool, in
+// order, with nothing spilled or dropped — materializing them would
+// build a second copy of pool.
+func (ps *poolSink) reproduces(pool []ltr.Candidate) bool {
+	if len(pool) == 0 || ps.spilling || ps.info.Degraded || len(ps.recs) != len(pool) {
+		return false
+	}
+	for i, rec := range ps.recs {
+		if rec.dialect != pool[i].Dialect || rec.sql != pool[i].SQL.String() {
+			return false
+		}
+	}
+	return true
+}
+
 // cleanup removes this build's finished spill runs; they are scratch
 // and fully replayed (or abandoned) by now.
 //
@@ -426,8 +449,11 @@ func closeSpill(r *spill.Reader) {
 // generalize.Stream feeds the sink, the sink buffers or spills, and
 // replay materializes the pool under the snapshot reservation. It
 // subsumes the old materialize-everything buildPool — an unbudgeted
-// system takes the same path with every governor inert.
-func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
+// system takes the same path with every governor inert. keep, when
+// non-nil, is a pool the caller already holds: a build that
+// reproduces it exactly returns it (kept) instead of materializing it
+// again.
+func (s *System) buildPoolGoverned(samples []*sqlast.Query, keep []ltr.Candidate) *poolBuild {
 	res := s.resources.Load()
 	inj := s.state.Load().inj
 	sink := newPoolSink(res, inj, s.expression)
@@ -444,6 +470,11 @@ func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
 	}
 
 	build := &poolBuild{stats: gres.Stats, mem: res.budget.Hold()}
+	if !gres.Degraded && sink.reproduces(keep) {
+		sink.bufRes.Release()
+		build.pool, build.info, build.kept = keep, sink.info, true
+		return build
+	}
 	build.pool, build.info = sink.finish(s.DB, build.mem)
 	if gres.Degraded {
 		build.info.Degraded = true
@@ -464,7 +495,8 @@ func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
 const encodeBatch = 256
 
 // buildIndexGoverned embeds the pool's dialects in bounded batches,
-// growing the snapshot reservation per batch. A denial truncates the
+// growing the snapshot reservation per batch by the embeddings and the
+// candidates' share of the re-rank feature table. A denial truncates the
 // pool at the last complete batch: retrieval quality degrades (fewer
 // candidates) but the system stays up. A budget too small for even the
 // first batch is an error — that snapshot cannot exist at any size,
@@ -481,8 +513,8 @@ func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Optio
 			return nil
 		})
 		var batchBytes int64
-		for _, v := range batch {
-			batchBytes += vecBytes(v)
+		for i, v := range batch {
+			batchBytes += vecBytes(v) + tableBytes(pool[start+i].Dialect)
 		}
 		if err := snap.Grow(batchBytes); err != nil {
 			if start == 0 {
@@ -537,19 +569,35 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 		}
 		poolIdx = ltr.NewPoolIndex(kept)
 	}
+	return servingPipeline(kept, poolIdx, m, vecs, opts), kept, poolIdx, vecRes, truncated, nil
+}
+
+// servingPipeline assembles the online pipeline over a pool whose
+// dialect embeddings are computed: the vector index over them, the
+// static cost features and, when the pipeline re-ranks, the re-rank
+// feature table. It is the shared tail of a fresh snapshot build and a
+// checkpoint restore; the table is derived data and never persisted.
+func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, vecs []vector.Vec, opts Options) *ltr.Pipeline {
 	pipe := &ltr.Pipeline{
 		Encoder:    m.Encoder,
 		Index:      indexFromVecs(vecs, opts),
-		Pool:       kept,
+		Pool:       pool,
 		PoolIdx:    poolIdx,
 		K:          opts.RetrievalK,
 		SkipRerank: opts.NoRerank,
 		Reranker:   m.Reranker,
 		DialVecs:   vecs,
-		Costs:      poolCosts(kept),
+		Costs:      poolCosts(pool),
 		Workers:    opts.Workers,
 	}
-	return pipe, kept, poolIdx, vecRes, truncated, nil
+	if !opts.NoRerank && m.Reranker != nil {
+		dialects := make([]string, len(pool))
+		for i, c := range pool {
+			dialects[i] = c.Dialect
+		}
+		pipe.Table = rerank.NewTable(dialects)
+	}
+	return pipe
 }
 
 // adoptSnapMem installs the reservations accounting the snapshot being
@@ -577,7 +625,7 @@ type MemStats struct {
 	// fleet); nil when unbudgeted.
 	Budget *memgov.Stats `json:"budget,omitempty"`
 	// SnapshotBytes is the accounted size of the published snapshot
-	// (candidate pool + dialect embeddings).
+	// (candidate pool + dialect embeddings + re-rank feature table).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// Degraded and DegradeReason describe the published pool's build.
 	Degraded      bool   `json:"degraded"`

@@ -3,6 +3,7 @@ package core_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -329,5 +330,68 @@ func TestBudgetPressureDegrades(t *testing.T) {
 	if full.PoolSize() <= sys.PoolSize() {
 		t.Errorf("tight budget kept %d candidates, roomy %d; expected a strict truncation",
 			sys.PoolSize(), full.PoolSize())
+	}
+}
+
+// TestSwapKeepsReproducedPool: a Swap whose samples regenerate the
+// published pool — a reload of an unchanged spec — keeps the published
+// candidates instead of materializing a second copy. A budget with room
+// for one snapshot plus a second set of embeddings and feature table,
+// but not for two whole snapshots, then reloads without degrading;
+// the generation still advances and the answers are unchanged.
+func TestSwapKeepsReproducedPool(t *testing.T) {
+	opts := core.Options{GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 12, RerankEpochs: 40, Seed: 42, NoCache: true,
+		MemBudget: 256 << 20}
+	probe := core.New(schematest.Employee(), opts)
+	probe.Prepare(employeeSamples())
+	poolBytes := probe.MemStats().SnapshotBytes
+	if err := probe.Train(employeeExamples()); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes := probe.MemStats().SnapshotBytes
+
+	opts.MemBudget = 2*snapBytes - poolBytes/2
+	sys := core.New(schematest.Employee(), opts)
+	sys.Prepare(employeeSamples())
+	if err := sys.Train(employeeExamples()); err != nil {
+		t.Fatal(err)
+	}
+	answers := func() []string {
+		var out []string
+		for _, q := range checkpointQuestions {
+			tr, err := sys.Translate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, body, _ := strings.Cut(renderTranslation(tr), "\n")
+			out = append(out, body)
+		}
+		return out
+	}
+	before, dialects, gen := answers(), sys.PoolDialects(), sys.Generation()
+
+	models, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, sys.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Swap(employeeSamples(), models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != gen+1 {
+		t.Fatalf("swap published generation %d, want %d", got, gen+1)
+	}
+	ms := sys.MemStats()
+	if ms.Degraded || ms.DegradedBuilds != 0 {
+		t.Fatalf("reload of the same samples degraded: %+v", ms)
+	}
+	if ms.SnapshotBytes != snapBytes || ms.Budget.Used != snapBytes {
+		t.Errorf("after swap: snapshot %d, used %d; want both %d", ms.SnapshotBytes, ms.Budget.Used, snapBytes)
+	}
+	if !slices.Equal(sys.PoolDialects(), dialects) {
+		t.Error("swap changed the reproduced pool")
+	}
+	if after := answers(); !slices.Equal(after, before) {
+		t.Errorf("answers changed across the swap:\n%v\nvs\n%v", after, before)
 	}
 }

@@ -61,7 +61,11 @@ func snapshotCorrupt(format string, args ...any) error {
 // so a restore onto the wrong system is refused. It fails with
 // ErrNotReady while no trained snapshot is published.
 func (s *System) ExportCheckpoint() (checkpoint.Manifest, []checkpoint.Section, error) {
-	st := s.state.Load()
+	return s.exportState(s.state.Load())
+}
+
+// exportState is ExportCheckpoint of one published state.
+func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Section, error) {
 	if !st.trained || st.pipeline == nil {
 		return checkpoint.Manifest{}, nil, ErrNotReady
 	}
@@ -132,8 +136,8 @@ func decodeSection(ck *checkpoint.Checkpoint, name string, out any) (err error) 
 // decoded (and envelope-validated) checkpoint and publishes it
 // atomically: candidate pool re-parsed and re-bound against this
 // system's database, vector index rebuilt from the persisted dialect
-// embeddings (no re-encoding), models deployed, pool generation
-// restored. After it returns the system is Ready and translates without
+// embeddings (no re-encoding), re-rank feature table derived from the
+// dialects, models deployed, pool generation restored. After it returns the system is Ready and translates without
 // ever running Prepare or Train.
 //
 // A checkpoint for a different database fails with
@@ -142,42 +146,77 @@ func decodeSection(ck *checkpoint.Checkpoint, name string, out any) (err error) 
 // is left exactly as it was — the new state is published only after
 // every section has validated.
 func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
+	_, err := s.restoreCheckpoint(ck)
+	return err
+}
+
+// recovery is the durable origin of a state RecoverCheckpoint restored:
+// the store it came from and the publication that made it current.
+type recovery struct {
+	store *checkpoint.Store
+	pub   uint64
+}
+
+// RecoverCheckpoint walks the store's checkpoints newest-first and
+// restores the first one that fully validates against this system,
+// falling back generation-by-generation past anything torn, corrupt or
+// incompatible (each recorded in skipped). A nil returned checkpoint
+// with nil error means nothing recoverable exists and the system is
+// unchanged. The restored state is already durable in st, so a
+// Checkpointer on st counts it as written: a tenant evicted without
+// changing since its warm start is not checkpointed again.
+func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint, []checkpoint.Skipped, error) {
+	var pub uint64
+	ck, skipped, err := st.Recover(func(ck *checkpoint.Checkpoint) error {
+		var rerr error
+		pub, rerr = s.restoreCheckpoint(ck)
+		return rerr
+	})
+	if err == nil && ck != nil {
+		s.recovered.Store(&recovery{store: st, pub: pub})
+	}
+	return ck, skipped, err
+}
+
+// restoreCheckpoint is RestoreCheckpoint, also returning the number of
+// the publication that made the restored state current.
+func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint) (uint64, error) {
 	if ck == nil {
-		return fmt.Errorf("core: restoring a nil checkpoint")
+		return 0, fmt.Errorf("core: restoring a nil checkpoint")
 	}
 	if ck.Manifest.Database != s.DB.Name {
-		return fmt.Errorf("core: %w: checkpoint is for database %q, this system serves %q",
+		return 0, fmt.Errorf("core: %w: checkpoint is for database %q, this system serves %q",
 			checkpoint.ErrIncompatible, ck.Manifest.Database, s.DB.Name)
 	}
 
 	var entries []poolEntry
 	if err := decodeSection(ck, SectionPool, &entries); err != nil {
-		return err
+		return 0, err
 	}
 	if len(entries) == 0 {
-		return snapshotCorrupt("empty candidate pool")
+		return 0, snapshotCorrupt("empty candidate pool")
 	}
 	var vecs []vector.Vec
 	if err := decodeSection(ck, SectionVecs, &vecs); err != nil {
-		return err
+		return 0, err
 	}
 	if len(vecs) != len(entries) {
-		return snapshotCorrupt("%d vectors for %d candidates", len(vecs), len(entries))
+		return 0, snapshotCorrupt("%d vectors for %d candidates", len(vecs), len(entries))
 	}
 	var stats generalize.Stats
 	if err := decodeSection(ck, SectionStats, &stats); err != nil {
-		return err
+		return 0, err
 	}
 	modelsData := ck.Section(SectionModels)
 	if modelsData == nil {
-		return snapshotCorrupt("section %q missing", SectionModels)
+		return 0, snapshotCorrupt("section %q missing", SectionModels)
 	}
 	m, err := LoadModels(bytes.NewReader(modelsData))
 	if err != nil {
 		// The nested model envelope has its own integrity checks; any
 		// failure inside a checkpoint that passed its own checksums is
 		// still corruption from the restore's point of view.
-		return fmt.Errorf("core: %w: models section: %v", checkpoint.ErrCorrupt, err)
+		return 0, fmt.Errorf("core: %w: models section: %v", checkpoint.ErrCorrupt, err)
 	}
 
 	pool := make([]ltr.Candidate, len(entries))
@@ -185,13 +224,13 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	for i, e := range entries {
 		q, err := sqlparse.Parse(e.SQL)
 		if err != nil {
-			return snapshotCorrupt("candidate %d does not parse: %v", i, err)
+			return 0, snapshotCorrupt("candidate %d does not parse: %v", i, err)
 		}
 		if err := s.DB.Bind(q); err != nil {
 			// The SQL is intact but no longer matches this schema: the
 			// checkpoint predates a schema change. Incompatible, not
 			// corrupt — but either way recovery must fall back.
-			return fmt.Errorf("core: %w: candidate %d does not bind against %s: %v",
+			return 0, fmt.Errorf("core: %w: candidate %d does not bind against %s: %v",
 				checkpoint.ErrIncompatible, i, s.DB.Name, err)
 		}
 		pool[i] = ltr.Candidate{SQL: q, Dialect: e.Dialect}
@@ -199,7 +238,7 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 			dim = len(vecs[i])
 		}
 		if len(vecs[i]) != dim {
-			return snapshotCorrupt("vector %d has dimension %d, want %d", i, len(vecs[i]), dim)
+			return 0, snapshotCorrupt("vector %d has dimension %d, want %d", i, len(vecs[i]), dim)
 		}
 	}
 
@@ -214,30 +253,18 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	var poolBytes, vecsBytes int64
 	for i := range pool {
 		poolBytes += candBytesOf(pool[i])
-		vecsBytes += vecBytes(vecs[i])
+		vecsBytes += vecBytes(vecs[i]) + tableBytes(pool[i].Dialect)
 	}
 	if err := poolMem.Grow(poolBytes); err != nil {
-		return fmt.Errorf("core: memory budget cannot hold the checkpointed pool: %w", err)
+		return 0, fmt.Errorf("core: memory budget cannot hold the checkpointed pool: %w", err)
 	}
 	if err := vecMem.Grow(vecsBytes); err != nil {
 		poolMem.Release()
-		return fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings: %w", err)
+		return 0, fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings: %w", err)
 	}
 
 	poolIdx := ltr.NewPoolIndex(pool)
-	index := indexFromVecs(vecs, s.Opts)
-	pipeline := &ltr.Pipeline{
-		Encoder:    m.Encoder,
-		Index:      index,
-		Pool:       pool,
-		PoolIdx:    poolIdx,
-		K:          s.Opts.RetrievalK,
-		SkipRerank: s.Opts.NoRerank,
-		Reranker:   m.Reranker,
-		DialVecs:   vecs,
-		Costs:      poolCosts(pool),
-		Workers:    s.Opts.Workers,
-	}
+	pipeline := servingPipeline(pool, poolIdx, m, vecs, s.Opts)
 
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -268,5 +295,5 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	s.adoptSnapMem(poolMem, vecMem)
 	s.publish(&next)
 	s.purgeCaches()
-	return nil
+	return next.pub, nil
 }

@@ -523,3 +523,73 @@ func TestFleetShutdownDrainsAndFlushes(t *testing.T) {
 		t.Fatalf("state tree = %v, %v", entries, err)
 	}
 }
+
+// TestFleetEvictionSkipsCleanWarmStart: evicting a tenant that was
+// warm-started from its checkpoint and never changed leaves the
+// checkpoint file untouched — the incoming tenant does not wait on a
+// rewrite of identical state — while evicting it after a reload writes
+// the new generation.
+func TestFleetEvictionSkipsCleanWarmStart(t *testing.T) {
+	src := newTestSource(t)
+	stateDir := t.TempDir()
+	reg := fleet.New(src, fleet.Config{MaxActive: 1, StateDir: stateDir})
+	for _, name := range []string{"alpha", "beta"} {
+		if err := reg.Register(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	const q = "which item has the largest quantity"
+	use := func(name string) {
+		t.Helper()
+		if _, err := translateVia(ctx, reg, name, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alphaFiles := func() map[string]os.FileInfo {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(stateDir, "alpha", "gen-*.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]os.FileInfo{}
+		for _, f := range files {
+			fi, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f] = fi
+		}
+		return out
+	}
+
+	use("alpha")
+	use("beta") // evicts alpha, which writes its cold-built state
+	before := alphaFiles()
+	if len(before) == 0 {
+		t.Fatal("cold-built alpha was not checkpointed on eviction")
+	}
+	use("alpha") // warm start, evicts beta
+	use("beta")  // evicts the untouched alpha
+	if row := reg.Health().Tenants["alpha"]; row.Counters.WarmStarts != 1 || row.Counters.Evictions != 2 {
+		t.Fatalf("alpha counters = %+v", row.Counters)
+	}
+	after := alphaFiles()
+	if len(after) != len(before) {
+		t.Fatalf("untouched alpha wrote a checkpoint: %d files, was %d", len(after), len(before))
+	}
+	for f, fi := range before {
+		if !os.SameFile(fi, after[f]) {
+			t.Fatalf("untouched alpha rewrote %s on eviction", f)
+		}
+	}
+
+	use("alpha")
+	if _, err := reg.Reload(ctx, "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	use("beta") // evicts the reloaded alpha
+	if got := alphaFiles(); len(got) != len(before)+1 {
+		t.Fatalf("reloaded alpha: %d checkpoint files, want %d", len(got), len(before)+1)
+	}
+}

@@ -162,6 +162,11 @@ type Pipeline struct {
 	// re-ranker consumes them as a static input feature. Nil scores
 	// every candidate with a zero cost feature.
 	Costs []float64
+	// Table, when non-nil, is the re-rank feature table over Pool's
+	// dialects (entry i is Pool[i]). Snapshot builds compute it once,
+	// so re-ranking never re-tokenizes a retrieved dialect; nil builds
+	// a table over each request's hits instead.
+	Table *rerank.Table
 	// Workers bounds the fan-out of batched scoring and retrieval
 	// (0 = one per CPU, 1 = sequential).
 	Workers int
@@ -246,14 +251,57 @@ func (p *Pipeline) RerankContext(ctx context.Context, nl string, hits []vindex.H
 
 // RerankVecContext is RerankContext with an optional precomputed query
 // embedding (under p.Encoder). Every candidate is scored exactly once:
-// the NL-side features are prepared once per question, the dialect-side
-// embeddings come from DialVecs when the snapshot precomputed them, and
-// the forward passes fan out across p.Workers. The ranked output is
-// bit-identical to sequential per-pair scoring.
+// the NL-side features are prepared once per question, the dialect
+// side comes from Table and the dialect embeddings from DialVecs when
+// the snapshot precomputed them, and the forward passes fan out across
+// p.Workers. The ranked output is bit-identical to sequential per-pair
+// scoring.
 func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.Vec, hits []vindex.Hit) ([]Ranked, error) {
 	if p.SkipRerank || p.Reranker == nil {
 		return p.FromHits(hits), nil
 	}
+	// The cached query embedding substitutes for the extractor's own
+	// encode only when both stages share one encoder (they do in every
+	// snapshot core builds; the guard keeps hand-assembled pipelines
+	// honest).
+	var prep *rerank.Prep
+	if qvec != nil && p.Reranker.X.Encoder == p.Encoder {
+		prep = p.Reranker.X.PrepareVec(nl, qvec)
+	} else {
+		prep = p.Reranker.X.Prepare(nl)
+	}
+	var order []int
+	var scores []float64
+	var err error
+	if p.Table != nil {
+		ids := make([]int, len(hits))
+		for i, h := range hits {
+			ids[i] = h.ID
+		}
+		order, scores, err = p.Reranker.RankTableContext(ctx, prep, p.Table, ids, p.DialVecs, p.Costs, p.Workers)
+	} else {
+		order, scores, err = p.rerankHits(ctx, prep, hits)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Ranked, 0, len(hits))
+	for _, idx := range order {
+		h := hits[idx]
+		c := p.Pool[h.ID]
+		out = append(out, Ranked{
+			ID:      h.ID,
+			Score:   scores[idx],
+			Dialect: c.Dialect,
+			SQL:     c.SQL,
+		})
+	}
+	return out, nil
+}
+
+// rerankHits scores the hits of a pipeline without a feature table,
+// gathering their dialects, embeddings and costs per request.
+func (p *Pipeline) rerankHits(ctx context.Context, prep *rerank.Prep, hits []vindex.Hit) ([]int, []float64, error) {
 	dialects := make([]string, len(hits))
 	var dialVecs []vector.Vec
 	if p.DialVecs != nil {
@@ -272,32 +320,7 @@ func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.
 			costs[i] = p.Costs[h.ID]
 		}
 	}
-	// The cached query embedding substitutes for the extractor's own
-	// encode only when both stages share one encoder (they do in every
-	// snapshot core builds; the guard keeps hand-assembled pipelines
-	// honest).
-	var prep *rerank.Prep
-	if qvec != nil && p.Reranker.X.Encoder == p.Encoder {
-		prep = p.Reranker.X.PrepareVec(nl, qvec)
-	} else {
-		prep = p.Reranker.X.Prepare(nl)
-	}
-	order, scores, err := p.Reranker.RankScoresPrepContext(ctx, prep, dialects, dialVecs, costs, p.Workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, 0, len(hits))
-	for _, idx := range order {
-		h := hits[idx]
-		c := p.Pool[h.ID]
-		out = append(out, Ranked{
-			ID:      h.ID,
-			Score:   scores[idx],
-			Dialect: c.Dialect,
-			SQL:     c.SQL,
-		})
-	}
-	return out, nil
+	return p.Reranker.RankScoresPrepContext(ctx, prep, dialects, dialVecs, costs, p.Workers)
 }
 
 // Rank runs the full two-stage pipeline and returns the candidates in

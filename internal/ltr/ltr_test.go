@@ -268,4 +268,21 @@ func TestRerankVecContextCostAware(t *testing.T) {
 	if !moved {
 		t.Fatal("cost vector did not reach the scoring path")
 	}
+
+	// A per-snapshot feature table ranks exactly as the per-request
+	// one over the hits.
+	dialects := make([]string, len(pipe.Pool))
+	for i, c := range pipe.Pool {
+		dialects[i] = c.Dialect
+	}
+	pipe.Table = rerank.NewTable(dialects)
+	tabled, err := pipe.RerankVecContext(context.Background(), nl, qvec, hits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range costly {
+		if tabled[i].ID != costly[i].ID || tabled[i].Score != costly[i].Score {
+			t.Fatalf("table path diverged at %d: %+v vs %+v", i, tabled[i], costly[i])
+		}
+	}
 }

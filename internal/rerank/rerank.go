@@ -10,12 +10,10 @@ package rerank
 
 import (
 	"context"
-	"math"
 	"strings"
 
 	"repro/internal/embed"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/text"
 	"repro/internal/vector"
 )
@@ -51,22 +49,21 @@ var aggregates = map[string]bool{
 	"minimum": true, "highest": true, "lowest": true,
 }
 
-// Prep caches every NL-side artifact of Features — tokenizations,
-// n-grams, cue and marker flags, and the query embedding — so scoring a
-// question against k retrieved candidates pays the NL-side cost once
+// Prep caches every NL-side artifact of the features that does not
+// depend on the candidate list — tokenizations, packed character
+// trigrams, cue and marker flags, and the query embedding — so scoring
+// a question against k retrieved candidates pays the NL-side cost once
 // instead of k times. A Prep is immutable after Prepare and safe to
 // share across concurrent scoring workers.
 type Prep struct {
-	nl      string
 	toks    []string
 	content []string
-	bigrams []string
-	grams   []string
-	nums    []string
+	// grams is the sorted unique set of packed character trigrams of
+	// the content tokens.
+	grams []uint32
 
 	hasSuper, hasNeg, hasAgg       bool
 	groupCue, orderCue, compareCue bool
-	head []string
 	// vec is the query embedding under the extractor's encoder; nil
 	// when the extractor has no encoder.
 	vec vector.Vec
@@ -88,20 +85,20 @@ func (x *Extractor) Prepare(nl string) *Prep {
 func (x *Extractor) PrepareVec(nl string, vec vector.Vec) *Prep {
 	toks := text.Tokenize(nl)
 	content := text.CanonTokens(nl)
+	var grams []uint32
+	for _, c := range content {
+		grams = appendGrams(grams, c)
+	}
 	return &Prep{
-		nl:         nl,
 		toks:       toks,
 		content:    content,
-		bigrams:    text.NGrams(toks, 2),
-		grams:      charGrams(content),
-		nums:       numbers(toks),
+		grams:      sortUnique(grams),
 		hasSuper:   hasAny(toks, superlatives),
 		hasNeg:     hasAny(toks, negations),
 		hasAgg:     hasAny(toks, aggregates),
 		groupCue:   hasGroupCue(nl),
 		orderCue:   hasOrderCue(nl),
 		compareCue: hasCompareCue(nl),
-		head:       headTokens(content, 3),
 		vec:        vec,
 	}
 }
@@ -125,88 +122,10 @@ func (x *Extractor) FeaturesPrep(p *Prep, dial string, dialVec vector.Vec) []flo
 // FeaturesPrepCost is FeaturesPrep with the candidate's estimated-cost
 // feature (execguide.CostFeature of its SQL, normalized to [0,1); 0
 // when no cost signal is available). The cost is a static property of
-// the candidate, so pipelines compute it once per pool entry.
+// the candidate, so pipelines compute it once per pool entry. It runs
+// the table's pair math over a one-entry table.
 func (x *Extractor) FeaturesPrepCost(p *Prep, dial string, dialVec vector.Vec, cost float64) []float64 {
-	dToks := text.Tokenize(dial)
-	dContent := text.CanonTokens(dial)
-
-	f := make([]float64, 0, FeatureDim)
-	// 0-2: token-set similarity.
-	f = append(f, text.Jaccard(p.content, dContent))
-	f = append(f, text.OverlapRatio(p.content, dContent))
-	f = append(f, text.OverlapRatio(dContent, p.content))
-	// 3: IDF-weighted coverage of the NL query by the dialect.
-	f = append(f, x.IDF.WeightedOverlap(p.content, dContent))
-	// 4: bigram overlap.
-	f = append(f, text.Jaccard(p.bigrams, text.NGrams(dToks, 2)))
-	// 5: character-trigram similarity (robust to morphology).
-	f = append(f, text.Jaccard(p.grams, charGrams(dContent)))
-	// 6: normalized token edit distance.
-	ed := text.EditDistance(p.toks, dToks)
-	den := len(p.toks) + len(dToks)
-	if den == 0 {
-		den = 1
-	}
-	f = append(f, 1-float64(ed)/float64(den))
-	// 7-8: length signals.
-	f = append(f, lengthRatio(len(p.toks), len(dToks)))
-	f = append(f, math.Abs(float64(len(p.toks)-len(dToks)))/16)
-	// 9: numeric literal agreement.
-	f = append(f, setAgreement(p.nums, numbers(dToks)))
-	// 10-12: superlative / negation / aggregate marker agreement.
-	f = append(f, boolFeat(p.hasSuper == hasAny(dToks, superlatives)))
-	f = append(f, boolFeat(p.hasNeg == hasAny(dToks, negations)))
-	f = append(f, boolFeat(p.hasAgg == hasAny(dToks, aggregates)))
-	// 13: "for each"/"per" vs GROUP BY phrase agreement.
-	f = append(f, boolFeat(p.groupCue == strings.Contains(dial, "for each")))
-	// 14: ordering cue agreement.
-	f = append(f, boolFeat(p.orderCue == strings.Contains(dial, "order of")))
-	// 15: comparison cue agreement ("more than", "at least", ...).
-	f = append(f, boolFeat(p.compareCue == hasCompareCue(dial)))
-	// 16: select-sentence agreement — coverage of the dialect's first
-	// sentence (the projection) by the NL query; separates candidates
-	// that differ only in the selected columns.
-	firstSentence := dial
-	if i := strings.IndexByte(dial, '.'); i > 0 {
-		firstSentence = dial[:i]
-	}
-	f = append(f, text.OverlapRatio(text.CanonTokens(firstSentence), p.content))
-	// 17: leading-token agreement — the head of the question names the
-	// projection ("find the AGE of ..."), so its first content tokens
-	// must appear in the dialect's projection sentence. This separates
-	// role-swapped candidates (ORDER BY age vs SELECT age) that share a
-	// bag of words.
-	f = append(f, text.OverlapRatio(p.head, text.CanonTokens(firstSentence)))
-	// 18: learned retrieval similarity.
-	switch {
-	case x.Encoder == nil:
-		f = append(f, 0)
-	case dialVec != nil:
-		f = append(f, float64(vector.Dot(p.vec, dialVec)))
-	default:
-		f = append(f, float64(vector.Dot(p.vec, x.Encoder.Encode(dial))))
-	}
-	// 19: estimated execution cost of the candidate's SQL.
-	f = append(f, cost)
-	// 20: bias.
-	f = append(f, 1)
-	return f
-}
-
-// headTokens returns the first n tokens of the slice.
-func headTokens(tokens []string, n int) []string {
-	if len(tokens) < n {
-		return tokens
-	}
-	return tokens[:n]
-}
-
-func charGrams(tokens []string) []string {
-	var out []string
-	for _, t := range tokens {
-		out = append(out, text.CharNGrams(t, 3)...)
-	}
-	return out
+	return x.FeaturesAt(x.Match(p, NewTable([]string{dial})), 0, dialVec, cost)
 }
 
 func lengthRatio(a, b int) float64 {
@@ -217,25 +136,6 @@ func lengthRatio(a, b int) float64 {
 		a, b = b, a
 	}
 	return float64(a) / float64(b)
-}
-
-// setAgreement compares the numeric-literal sets of both sides: a pair
-// with no numbers anywhere agrees perfectly, otherwise Jaccard.
-func setAgreement(na, nb []string) float64 {
-	if len(na) == 0 && len(nb) == 0 {
-		return 1
-	}
-	return text.Jaccard(na, nb)
-}
-
-func numbers(tokens []string) []string {
-	var out []string
-	for _, t := range tokens {
-		if t[0] >= '0' && t[0] <= '9' {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func hasAny(tokens []string, set map[string]bool) bool {
@@ -325,35 +225,22 @@ func (m *Model) ScorePrepCost(p *Prep, dial string, dialVec vector.Vec, cost flo
 // regardless of the worker count — each score depends only on its own
 // (Prep, dialect, cost) triple.
 func (m *Model) ScoreBatchContext(ctx context.Context, p *Prep, dialects []string, dialVecs []vector.Vec, costs []float64, workers int) ([]float64, error) {
-	scores := make([]float64, len(dialects))
-	err := parallel.ForEach(ctx, len(dialects), workers, func(i int) error {
-		var dv vector.Vec
-		if dialVecs != nil {
-			dv = dialVecs[i]
-		}
-		var cost float64
-		if costs != nil {
-			cost = costs[i]
-		}
-		scores[i] = m.ScorePrepCost(p, dialects[i], dv, cost)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores, nil
+	_, scores, err := m.RankScoresPrepContext(ctx, p, dialects, dialVecs, costs, workers)
+	return scores, err
 }
 
 // RankScoresPrepContext ranks the candidates for a prepared question
 // and returns both the descending-score index order and the raw score
 // per original candidate index, so callers never re-score a candidate
-// they already ranked.
+// they already ranked. It builds a feature table over dialects and
+// ranks every entry; pipelines that hold a per-snapshot table call
+// RankTableContext directly.
 func (m *Model) RankScoresPrepContext(ctx context.Context, p *Prep, dialects []string, dialVecs []vector.Vec, costs []float64, workers int) ([]int, []float64, error) {
-	scores, err := m.ScoreBatchContext(ctx, p, dialects, dialVecs, costs, workers)
-	if err != nil {
-		return nil, nil, err
+	ids := make([]int, len(dialects))
+	for i := range ids {
+		ids[i] = i
 	}
-	return rankOrder(scores), scores, nil
+	return m.RankTableContext(ctx, p, NewTable(dialects), ids, dialVecs, costs, workers)
 }
 
 // RankScoresContext is RankScoresPrepContext over a raw NL question.
@@ -397,18 +284,20 @@ type TrainingList struct {
 	Costs    []float64
 }
 
-// Train fits the model on listwise groups.
+// Train fits the model on listwise groups. Each list's dialects get
+// one feature table, so a list pays the dialect side once per
+// candidate, exactly as serving does.
 func (m *Model) Train(lists []TrainingList, cfg nn.TrainConfig) []float64 {
 	nnLists := make([]nn.List, 0, len(lists))
 	for _, l := range lists {
 		list := nn.List{Labels: l.Labels}
-		p := m.X.Prepare(l.NL)
-		for i, d := range l.Dialects {
+		match := m.X.Match(m.X.Prepare(l.NL), NewTable(l.Dialects))
+		for i := range l.Dialects {
 			var cost float64
 			if l.Costs != nil {
 				cost = l.Costs[i]
 			}
-			list.Features = append(list.Features, m.X.FeaturesPrepCost(p, d, nil, cost))
+			list.Features = append(list.Features, m.X.FeaturesAt(match, i, nil, cost))
 		}
 		nnLists = append(nnLists, list)
 	}

@@ -9,31 +9,43 @@ import (
 	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lower-cases s and splits it into word and number tokens.
 // Punctuation separates tokens and is dropped.
 func Tokenize(s string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range s {
+	EachToken(s, nil, func(tok []byte, _ int) {
+		out = append(out, string(tok))
+	})
+	return out
+}
+
+// EachToken is the tokenizer behind Tokenize: it calls fn with every
+// token of s in order, as lower-cased bytes in a buffer reused across
+// calls (fn must copy what it keeps), together with the byte offset in
+// s of the separator that ended the token (len(s) for the last one).
+// buf is the buffer to reuse; the grown buffer is returned.
+func EachToken(s string, buf []byte, fn func(tok []byte, end int)) []byte {
+	cur := buf[:0]
+	for i, r := range s {
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(unicode.ToLower(r))
+			cur = utf8.AppendRune(cur, unicode.ToLower(r))
 		case r == '\'':
 			// keep contractions attached: don't → dont
 		default:
-			flush()
+			if len(cur) > 0 {
+				fn(cur, i)
+				cur = cur[:0]
+			}
 		}
 	}
-	flush()
-	return out
+	if len(cur) > 0 {
+		fn(cur, len(s))
+	}
+	return cur
 }
 
 // stopwords is a small English stopword list tuned for dialect

@@ -7,6 +7,7 @@
 package values
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,8 +27,9 @@ type ColRef struct {
 type Linker struct {
 	db *schema.Database
 	// cellCols maps each distinct lower-cased text cell value to the
-	// columns it occurs in.
+	// columns it occurs in; maxCell is the longest key's length.
 	cellCols map[string][]ColRef
+	maxCell  int
 }
 
 // NewLinker builds a linker. content may be nil; then only quoted spans
@@ -55,6 +57,7 @@ func NewLinker(db *schema.Database, content *engine.Instance) *Linker {
 				if !containsRef(l.cellCols[key], ref) {
 					l.cellCols[key] = append(l.cellCols[key], ref)
 				}
+				l.maxCell = max(l.maxCell, len(key))
 			}
 		}
 	}
@@ -79,17 +82,27 @@ type NLValue struct {
 	Columns []ColRef
 }
 
-// Extract finds literal values in the NL query: quoted spans, numbers,
-// and known cell values (longest match first).
+// Extract finds literal values in the NL query: quoted spans, known
+// cell values (longest match first; equal lengths in order of
+// appearance), and numbers.
 func (l *Linker) Extract(nl string) []NLValue {
 	var out []NLValue
-	seen := map[string]bool{}
+	// seen holds the lower-cased text of every value added so far.
+	var seen []string
+	isSeen := func(key string) bool {
+		for _, s := range seen {
+			if s == key {
+				return true
+			}
+		}
+		return false
+	}
 	add := func(v NLValue) {
 		key := strings.ToLower(v.Text)
-		if key == "" || seen[key] {
+		if key == "" || isSeen(key) {
 			return
 		}
-		seen[key] = true
+		seen = append(seen, key)
 		out = append(out, v)
 	}
 
@@ -113,38 +126,22 @@ func (l *Linker) Extract(nl string) []NLValue {
 		}
 	}
 
-	// Known cell values appearing as substrings, longest first so
-	// "new york city" wins over "york".
-	lower := " " + strings.ToLower(nl) + " "
-	var matches []string
-	for val := range l.cellCols {
-		if strings.Contains(lower, " "+val+" ") || strings.Contains(lower, " "+val+"?") ||
-			strings.Contains(lower, " "+val+".") || strings.Contains(lower, " "+val+",") {
-			matches = append(matches, val)
-		}
-	}
-	// Longest-first insertion; skip values subsumed by an already-added
-	// longer match.
-	for {
-		best := ""
-		for _, m := range matches {
-			if len(m) > len(best) && !seen[m] {
-				covered := false
-				for s := range seen {
-					if strings.Contains(s, m) {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					best = m
-				}
+	// Known cell values standing as words: every span of the padded
+	// question that starts after a space and ends before one of " ?.,"
+	// is looked up, left to right. The stable sort puts longer matches
+	// first, so "new york city" wins over "york", and keeps equal
+	// lengths in question order.
+	for _, m := range l.cellSpans(nl) {
+		covered := false
+		for _, s := range seen {
+			if strings.Contains(s, m) {
+				covered = true
+				break
 			}
 		}
-		if best == "" {
-			break
+		if !covered {
+			add(NLValue{Text: m, Columns: l.cellCols[m]})
 		}
-		add(NLValue{Text: best, Columns: l.columnsOf(best)})
 	}
 
 	// Numbers.
@@ -154,6 +151,35 @@ func (l *Linker) Extract(nl string) []NLValue {
 		}
 	}
 	return out
+}
+
+// cellSpans returns the distinct cell values that occur in the padded,
+// lower-cased question between a space and one of " ?.,", in
+// first-appearance order, stably sorted longest first.
+func (l *Linker) cellSpans(nl string) []string {
+	if len(l.cellCols) == 0 {
+		return nil
+	}
+	lower := " " + strings.ToLower(nl) + " "
+	var matches []string
+	for start := 1; start < len(lower); start++ {
+		if lower[start-1] != ' ' {
+			continue
+		}
+		for end := start + 1; end < len(lower) && end-start <= l.maxCell; end++ {
+			switch lower[end] {
+			case ' ', '?', '.', ',':
+			default:
+				continue
+			}
+			span := lower[start:end]
+			if _, ok := l.cellCols[span]; ok && !slices.Contains(matches, span) {
+				matches = append(matches, span)
+			}
+		}
+	}
+	slices.SortStableFunc(matches, func(a, b string) int { return len(b) - len(a) })
+	return matches
 }
 
 func (l *Linker) columnsOf(value string) []ColRef {
@@ -170,14 +196,23 @@ func (l *Linker) RequiredColumns(nl string) []ColRef {
 	return out
 }
 
-// DialectMentionsColumns reports whether the dialect expression mentions
-// at least one of each required value's columns (by the column's NL
-// annotation). With no required values it returns true.
+// DialectMentionsColumns reports whether the dialect expression
+// mentions at least one of each required value's columns (by the
+// column's NL annotation). With no required values it returns true.
 func (l *Linker) DialectMentionsColumns(nl, dialectExpr string) bool {
-	dl := strings.ToLower(dialectExpr)
-	for _, v := range l.Extract(nl) {
+	return l.Mentions(l.Extract(nl), dialectExpr)
+}
+
+// Mentions is DialectMentionsColumns over values already extracted from
+// the question, so a caller filtering many candidates extracts once.
+func (l *Linker) Mentions(vals []NLValue, dialectExpr string) bool {
+	var dl string
+	for _, v := range vals {
 		if len(v.Columns) == 0 {
 			continue
+		}
+		if dl == "" {
+			dl = strings.ToLower(dialectExpr)
 		}
 		found := false
 		for _, ref := range v.Columns {
@@ -203,8 +238,13 @@ func (l *Linker) DialectMentionsColumns(nl, dialectExpr string) bool {
 // column takes the next unused number; a text-column placeholder prefers
 // a value linked to that column, then any remaining text value.
 func (l *Linker) FillPlaceholders(q *sqlast.Query, nl string) *sqlast.Query {
+	return l.Fill(q, l.Extract(nl))
+}
+
+// Fill is FillPlaceholders over values already extracted from the
+// question.
+func (l *Linker) Fill(q *sqlast.Query, vals []NLValue) *sqlast.Query {
 	out := q.Clone()
-	vals := l.Extract(nl)
 	usedNum := map[int]bool{}
 	usedText := map[int]bool{}
 
