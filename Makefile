@@ -1,11 +1,17 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet lint garlint race bench bench-translate bench-smoke cover qualgate stress
+.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-smoke cover qualgate stress
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# fmt fails when a tracked Go file is not gofmt-clean. testdata is
+# exempt: the garlint analyzer fixtures there are parsed, not built.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # garlint builds the repository's custom vet tool (see cmd/garlint);
 # lint runs its seven analyzers (nopanic, ctxpass, mustonly, snaponce,
@@ -24,11 +30,11 @@ test:
 race:
 	go test -race ./...
 
-# verify is the full robustness gate: build, static checks (go vet plus
-# the custom garlint analyzers), the whole suite (including the
-# fault-injection matrix and the concurrent translate stress test)
+# verify is the full robustness gate: build, static checks (go vet,
+# gofmt and the custom garlint analyzers), the whole suite (including
+# the fault-injection matrix and the concurrent translate stress test)
 # under the race detector, and the translation-quality ratchet.
-verify: build vet lint race qualgate
+verify: build vet fmt lint race qualgate
 
 bench:
 	go test -bench=. -benchmem
@@ -45,6 +51,13 @@ bench-translate:
 bench-generalize:
 	go run ./cmd/garbench -bench generalize -iters 3 -benchout BENCH_generalize.json
 
+# bench-restore regenerates the committed BENCH_restore.json: a
+# SPIDER-like tenant at pool cap 2,000 exported once and restored from
+# its checkpoint at GOMAXPROCS 1 and N (p50, allocs/op), with an
+# answer-equality assertion against the exporter.
+bench-restore:
+	go run ./cmd/garbench -bench restore -iters 20 -benchout BENCH_restore.json
+
 # bench-smoke is the CI smoke run: one short iteration proving each
 # benchmark harness still builds, runs, and passes its equality
 # assertions; the JSON goes to a scratch path so CI never dirties the
@@ -52,6 +65,7 @@ bench-generalize:
 bench-smoke:
 	go run ./cmd/garbench -bench translate -iters 1 -benchout /tmp/BENCH_translate.json
 	go run ./cmd/garbench -bench generalize -iters 1 -benchout /tmp/BENCH_generalize.json
+	go run ./cmd/garbench -bench restore -iters 3 -benchout /tmp/BENCH_restore.json
 
 # cover is the coverage gate: per-package floors live in
 # coverage_floors.json and a package may not fall more than one point

@@ -28,8 +28,8 @@ func main() {
 	scale := flag.String("scale", "small", "experiment scale: small or full")
 	exp := flag.String("exp", "all", "comma-separated experiment ids (or 'all')")
 	seed := flag.Int64("seed", 0, "override the benchmark seed (0 keeps the default)")
-	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize)")
-	iters := flag.Int("iters", 5, "benchmark iterations over the question set")
+	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize, restore)")
+	iters := flag.Int("iters", 5, "benchmark iterations over the question set (restore: restores per GOMAXPROCS setting)")
 	benchOut := flag.String("benchout", "", "benchmark JSON output path (default BENCH_<id>.json)")
 	baseline := flag.Bool("baseline", false, "run the translation-quality gate against the committed baseline")
 	baselineFile := flag.String("baselinefile", "BASELINE_quality.json", "committed quality-baseline path")
@@ -56,8 +56,10 @@ func main() {
 			err = runTranslateBench(*iters, out)
 		case "generalize":
 			err = runGeneralizeBench(*iters, out)
+		case "restore":
+			err = runRestoreBench(*iters, out)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize, restore)\n", *bench)
 			os.Exit(1)
 		}
 		if err != nil {

@@ -516,7 +516,8 @@ func (m *Models) SaveFile(path string) error { return m.inner.SaveFile(path) }
 
 // LoadModels reads models previously written with Save, verifying the
 // stream checksum first; corrupted streams fail with an error wrapping
-// ErrCorruptModels and never panic.
+// ErrCorruptModels and never panic. Files older builds saved in the
+// version-1 format still load.
 func LoadModels(r io.Reader) (*Models, error) {
 	inner, err := core.LoadModels(r)
 	if err != nil {
@@ -596,9 +597,11 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 // falling back generation-by-generation past anything torn, corrupt or
 // incompatible (each recorded in skipped). A nil returned checkpoint
 // with nil error means nothing recoverable exists and the system is
-// unchanged — the caller starts from a clean empty state. A
-// checkpointer on the same store counts the restored state as already
-// written, so a tenant that never changes is never re-checkpointed.
+// unchanged — the caller starts from a clean empty state — but for its
+// generation numbering: the next pool it builds numbers above every
+// skipped file, so its checkpoints supersede them. A checkpointer on
+// the same store counts the restored state as already written, so a
+// tenant that never changes is never re-checkpointed.
 func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint, []checkpoint.Skipped, error) {
 	return s.inner.RecoverCheckpoint(st)
 }

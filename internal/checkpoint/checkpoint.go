@@ -9,10 +9,15 @@ import (
 	"hash/crc64"
 )
 
-// Format is the envelope format version this package writes. Decode
-// rejects any other version with ErrIncompatible, so a newer process
-// can change the layout without older readers half-loading it.
-const Format = 1
+// Format is the layout version this package writes. Decode rejects any
+// other version with ErrIncompatible, so a process can change the
+// layout without another build half-loading it. The envelope framing
+// is the same in every version; the version names what the sections
+// mean. Version 2 stores float tables (the dialect vectors, the
+// encoder's embedding table) as flat little-endian blocks where
+// version 1 stored them as gob, so a version-1 checkpoint is
+// incompatible here and recovery skips it.
+const Format = 2
 
 // ErrCorrupt is wrapped by every integrity failure of Decode: a torn
 // or truncated file, a bit flip, a manifest that contradicts the bytes

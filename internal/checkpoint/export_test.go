@@ -38,3 +38,16 @@ func encodeRaw(m Manifest, body []byte) ([]byte, error) {
 	}
 	return append(frameManifestBytes(mbuf.Bytes()), body...), nil
 }
+
+// encodeFormat is Encode stamping an arbitrary format version: an
+// otherwise valid envelope as a build of another version writes it.
+func encodeFormat(m Manifest, sections []Section, version int) ([]byte, error) {
+	m.FormatVersion = version
+	m.Sections = nil
+	var body []byte
+	for _, s := range sections {
+		m.Sections = append(m.Sections, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: sectionCRC(s.Data)})
+		body = append(body, s.Data...)
+	}
+	return encodeRaw(m, body)
+}

@@ -72,9 +72,7 @@ func (st *Store) Path(gen uint64) string {
 // failure at any point leaves the previous file for the generation (if
 // any) untouched.
 //
-//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename
-// sequencing is the crash-safety contract and must run to completion;
-// context.Background only feeds instantaneous test fault points
+//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename sequencing is the crash-safety contract and must run to completion; context.Background only feeds instantaneous test fault points
 func (st *Store) Write(m Manifest, sections []Section) error {
 	data, err := Encode(m, sections)
 	if err != nil {
@@ -206,8 +204,9 @@ func (st *Store) ReadGeneration(gen uint64) (*Checkpoint, error) {
 
 // Skipped records one checkpoint Recover had to pass over and why.
 type Skipped struct {
-	Path string
-	Err  error
+	Path       string
+	Generation uint64
+	Err        error
 }
 
 // Recover walks the directory newest-generation-first, fully validates
@@ -233,7 +232,7 @@ func (st *Store) Recover(accept func(*Checkpoint) error) (*Checkpoint, []Skipped
 			err = accept(ck)
 		}
 		if err != nil {
-			skipped = append(skipped, Skipped{Path: e.Path, Err: err})
+			skipped = append(skipped, Skipped{Path: e.Path, Generation: e.Generation, Err: err})
 			continue
 		}
 		return ck, skipped, nil

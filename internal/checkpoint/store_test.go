@@ -381,3 +381,45 @@ func flip(t *testing.T, path string, at int) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoverSkipsFormat1: a checkpoint the previous layout version
+// wrote is intact but not loadable by this build — incompatible, not
+// corrupt, whatever its sections hold — so recovery passes over it to
+// the newest current-format generation, and over everything to a clean
+// state when nothing else exists.
+func TestRecoverSkipsFormat1(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, st, 1, "current")
+	old, err := encodeFormat(Manifest{Generation: 2, Database: "employee"}, []Section{{Name: "pool", Data: []byte("old")}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.Path(2), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(st.Path(2)); !errors.Is(err, ErrIncompatible) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("format-1 file: err = %v, want ErrIncompatible only", err)
+	}
+
+	ck, skipped, err := st.Recover(nil)
+	if err != nil || ck == nil {
+		t.Fatalf("recover: ck=%v err=%v", ck, err)
+	}
+	if ck.Manifest.Generation != 1 || string(ck.Section("pool")) != "current" {
+		t.Fatalf("recovered generation %d, want the format-2 generation 1", ck.Manifest.Generation)
+	}
+	if len(skipped) != 1 || skipped[0].Path != st.Path(2) || !errors.Is(skipped[0].Err, ErrIncompatible) {
+		t.Fatalf("skipped = %v, want generation 2 as incompatible", skipped)
+	}
+
+	if err := os.Remove(st.Path(1)); err != nil {
+		t.Fatal(err)
+	}
+	ck, skipped, err = st.Recover(nil)
+	if err != nil || ck != nil || len(skipped) != 1 {
+		t.Fatalf("only a format-1 file: ck=%v skipped=%v err=%v, want a clean state", ck, skipped, err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/ltr"
@@ -52,5 +53,37 @@ func TestColdTranslateAllocs(t *testing.T) {
 	t.Logf("pool %d, k %d: %.0f allocs per cold translation", sys.PoolSize(), opts.RetrievalK, perCall)
 	if perCall > 6000 {
 		t.Errorf("%.0f allocs per cold translation, ceiling 6000", perCall)
+	}
+}
+
+// TestRestoreAllocs is the allocation ceiling of a checkpoint restore
+// of the employee snapshot (a few dozen candidates, about 3k
+// allocations). The float tables — the encoder's 8,192 × 64 embedding
+// table and one vector per candidate — decode from flat blocks into
+// one backing array each; a decoder that allocated per row, as gob
+// does, would add over 8,000 allocations and trip the ceiling.
+func TestRestoreAllocs(t *testing.T) {
+	sys := trainedSystem(t, core.Options{})
+	m, sections, err := sys.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := checkpoint.Encode(m, sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := restoreTarget()
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := target.RestoreCheckpoint(ck); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("pool %d: %.0f allocs per restore", target.PoolSize(), allocs)
+	if allocs > 6000 {
+		t.Errorf("%.0f allocs per restore, ceiling 6000", allocs)
 	}
 }

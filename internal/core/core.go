@@ -196,6 +196,10 @@ type System struct {
 	writeMu sync.Mutex
 	// pubs is the number of the latest publication; writeMu-guarded.
 	pubs uint64
+	// skippedGen is the highest generation RecoverCheckpoint found in a
+	// store but could not restore; writeMu-guarded. Every new
+	// generation numbers above it (see bumpGen).
+	skippedGen uint64
 	// samples and content feed the exec-guide's seeded sample instance
 	// (literal harvesting and cell values); both are writeMu-guarded and
 	// only read to rebuild the guide inside a mutation.
@@ -381,6 +385,17 @@ func (s *System) publish(next *state) {
 	}
 }
 
+// bumpGen moves next to a new pool generation, past its own and past
+// every generation RecoverCheckpoint had to skip. A store ranks its
+// files by generation — recovery reads the newest first, retention
+// keeps the newest — so a snapshot built after skipping files this
+// build cannot restore (an older layout version, corruption) must
+// outnumber them, or its checkpoints would be pruned as older than
+// the files they replace. Callers hold writeMu.
+func (s *System) bumpGen(next *state) {
+	next.gen = max(next.gen, s.skippedGen) + 1
+}
+
 // mutate publishes a new snapshot derived from the current one: fn
 // edits a shallow copy, and the single atomic store is the publication
 // point.
@@ -409,7 +424,7 @@ func (s *System) Prepare(samples []*sqlast.Query) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	next := *s.state.Load()
-	next.gen++
+	s.bumpGen(&next)
 	next.prepStats = build.stats
 	next.pool = build.pool
 	next.poolIdx = build.idx
@@ -746,7 +761,7 @@ func (s *System) Swap(samples []*sqlast.Query, m *Models) (uint64, error) {
 	}
 
 	next := *cur
-	next.gen++
+	s.bumpGen(&next)
 	next.pool = pool
 	next.poolIdx = idx
 	next.prepStats = build.stats

@@ -575,8 +575,9 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 // servingPipeline assembles the online pipeline over a pool whose
 // dialect embeddings are computed: the vector index over them, the
 // static cost features and, when the pipeline re-ranks, the re-rank
-// feature table. It is the shared tail of a fresh snapshot build and a
-// checkpoint restore; the table is derived data and never persisted.
+// feature table. A checkpoint restore derives the same parts
+// concurrently (see deriveSnapshot); the table is derived data and
+// never persisted.
 func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, vecs []vector.Vec, opts Options) *ltr.Pipeline {
 	pipe := &ltr.Pipeline{
 		Encoder:    m.Encoder,

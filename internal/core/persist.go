@@ -26,8 +26,16 @@ var ErrCorruptModels = errors.New("model stream corrupt")
 // The model envelope: an 8-byte magic, a big-endian payload length,
 // the gob payload, and a trailing CRC-64/ECMA of the payload. The
 // trailing checksum makes torn writes detectable: a crash mid-write
-// leaves a file whose checksum (or length) cannot match.
-const modelsMagic = "GARMDL1\n"
+// leaves a file whose checksum (or length) cannot match. Version 2
+// stores the encoder's embedding table as one flat float block.
+const modelsMagic = "GARMDL2\n"
+
+// modelsMagicV1 marks a version-1 stream, whose encoder table is gob
+// row by row. LoadModels still reads it, so model files written by
+// older builds keep loading; Save never writes it. An older build
+// refuses a version-2 stream at the magic instead of deploying the
+// empty encoder it would decode.
+const modelsMagicV1 = "GARMDL1\n"
 
 var modelsCRC = crc64.MakeTable(crc64.ECMA)
 
@@ -138,7 +146,7 @@ func verifyEnvelope(data []byte) ([]byte, error) {
 	if len(data) < envelopeOverhead {
 		return nil, corrupt(fmt.Sprintf("stream too short (%d bytes): torn or truncated write", len(data)))
 	}
-	if string(data[:len(modelsMagic)]) != modelsMagic {
+	if m := string(data[:len(modelsMagic)]); m != modelsMagic && m != modelsMagicV1 {
 		return nil, corrupt("missing model header")
 	}
 	body := data[len(modelsMagic):]
@@ -159,16 +167,23 @@ func verifyEnvelope(data []byte) ([]byte, error) {
 // rejected with an error wrapping ErrCorruptModels before any decoding
 // happens. Decoding never panics (a decoder panic on malformed input
 // is recovered into an error).
-func LoadModels(r io.Reader) (m *Models, err error) {
+func LoadModels(r io.Reader) (*Models, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading models: %w", err)
+	}
+	return decodeModels(data)
+}
+
+// decodeModels is LoadModels over a stream already in memory, such as
+// a checkpoint's models section: it decodes from data without copying
+// it first.
+func decodeModels(data []byte) (m *Models, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			m, err = nil, fmt.Errorf("core: loading models: malformed model data: %v", rec)
 		}
 	}()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading models: %w", err)
-	}
 	payload, err := verifyEnvelope(data)
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func TestSwapTranslateRace(t *testing.T) {
 
 	// Generalization is seeded, so each sample set maps to one fixed
 	// dialect set; generation parity then identifies the serving pool.
-	dialA := dialectSet(sys.PoolDialects()) // generation 1 = set A
+	dialA := dialectSet(sys.PoolDialects())               // generation 1 = set A
 	if _, err := sys.Swap(samplesB, models); err != nil { // generation 2
 		t.Fatal(err)
 	}

@@ -230,8 +230,7 @@ func (t *Trainer) Stats() TrainerStats {
 // no-op. A stopped trainer may be started again (an aborted tenant
 // eviction does exactly that).
 //
-//garlint:allow ctxpass -- owns the background goroutine's lifetime:
-// the root context lives until Stop, not until any caller returns
+//garlint:allow ctxpass -- owns the background goroutine's lifetime: the root context lives until Stop, not until any caller returns
 func (t *Trainer) Start() {
 	t.mu.Lock()
 	if t.started {
@@ -587,7 +586,7 @@ func (s *System) adoptSnapshot(donor *System) (uint64, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	next := *s.state.Load()
-	next.gen++
+	s.bumpGen(&next)
 	next.pool = src.pool
 	next.poolIdx = src.poolIdx
 	next.prepStats = src.prepStats
@@ -608,10 +607,7 @@ func (s *System) adoptSnapshot(donor *System) (uint64, error) {
 // checkpoint. Disarmed, it is a no-op — the cost is only paid in the
 // probation window right after a promotion.
 //
-//garlint:allow goexit -- the rollback goroutine is deliberately
-// detached: it must not block (or die with) the request that revealed
-// the regression; it is serialized by trainMu, panic-isolated, bounded
-// by one checkpoint read+restore, and observable via Stats().Rollbacks
+//garlint:allow goexit -- the rollback goroutine is deliberately detached: it must not block (or die with) the request that revealed the regression; it is serialized by trainMu, panic-isolated, bounded by one checkpoint read+restore, and observable via Stats().Rollbacks
 func (t *Trainer) ObserveFeedback(ctx context.Context, rec feedback.Record) {
 	t.mu.Lock()
 	armed := t.reg.armed

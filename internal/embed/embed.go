@@ -11,6 +11,8 @@ package embed
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -53,7 +55,7 @@ func (c *Config) fill() {
 // Encoder is the trainable Siamese text encoder.
 type Encoder struct {
 	cfg Config
-	emb []vector.Vec // bucket → embedding row
+	emb []vector.Vec // bucket → embedding row, all rows in one backing array
 	idf *text.IDF
 	rng *rand.Rand
 }
@@ -63,14 +65,12 @@ func NewEncoder(cfg Config) *Encoder {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	e := &Encoder{cfg: cfg, rng: rng}
-	e.emb = make([]vector.Vec, cfg.Buckets)
+	e.emb = vector.Rows(cfg.Buckets, cfg.Dim)
 	scale := float32(1 / math.Sqrt(float64(cfg.Dim)))
-	for i := range e.emb {
-		row := vector.New(cfg.Dim)
+	for _, row := range e.emb {
 		for d := range row {
 			row[d] = (rng.Float32()*2 - 1) * scale
 		}
-		e.emb[i] = row
 	}
 	return e
 }
@@ -245,32 +245,69 @@ func (e *Encoder) backprop(fs []feature, grad vector.Vec, scale float32, lr floa
 	}
 }
 
-// encoderState is the serialized form of Encoder.
+// encoderState is the serialized form of Encoder. Table is the
+// embedding table as one vector flat block. Emb is the row-by-row form
+// of version-1 model files: read so they still load, never written.
 type encoderState struct {
-	Cfg Config
-	Emb []vector.Vec
-	IDF *text.IDF
+	Cfg   Config
+	Table []byte
+	Emb   []vector.Vec
+	IDF   *text.IDF
 }
 
 // GobEncode implements gob.GobEncoder: the configuration, embedding
 // table and IDF statistics are persisted; the RNG restarts from the
 // seed on load.
 func (e *Encoder) GobEncode() ([]byte, error) {
+	table, err := vector.EncodeRows(e.emb)
+	if err != nil {
+		return nil, fmt.Errorf("embed: encoding the embedding table: %w", err)
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(encoderState{Cfg: e.cfg, Emb: e.emb, IDF: e.idf}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(encoderState{Cfg: e.cfg, Table: table, IDF: e.idf}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. The table must match the
+// configuration's bucket count and dimension; a mismatch is an error,
+// so a decoded encoder never indexes outside its table.
 func (e *Encoder) GobDecode(data []byte) error {
 	var st encoderState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
+	if st.Cfg.Buckets <= 0 || st.Cfg.Dim <= 0 {
+		return fmt.Errorf("embed: encoder of %d buckets × %d dimensions", st.Cfg.Buckets, st.Cfg.Dim)
+	}
+	var emb []vector.Vec
+	switch {
+	case st.Table != nil:
+		rows, err := vector.DecodeRows(st.Table)
+		if err != nil {
+			return fmt.Errorf("embed: embedding table: %w", err)
+		}
+		emb = rows
+	case st.Emb != nil:
+		emb = vector.Rows(len(st.Emb), st.Cfg.Dim)
+		for i, row := range st.Emb {
+			if len(row) != st.Cfg.Dim {
+				return fmt.Errorf("embed: embedding row %d has dimension %d, want %d", i, len(row), st.Cfg.Dim)
+			}
+			copy(emb[i], row)
+		}
+	default:
+		return errors.New("embed: encoder state has no embedding table")
+	}
+	if len(emb) != st.Cfg.Buckets {
+		return fmt.Errorf("embed: embedding table of %d rows, want %d buckets", len(emb), st.Cfg.Buckets)
+	}
+	if len(emb[0]) != st.Cfg.Dim {
+		return fmt.Errorf("embed: embedding rows of dimension %d, want %d", len(emb[0]), st.Cfg.Dim)
+	}
 	e.cfg = st.Cfg
-	e.emb = st.Emb
+	e.emb = emb
 	e.idf = st.IDF
 	e.rng = rand.New(rand.NewSource(st.Cfg.Seed))
 	return nil

@@ -131,11 +131,11 @@ func TestSeedInstanceSatisfiesFilters(t *testing.T) {
 func TestInspectClassification(t *testing.T) {
 	g := employeeGuide(t, Config{TopK: 16})
 	queries := mustParse(t,
-		"SELECT name FROM employee",                       // 0: ok
-		"SELECT name FROM employee WHERE age > 10000",     // 1: empty
-		"SELECT name FROM employee",                       // 2: duplicate of 0
+		"SELECT name FROM employee",                          // 0: ok
+		"SELECT name FROM employee WHERE age > 10000",        // 1: empty
+		"SELECT name FROM employee",                          // 2: duplicate of 0
 		"SELECT COUNT(*) FROM employee GROUP BY employee_id", // 3: constant (all groups count 1)
-		"SELECT nosuchcolumn FROM employee",               // 4: error
+		"SELECT nosuchcolumn FROM employee",                  // 4: error
 	)
 	verdicts, err := g.Inspect(context.Background(), queries)
 	if err != nil {
@@ -236,8 +236,8 @@ func TestInspectTopKCap(t *testing.T) {
 func TestReorder(t *testing.T) {
 	verdicts := []Verdict{
 		{Index: 0, Outcome: OK},
-		{Index: 1, Outcome: Empty},     // soft
-		{Index: 2, Outcome: Error},     // hard
+		{Index: 1, Outcome: Empty}, // soft
+		{Index: 2, Outcome: Error}, // hard
 		{Index: 3, Outcome: OK},
 		{Index: 4, Outcome: Timeout},   // hard
 		{Index: 5, Outcome: Duplicate}, // soft

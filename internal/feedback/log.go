@@ -314,9 +314,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 // writeFrame pushes one frame through the filesystem fault points,
 // fsyncs, and read-back-verifies the bytes that landed at offset off.
 //
-//garlint:allow ctxpass -- deliberately synchronous: the write/fsync
-// sequencing is the ack contract and must run to completion;
-// context.Background only feeds instantaneous test fault points
+//garlint:allow ctxpass -- deliberately synchronous: the write/fsync sequencing is the ack contract and must run to completion; context.Background only feeds instantaneous test fault points
 func (l *Log) writeFrame(frame []byte, off int64) error {
 	buf, ferr := l.inj.FireData(faults.FSWrite, frame)
 	if len(buf) > 0 {
@@ -373,9 +371,7 @@ func (l *Log) seal() {
 // (a segment file is either absent or has a complete header) and opens
 // it for appends.
 //
-//garlint:allow ctxpass -- deliberately synchronous: segment creation is
-// part of the durable-append contract; context.Background only feeds
-// instantaneous test fault points
+//garlint:allow ctxpass -- deliberately synchronous: segment creation is part of the durable-append contract; context.Background only feeds instantaneous test fault points
 func (l *Log) openSegment(id uint64) error {
 	final := segPath(l.dir, id)
 	tmp, err := os.CreateTemp(l.dir, tmpPattern)

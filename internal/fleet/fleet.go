@@ -583,9 +583,7 @@ func (r *Registry) markVictimLocked(exclude *tenant) *tenant {
 // the build must survive that request's deadline, because every waiter
 // of the round — present and future — shares its result.
 //
-//garlint:allow ctxpass -- the activation's lifetime belongs to the
-// registry, not to the request that happened to trigger it; its bound
-// is ActivateTimeout
+//garlint:allow ctxpass -- the activation's lifetime belongs to the registry, not to the request that happened to trigger it; its bound is ActivateTimeout
 func (r *Registry) activate(t *tenant, victim *tenant) {
 	if victim != nil {
 		if err := r.finishEvict(victim); err != nil {
@@ -752,9 +750,7 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 // to active with its checkpointer restarted, because a dirty tenant
 // must never lose its last generation.
 //
-//garlint:allow ctxpass -- the eviction flush must not die with
-// whichever request triggered the eviction; its bound is
-// EvictFlushTimeout
+//garlint:allow ctxpass -- the eviction flush must not die with whichever request triggered the eviction; its bound is EvictFlushTimeout
 func (r *Registry) finishEvict(t *tenant) error {
 	t.mu.Lock()
 	ckptr, trainer, flog := t.ckptr, t.trainer, t.flog

@@ -1,9 +1,13 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +16,7 @@ import (
 	"time"
 
 	"repro/gar"
+	"repro/internal/checkpoint"
 	"repro/internal/fleet"
 )
 
@@ -591,5 +596,112 @@ func TestFleetEvictionSkipsCleanWarmStart(t *testing.T) {
 	use("beta") // evicts the reloaded alpha
 	if got := alphaFiles(); len(got) != len(before)+1 {
 		t.Fatalf("reloaded alpha: %d checkpoint files, want %d", len(got), len(before)+1)
+	}
+}
+
+// TestFleetFormat1CheckpointColdBuilds is the upgrade path: a tenant
+// whose state directory holds only checkpoints of the previous layout
+// version skips them as incompatible, cold-builds once, serves the
+// same answer, and leaves a current-format checkpoint it warm-starts
+// from next time. The old files span more generations than retention
+// keeps, as a tenant reloaded before the upgrade leaves them: the cold
+// build numbers above them, so pruning removes an old file rather than
+// the new checkpoint.
+func TestFleetFormat1CheckpointColdBuilds(t *testing.T) {
+	src := newTestSource(t)
+	stateDir := t.TempDir()
+	ctx := context.Background()
+	const q = "which item has the largest quantity"
+	run := func(body func(reg *fleet.Registry)) {
+		t.Helper()
+		reg := fleet.New(src, fleet.Config{MaxActive: 2, StateDir: stateDir})
+		if err := reg.Register("alpha"); err != nil {
+			t.Fatal(err)
+		}
+		body(reg)
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if err := reg.Shutdown(sctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	translate := func(reg *fleet.Registry) *gar.Result {
+		t.Helper()
+		res, err := translateVia(ctx, reg, "alpha", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	var base *gar.Result
+	run(func(reg *fleet.Registry) { base = translate(reg) })
+	store, err := checkpoint.OpenTenant(stateDir, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.List()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("flushed checkpoints: %v (%v), want one", entries, err)
+	}
+	data, err := os.ReadFile(entries[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldGens = 4 // more than the default retention of 3
+	for gen := uint64(1); gen <= oldGens; gen++ {
+		stampFormat(t, data, store.Path(gen), gen, 1)
+	}
+
+	run(func(reg *fleet.Registry) {
+		got := translate(reg)
+		if got.SQL != base.SQL {
+			t.Fatalf("after the upgrade: %q, want %q", got.SQL, base.SQL)
+		}
+		if got.Generation <= oldGens {
+			t.Fatalf("cold build serves generation %d, not above the skipped %d", got.Generation, oldGens)
+		}
+		if c := reg.Health().Tenants["alpha"].Counters; c.WarmStarts != 0 || c.ColdBuilds != 1 || src.deployCount("alpha") != 2 {
+			t.Fatalf("format-1 state: counters %+v, deploys %d; want one cold build", c, src.deployCount("alpha"))
+		}
+	})
+	for range 2 {
+		run(func(reg *fleet.Registry) {
+			if got := translate(reg); got.SQL != base.SQL {
+				t.Fatalf("after the rebuild: %q, want %q", got.SQL, base.SQL)
+			}
+			if c := reg.Health().Tenants["alpha"].Counters; c.WarmStarts != 1 || src.deployCount("alpha") != 2 {
+				t.Fatalf("rebuilt state: counters %+v, deploys %d; want a warm start", c, src.deployCount("alpha"))
+			}
+		})
+	}
+}
+
+// stampFormat writes checkpoint data to path as a build of another
+// layout version writes it: the same framing and sections under a
+// manifest declaring the given generation and format version.
+func stampFormat(t *testing.T, data []byte, path string, gen uint64, version int) {
+	t.Helper()
+	ck, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ck.Manifest
+	m.Generation, m.FormatVersion = gen, version
+	var mbuf bytes.Buffer
+	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte("GARCKPT1"), binary.BigEndian.AppendUint64(nil, uint64(mbuf.Len()))...)
+	out = append(out, mbuf.Bytes()...)
+	out = binary.BigEndian.AppendUint64(out, crc64.Checksum(mbuf.Bytes(), crc64.MakeTable(crc64.ECMA)))
+	for _, s := range m.Sections {
+		out = append(out, ck.Section(s.Name)...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Decode(out); !errors.Is(err, checkpoint.ErrIncompatible) {
+		t.Fatalf("stamped file decodes with %v, want ErrIncompatible", err)
 	}
 }

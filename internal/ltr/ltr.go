@@ -9,6 +9,7 @@ package ltr
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/norm"
@@ -71,19 +72,27 @@ type Candidate struct {
 // lookups are O(1) instead of a scan over the (large) candidate pool.
 type PoolIndex struct {
 	pool    []Candidate
+	once    sync.Once
 	byCanon map[string]int
 }
 
-// NewPoolIndex indexes the pool by canonical normalized SQL.
+// NewPoolIndex indexes the pool by canonical normalized SQL. The map is
+// built by the first Find, so a snapshot that never looks a query up —
+// a warm-started tenant that only translates — never pays for it.
 func NewPoolIndex(pool []Candidate) *PoolIndex {
-	pi := &PoolIndex{pool: pool, byCanon: make(map[string]int, len(pool))}
-	for i, c := range pool {
+	return &PoolIndex{pool: pool}
+}
+
+// build fills the canonical-form map; the first position of a form
+// wins.
+func (pi *PoolIndex) build() {
+	pi.byCanon = make(map[string]int, len(pi.pool))
+	for i, c := range pi.pool {
 		key := norm.Canonical(c.SQL)
 		if _, ok := pi.byCanon[key]; !ok {
 			pi.byCanon[key] = i
 		}
 	}
-	return pi
 }
 
 // Find returns the pool position whose SQL exactly matches the query
@@ -92,6 +101,7 @@ func (pi *PoolIndex) Find(q *sqlast.Query) int {
 	if q == nil {
 		return -1
 	}
+	pi.once.Do(pi.build)
 	if i, ok := pi.byCanon[norm.Canonical(q)]; ok {
 		return i
 	}

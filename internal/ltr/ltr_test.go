@@ -2,6 +2,7 @@ package ltr_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/embed"
@@ -285,4 +286,24 @@ func TestRerankVecContextCostAware(t *testing.T) {
 			t.Fatalf("table path diverged at %d: %+v vs %+v", i, tabled[i], costly[i])
 		}
 	}
+}
+
+// TestPoolIndexConcurrentFirstFind: the canonical-form map is built by
+// the first Find; lookups racing to be first all see it complete.
+func TestPoolIndexConcurrentFirstFind(t *testing.T) {
+	p := pool()
+	pi := ltr.NewPoolIndex(p)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range p {
+				if got := pi.Find(c.SQL); got != i {
+					t.Errorf("Find(%s) = %d, want %d", c.SQL, got, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -46,11 +46,26 @@ func Workers(n int) int {
 // With workers resolving to 1 (or n == 1) the bodies run inline on the
 // calling goroutine in index order, with no goroutine overhead — this
 // is the sequential baseline the determinism tests compare against.
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	return forEach(ctx.Err, n, workers, fn)
+}
+
+// Do runs a fixed set of jobs the way ForEach runs its indices — at
+// most workers at a time, inline and in order when that resolves to
+// one, the error of the lowest failing job returned, a panic re-raised
+// on the caller — but with no cancellation: it is for work that has no
+// caller context and must run to completion.
+func Do(workers int, jobs ...func() error) error {
+	return forEach(func() error { return nil }, len(jobs), workers, func(i int) error { return jobs[i]() })
+}
+
+// forEach is ForEach with cancellation read from cancelled, which
+// returns the error to stop with (nil while running).
 //
 //garlint:allow nopanic -- re-raises a worker panic on the caller so stage recover boundaries see it
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+func forEach(cancelled func() error, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
-		return ctx.Err()
+		return cancelled()
 	}
 	w := Workers(workers)
 	if w > n {
@@ -58,7 +73,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
+			if err := cancelled(); err != nil {
 				return err
 			}
 			if err := fn(i); err != nil {
@@ -107,7 +122,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() && ctx.Err() == nil {
+			for !stop.Load() && cancelled() == nil {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
@@ -124,5 +139,5 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	return ctx.Err()
+	return cancelled()
 }

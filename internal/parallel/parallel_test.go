@@ -3,6 +3,7 @@ package parallel_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,5 +164,50 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if parallel.Workers(0) < 1 || parallel.Workers(-5) < 1 {
 		t.Error("non-positive worker counts must resolve to at least 1")
+	}
+}
+
+// TestDoRunsJobsLikeForEach: Do runs every job, in order on one
+// worker, returns the error of the lowest failing job, and re-raises a
+// job's panic on the caller.
+func TestDoRunsJobsLikeForEach(t *testing.T) {
+	var order []int
+	var mu sync.Mutex
+	job := func(i int) func() error {
+		return func() error {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return nil
+		}
+	}
+	if err := parallel.Do(1, job(0), job(1), job(2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("one worker ran %v, want [0 1 2]", order)
+	}
+	if err := parallel.Do(4); err != nil {
+		t.Fatalf("no jobs: %v", err)
+	}
+
+	errLow, errHigh := errors.New("low"), errors.New("high")
+	for _, workers := range []int{1, 2, 3} {
+		fail := func(err error) func() error { return func() error { return err } }
+		if err := parallel.Do(workers, job(0), fail(errLow), fail(errHigh)); !errors.Is(err, errLow) {
+			t.Fatalf("workers=%d: Do = %v, want the lowest failing job's error", workers, err)
+		}
+	}
+
+	for _, workers := range []int{1, 3} {
+		func() {
+			defer func() {
+				if r := recover(); r != "job panic" {
+					t.Fatalf("workers=%d: recovered %v, want the job's panic", workers, r)
+				}
+			}()
+			_ = parallel.Do(workers, job(0), func() error { panic("job panic") }, job(2))
+			t.Fatalf("workers=%d: panic not re-raised", workers)
+		}()
 	}
 }

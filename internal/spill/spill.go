@@ -151,9 +151,7 @@ func (w *Writer) Bytes() int64 { return w.bytes }
 // discarded and no run exists. A poisoned writer fails with its sticky
 // error without touching the disk further.
 //
-//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename
-// sequencing is the crash-safety contract and must run to completion;
-// context.Background only feeds instantaneous test fault points
+//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename sequencing is the crash-safety contract and must run to completion; context.Background only feeds instantaneous test fault points
 func (w *Writer) Finish() (string, error) {
 	if w.done {
 		return "", fmt.Errorf("spill: finish after finish")
