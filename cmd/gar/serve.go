@@ -778,10 +778,12 @@ func runServe(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "gar serve: %d candidate queries ready on %s\n", sys.PoolSize(), ln.Addr())
-
+	// Install the handler before announcing readiness: a supervisor may
+	// signal the moment it reads the line, and that signal must drain
+	// and flush, not kill.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	fmt.Fprintf(os.Stderr, "gar serve: %d candidate queries ready on %s\n", sys.PoolSize(), ln.Addr())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -320,10 +320,10 @@ func runServeFleet(p fleetServeParams) {
 	if err != nil {
 		fatal(err)
 	}
-	logf("fleet of %d tenants ready on %s", len(names), ln.Addr())
-
+	// The handler goes in before the readiness line, as in runServe.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	logf("fleet of %d tenants ready on %s", len(names), ln.Addr())
 
 	// Idle reaper: periodically evict tenants idle past -tenantidle,
 	// each flushed before its snapshot is dropped.

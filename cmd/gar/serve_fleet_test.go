@@ -332,7 +332,8 @@ func translateFleetOver(t *testing.T, addr, tenant, question string) translateRe
 // end: serve two tenants, translate on both, SIGTERM — every resident
 // tenant's state flushes under {statedir}/{tenant}/ — then restart and
 // warm-start each tenant to byte-identical answers at the same
-// generation, with no retraining.
+// generation, with no retraining. A fleet signalled as soon as it
+// announces readiness shuts down just as cleanly.
 func TestServeFleetRestartSIGTERM(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal semantics required")
@@ -345,6 +346,17 @@ func TestServeFleetRestartSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	specDir := writeSpecDir(t, "alpha", "beta")
+
+	// A SIGTERM sent the moment the readiness line appears must still
+	// drain, flush the fleet and exit 0.
+	early, _, earlyLogs := serveChild(t, exe, "TestServeFleetServerHelper",
+		serveFleetSpecEnv+"="+specDir, serveFleetStateEnv+"="+t.TempDir())
+	stopServeChild(t, early, earlyLogs)
+	if out := earlyLogs(); !strings.Contains(out, "draining connections") ||
+		!strings.Contains(out, "fleet flushed and stopped") {
+		t.Fatalf("SIGTERM at readiness did not drain and flush; logs:\n%s", out)
+	}
+
 	stateDir := t.TempDir()
 	env := []string{serveFleetSpecEnv + "=" + specDir, serveFleetStateEnv + "=" + stateDir}
 	const question = "who is the oldest employee"

@@ -234,7 +234,8 @@ func translateOver(t *testing.T, addr, question string) translateResponse {
 // TestServeRestartSIGTERM is the end-to-end durability contract: serve,
 // translate, SIGTERM, restart on the same -statedir — the second
 // process warm-starts from the flushed checkpoint (no Prepare, no
-// Train) and answers the same question identically.
+// Train) and answers the same question identically. A server signalled
+// as soon as it announces readiness shuts down just as cleanly.
 func TestServeRestartSIGTERM(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal semantics required")
@@ -246,6 +247,15 @@ func TestServeRestartSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A SIGTERM sent the moment the readiness line appears must still
+	// drain, flush the final checkpoint and exit 0.
+	early, _, earlyLogs := serveChild(t, exe, "TestServeStateServerHelper", serveStateEnv+"="+t.TempDir())
+	stopServeChild(t, early, earlyLogs)
+	if out := earlyLogs(); !strings.Contains(out, "gar serve: draining connections") ||
+		!strings.Contains(out, "final checkpoint flushed") {
+		t.Fatalf("SIGTERM at readiness did not drain and flush; logs:\n%s", out)
+	}
+
 	dir := t.TempDir()
 	const question = "who is the oldest employee"
 

@@ -86,6 +86,9 @@ type benchReport struct {
 	CacheMiss   benchStats `json:"cache_miss"`
 	CacheHit    benchStats `json:"cache_hit"`
 	HitSpeedup  float64    `json:"cache_hit_speedup"`
+	// PaperScale is the cache-missing translation at the paper's pool
+	// size; see runPaperScale.
+	PaperScale *paperReport `json:"paper_scale"`
 }
 
 // measure times fn over iters passes of the question set, reporting
@@ -313,6 +316,15 @@ func runTranslateBench(iters int, outPath string) error {
 	if report.CacheHit.P50ms > 0 {
 		report.HitSpeedup = report.CacheMiss.P50ms / report.CacheHit.P50ms
 	}
+	if report.PaperScale, err = runPaperScale(iters); err != nil {
+		return err
+	}
+	var prev benchReport
+	if ok, err := previousReport(outPath, &prev); err != nil {
+		return err
+	} else if ok && prev.PaperScale != nil {
+		report.PaperScale.Parent = prev.PaperScale.Parent
+	}
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -330,6 +342,11 @@ func runTranslateBench(iters int, outPath string) error {
 		report.Parallel.P50ms, report.Parallel.P95ms, report.Parallel.QPS, report.Speedup)
 	fmt.Printf("  cache miss: p50 %.2fms   hit: p50 %.3fms (%.0fx)\n",
 		report.CacheMiss.P50ms, report.CacheHit.P50ms, report.HitSpeedup)
+	ps := report.PaperScale
+	fmt.Printf("  paper scale: %s pool=%d k=%d, %d questions\n", ps.Database, ps.PoolSize, ps.RetrievalK, ps.Questions)
+	for _, r := range ps.Runs {
+		fmt.Printf("    GOMAXPROCS %d: p50 %.2fms p95 %.2fms %d allocs/op\n", r.GOMAXPROCS, r.P50ms, r.P95ms, r.AllocsPerOp)
+	}
 	fmt.Printf("  written to %s\n", outPath)
 	return nil
 }

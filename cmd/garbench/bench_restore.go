@@ -148,13 +148,11 @@ func runRestoreBench(iters int, outPath string) error {
 		}
 	}
 
-	if old, err := os.ReadFile(outPath); err == nil {
-		var prev restoreReport
-		if json.Unmarshal(old, &prev) == nil {
-			report.Parent = prev.Parent
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
+	var prev restoreReport
+	if ok, err := previousReport(outPath, &prev); err != nil {
 		return err
+	} else if ok {
+		report.Parent = prev.Parent
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -217,3 +215,17 @@ func rankedKey(ctx context.Context, sys *core.System, nl string) (string, error)
 }
 
 func msSince(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e6 }
+
+// previousReport decodes the report a benchmark wrote to path before,
+// so a regeneration can carry its parent block over. It reports false
+// when there is no file or it does not decode.
+func previousReport(path string, prev any) (bool, error) {
+	old, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return json.Unmarshal(old, prev) == nil, nil
+}

@@ -56,9 +56,6 @@ type Options struct {
 	// JoinAnnotations enables GAR-J: the database's join annotations
 	// are used to verbalize joins and asterisks.
 	JoinAnnotations bool
-	// UseIVF switches first-stage retrieval to the clustered index
-	// (faster on very large pools, slightly lossy).
-	UseIVF bool
 	// EncoderEpochs and RerankEpochs control training length.
 	EncoderEpochs int
 	RerankEpochs  int
@@ -120,7 +117,6 @@ func (o Options) internal() core.Options {
 		RetrievalK:      o.RetrievalK,
 		Seed:            o.Seed,
 		JoinAnnotations: o.JoinAnnotations,
-		UseIVF:          o.UseIVF,
 		EncoderEpochs:   o.EncoderEpochs,
 		RerankEpochs:    o.RerankEpochs,
 		StageBudget: core.StageBudget{

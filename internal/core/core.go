@@ -26,7 +26,6 @@ import (
 	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/rerank"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
@@ -69,9 +68,6 @@ type Options struct {
 	// NoRerank is the "w/o Re-ranking Model" ablation: the retrieval
 	// order is final.
 	NoRerank bool
-	// UseIVF selects the clustered vector index instead of the exact
-	// flat index for first-stage retrieval.
-	UseIVF bool
 	// EncoderEpochs / RerankEpochs control training length.
 	EncoderEpochs int
 	RerankEpochs  int
@@ -82,8 +78,10 @@ type Options struct {
 	// deadline; see StageBudget. Zero disables.
 	StageBudget StageBudget
 	// Workers bounds the fan-out of parallel sections — pool encoding
-	// at snapshot build, batched retrieval, and re-rank scoring.
-	// 0 means one worker per CPU; 1 forces the sequential path.
+	// at snapshot build, the retrieval scan (in shards of at least
+	// 2,048 candidates, so smaller pools scan sequentially), batched
+	// retrieval, and re-rank scoring. 0 means one worker per CPU; 1
+	// forces the sequential path. Every worker count ranks identically.
 	Workers int
 	// CacheSize caps each translation-path cache (question embeddings,
 	// full translations) in entries. Default 1024. See NoCache.
@@ -590,10 +588,14 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	}
 	var lists []rerank.TrainingList
 	for i := range sets {
-		index, vecs := buildIndex(pools[i], encoder, opts)
+		// Unbudgeted: nothing can truncate the pool or deny the build.
+		_, vecs, err := buildIndexGoverned(pools[i], encoder, opts, nil)
+		if err != nil {
+			return nil, err
+		}
 		pipe := &ltr.Pipeline{
 			Encoder:  encoder,
-			Index:    index,
+			Index:    indexFromVecs(vecs, opts),
 			Pool:     pools[i],
 			PoolIdx:  poolIdxs[i],
 			K:        opts.RetrievalK,
@@ -608,47 +610,13 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	return m, nil
 }
 
-// buildIndex embeds and indexes the pool. The per-candidate encodes —
-// the dominant cost of a snapshot build — fan out across opts.Workers;
-// the returned vecs (aligned with pool) are the exact vectors the index
-// stores, handed to the pipeline so re-rank scoring never re-encodes a
-// dialect.
-//
-//garlint:allow ctxpass errlost -- snapshot build: no caller context to thread, and the ForEach body never returns an error
-func buildIndex(pool []ltr.Candidate, encoder *embed.Encoder, opts Options) (vindex.Index, []vector.Vec) {
-	vecs := make([]vector.Vec, len(pool))
-	// The body never fails and the context cannot be cancelled.
-	_ = parallel.ForEach(context.Background(), len(pool), opts.Workers, func(i int) error {
-		vecs[i] = encoder.Encode(pool[i].Dialect)
-		return nil
-	})
-	return indexFromVecs(vecs, opts), vecs
-}
-
-// indexFromVecs assembles (and, for IVF, eagerly builds) a vector index
-// over already-computed embeddings. It is the shared tail of a fresh
-// snapshot build and a checkpoint restore — a warm start feeds the
-// persisted vectors straight in and never re-encodes the pool.
+// indexFromVecs assembles the exact vector index over already-computed
+// embeddings, scanning in shards across opts.Workers. It is the shared
+// tail of a fresh snapshot build and a checkpoint restore — a warm
+// start feeds the persisted vectors straight in and never re-encodes
+// the pool.
 func indexFromVecs(vecs []vector.Vec, opts Options) vindex.Index {
-	var index vindex.Index
-	if opts.UseIVF {
-		nlist := len(vecs) / 64
-		if nlist < 4 {
-			nlist = 4
-		}
-		index = vindex.NewIVF(nlist, nlist/4+1, opts.Seed+2)
-	} else {
-		index = vindex.NewFlat()
-	}
-	for i := range vecs {
-		index.Add(i, vecs[i])
-	}
-	// Train the coarse quantizer eagerly so the first online query does
-	// not pay (or race on) the k-means build.
-	if iv, ok := index.(*vindex.IVF); ok {
-		iv.Build()
-	}
-	return index
+	return vindex.NewFlatRows(vecs, opts.Workers)
 }
 
 // poolCosts computes the static estimated-cost feature of every pool
@@ -660,6 +628,28 @@ func poolCosts(pool []ltr.Candidate) []float64 {
 		out[i] = execguide.CostFeature(c.SQL)
 	}
 	return out
+}
+
+// poolFillable reports per pool candidate whether value
+// post-processing can change it (see ltr.Pipeline.Fillable).
+func poolFillable(pool []ltr.Candidate) []bool {
+	out := make([]bool, len(pool))
+	for i, c := range pool {
+		out[i] = values.HasPlaceholder(c.SQL)
+	}
+	return out
+}
+
+// fillSQL instantiates the placeholders of pool candidate id, whose
+// query is q, from the question's values. It copies q only when there
+// is something to fill: values were found and the candidate is
+// fillable. Otherwise it returns q itself, shared with the pool — Fill
+// would return an equal copy.
+func fillSQL(p *ltr.Pipeline, linker *values.Linker, id int, q *sqlast.Query, vals []values.NLValue) *sqlast.Query {
+	if len(vals) == 0 || (p.Fillable != nil && !p.Fillable[id]) {
+		return q
+	}
+	return linker.Fill(q, vals)
 }
 
 // UseModels deploys pre-trained models on this (prepared) system:
@@ -794,6 +784,11 @@ func (s *System) Train(examples []ltr.Example) error {
 
 // Candidate is one ranked translation result after value post-processing.
 type Candidate struct {
+	// SQL is the candidate's query with its placeholders filled. It is
+	// shared, not owned: a candidate with nothing to fill, and every
+	// candidate of a degraded post-processing stage, is the snapshot's
+	// own pool query, which other translations read concurrently. Treat
+	// it as read-only and Clone it before editing.
 	SQL     *sqlast.Query
 	Dialect string
 	Score   float64
@@ -991,7 +986,7 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 				return cerr
 			}
 			// Post-processing 2: instantiate placeholders from the NL.
-			processed = append(processed, Candidate{SQL: linker.Fill(r.SQL, vals), Dialect: r.Dialect, Score: r.Score})
+			processed = append(processed, Candidate{SQL: fillSQL(pipeline, linker, r.ID, r.SQL, vals), Dialect: r.Dialect, Score: r.Score})
 			ids = append(ids, int32(r.ID))
 		}
 		return nil
@@ -1092,7 +1087,7 @@ type cachedTranslation struct {
 // translation rebuilds the Translation the entry was cached from, on
 // the state that produced it.
 func (c *cachedTranslation) translation(st *state, nl string) *Translation {
-	pool, linker := st.pipeline.Pool, st.linker
+	p, linker := st.pipeline, st.linker
 	vals := linker.Extract(nl)
 	out := &Translation{
 		Generation: st.gen,
@@ -1100,8 +1095,8 @@ func (c *cachedTranslation) translation(st *state, nl string) *Translation {
 		Verdicts:   slices.Clone(c.verdicts),
 	}
 	for i, id := range c.ids {
-		cand := pool[id]
-		out.Ranked[i] = Candidate{SQL: linker.Fill(cand.SQL, vals), Dialect: cand.Dialect, Score: c.scores[i]}
+		cand := p.Pool[id]
+		out.Ranked[i] = Candidate{SQL: fillSQL(p, linker, int(id), cand.SQL, vals), Dialect: cand.Dialect, Score: c.scores[i]}
 	}
 	if len(out.Ranked) > 0 {
 		out.Top = &out.Ranked[0]

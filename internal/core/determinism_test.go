@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/ltr"
 	"repro/internal/schema/schematest"
 )
 
@@ -225,4 +229,88 @@ type errDiverged struct{ q string }
 
 func (e errDiverged) Error() string {
 	return "concurrent parallel translate diverged from sequential reference for " + strconv.Quote(e.q)
+}
+
+// TestShardedTranslateDeterminism is the invariance check at a pool
+// large enough for the retrieval scan to shard (it hands each shard at
+// least 2,048 candidates): a system scanning and scoring on one worker,
+// one on eight, and one on eight restored from the latter's checkpoint
+// with its caches on (asked each question twice: a miss, then a hit),
+// each at GOMAXPROCS 1 and N, rank every question byte-identically.
+func TestShardedTranslateDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a SPIDER-like system")
+	}
+	bench := datasets.SpiderLike(datasets.SpiderConfig{TrainDBs: 1, TrainPerDB: 120, ValDBs: 1, ValPerDB: 1, Seed: 3})
+	db := datasets.DBNames(bench.Train)[0]
+	bundle := bench.Bundle(db)
+	var examples []ltr.Example
+	for _, it := range bench.Train {
+		if it.DB == db {
+			examples = append(examples, ltr.Example{NL: it.NL, Gold: it.Gold})
+		}
+	}
+	opts := core.Options{GeneralizeSize: 6000, RetrievalK: 100, Seed: 3, EncoderEpochs: 2, RerankEpochs: 2}
+	system := func(workers int, cache bool) *core.System {
+		o := opts
+		o.Workers, o.NoCache = workers, !cache
+		sys := core.New(bundle.Schema, o)
+		sys.SetContent(bundle.Content)
+		return sys
+	}
+	build := func(workers int) *core.System {
+		sys := system(workers, false)
+		sys.Prepare(datasets.GoldQueries(bench.Train, db))
+		if err := sys.Train(examples[:30]); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	seq, par := build(1), build(8)
+	if n := par.PoolSize(); n < 2*2048 {
+		t.Fatalf("pool of %d candidates is too small to shard", n)
+	}
+	m, sections, err := par.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := checkpoint.Encode(m, sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := system(8, true)
+	if err := cached.RestoreCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	questions := examples[30:60]
+	want := make([]string, len(questions))
+	for i, ex := range questions {
+		tr, err := seq.Translate(ex.NL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = renderTranslation(tr)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, p := range []int{1, max(procs, 2)} {
+		runtime.GOMAXPROCS(p)
+		for name, sys := range map[string]*core.System{"workers=1": seq, "workers=8": par, "restored with cache": cached} {
+			for i, ex := range questions {
+				for ask := 0; ask < 2; ask++ {
+					tr, err := sys.Translate(ex.NL)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderTranslation(tr); got != want[i] {
+						t.Fatalf("%s at GOMAXPROCS %d diverged for %q:\n--- want ---\n%s\n--- got ---\n%s", name, p, ex.NL, want[i], got)
+					}
+				}
+			}
+		}
+	}
 }

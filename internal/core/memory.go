@@ -496,33 +496,34 @@ const encodeBatch = 256
 
 // buildIndexGoverned embeds the pool's dialects in bounded batches,
 // growing the snapshot reservation per batch by the embeddings and the
-// candidates' share of the re-rank feature table. A denial truncates the
-// pool at the last complete batch: retrieval quality degrades (fewer
-// candidates) but the system stays up. A budget too small for even the
-// first batch is an error — that snapshot cannot exist at any size,
-// and the caller must keep (or report) what it has.
+// candidates' share of the re-rank feature table. The embeddings land
+// in one row-major block (vector.Rows), the layout a checkpoint
+// restore decodes, so the scan reads them in memory order. A denial
+// truncates the pool at the last complete batch: retrieval quality
+// degrades (fewer candidates) but the system stays up. A budget too
+// small for even the first batch is an error — that snapshot cannot
+// exist at any size, and the caller must keep (or report) what it has.
+// A nil reservation builds unbudgeted.
 //
 //garlint:allow ctxpass errlost -- snapshot build: no caller context to thread, and the ForEach body never returns an error
 func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Options, snap *memgov.Reservation) ([]ltr.Candidate, []vector.Vec, error) {
-	vecs := make([]vector.Vec, 0, len(pool))
+	vecs := vector.Rows(len(pool), encoder.Dim())
 	for start := 0; start < len(pool); start += encodeBatch {
 		end := min(start+encodeBatch, len(pool))
-		batch := make([]vector.Vec, end-start)
 		_ = parallel.ForEach(context.Background(), end-start, opts.Workers, func(i int) error {
-			batch[i] = encoder.Encode(pool[start+i].Dialect)
+			copy(vecs[start+i], encoder.Encode(pool[start+i].Dialect))
 			return nil
 		})
 		var batchBytes int64
-		for i, v := range batch {
-			batchBytes += vecBytes(v) + tableBytes(pool[start+i].Dialect)
+		for i := start; i < end; i++ {
+			batchBytes += vecBytes(vecs[i]) + tableBytes(pool[i].Dialect)
 		}
 		if err := snap.Grow(batchBytes); err != nil {
 			if start == 0 {
 				return nil, nil, fmt.Errorf("core: memory budget cannot hold one snapshot: %w", err)
 			}
-			return pool[:start], vecs, nil
+			return pool[:start], vecs[:start], nil
 		}
-		vecs = append(vecs, batch...)
 	}
 	return pool, vecs, nil
 }
@@ -589,6 +590,7 @@ func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, ve
 		Reranker:   m.Reranker,
 		DialVecs:   vecs,
 		Costs:      poolCosts(pool),
+		Fillable:   poolFillable(pool),
 		Workers:    opts.Workers,
 	}
 	if !opts.NoRerank && m.Reranker != nil {

@@ -236,21 +236,6 @@ func TestTranslateContextCancelled(t *testing.T) {
 	}
 }
 
-// TestTranslateContextIVF checks cancellation also reaches the IVF probe
-// path.
-func TestTranslateContextIVF(t *testing.T) {
-	sys := trainedSystem(t, core.Options{UseIVF: true})
-	tr, err := sys.TranslateContext(context.Background(), "how many employees are there")
-	if err != nil || tr.Top == nil {
-		t.Fatalf("IVF translate failed: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := sys.TranslateContext(ctx, "how many employees are there"); err == nil {
-		t.Fatal("cancelled IVF translate succeeded")
-	}
-}
-
 func sqlSet(cands []core.Candidate) map[string]bool {
 	out := make(map[string]bool, len(cands))
 	for _, c := range cands {

@@ -348,7 +348,7 @@ func (s *System) deriveSnapshot(entries []poolEntry, vecs []vector.Vec, modelsDa
 			if err != nil {
 				return err
 			}
-			p.Pool, p.PoolIdx, p.Costs = pool, ltr.NewPoolIndex(pool), poolCosts(pool)
+			p.Pool, p.PoolIdx, p.Costs, p.Fillable = pool, ltr.NewPoolIndex(pool), poolCosts(pool), poolFillable(pool)
 			return nil
 		},
 		func() error {

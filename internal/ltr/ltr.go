@@ -172,6 +172,12 @@ type Pipeline struct {
 	// re-ranker consumes them as a static input feature. Nil scores
 	// every candidate with a zero cost feature.
 	Costs []float64
+	// Fillable, when non-nil, holds per pool candidate whether value
+	// post-processing can change its SQL (values.HasPlaceholder),
+	// aligned with Pool. Snapshot builds compute it once beside Costs,
+	// so a translation copies only the candidates it can fill; nil
+	// treats every candidate as fillable.
+	Fillable []bool
 	// Table, when non-nil, is the re-rank feature table over Pool's
 	// dialects (entry i is Pool[i]). Snapshot builds compute it once,
 	// so re-ranking never re-tokenizes a retrieved dialect; nil builds

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // MLP is a fully-connected network with ReLU hidden layers and a single
@@ -67,35 +68,91 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 // InputDim returns the expected feature dimension.
 func (m *MLP) InputDim() int { return m.sizes[0] }
 
-// Score runs a forward pass and returns the scalar output.
+// scoreWidth and scoreLayers bound the networks Score runs on stack
+// buffers; a wider or deeper network allocates its activations.
+const (
+	scoreWidth  = 64
+	scoreLayers = 8
+)
+
+// Score runs a forward pass and returns the scalar output. For
+// networks within scoreWidth and scoreLayers it allocates nothing: the
+// layers ping-pong between two stack buffers.
 func (m *MLP) Score(x []float64) float64 {
-	acts := m.forward(x)
+	if len(m.weights) > scoreLayers || slices.Max(m.sizes[1:]) > scoreWidth {
+		acts := m.activations(x)
+		m.forward(x, acts[1:])
+		return acts[len(acts)-1][0]
+	}
+	var ping, pong [scoreWidth]float64
+	var buf [scoreLayers][]float64
+	for l := range m.weights {
+		if l%2 == 0 {
+			buf[l] = ping[:m.sizes[l+1]]
+		} else {
+			buf[l] = pong[:m.sizes[l+1]]
+		}
+	}
+	acts := buf[:len(m.weights)]
+	m.forward(x, acts)
 	return acts[len(acts)-1][0]
 }
 
-// forward returns the activations of every layer (input first).
-func (m *MLP) forward(x []float64) [][]float64 {
-	acts := [][]float64{x}
-	cur := x
+// activations returns the activation list backward reads, input
+// first: x, then a fresh buffer for every layer's output, which
+// forward fills from acts[1:].
+func (m *MLP) activations(x []float64) [][]float64 {
+	acts := make([][]float64, len(m.weights)+1)
+	acts[0] = x
 	for l := range m.weights {
-		out := make([]float64, m.sizes[l+1])
-		for o := range out {
-			s := m.biases[l][o]
-			row := m.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l+1 < len(m.weights) { // hidden layers: ReLU
-				if s < 0 {
-					s = 0
-				}
-			}
-			out[o] = s
-		}
-		acts = append(acts, out)
-		cur = out
+		acts[l+1] = make([]float64, m.sizes[l+1])
 	}
 	return acts
+}
+
+// forward runs the network on x, writing layer l's output into
+// acts[l], which must have length sizes[l+1] and must not alias that
+// layer's input.
+func (m *MLP) forward(x []float64, acts [][]float64) {
+	cur := x
+	for l, w := range m.weights {
+		dense(acts[l], cur, w, m.biases[l], l+1 < len(m.weights))
+		cur = acts[l]
+	}
+}
+
+// dense computes one fully-connected layer, out[o] = b[o] + Σ w[o][i]·in[i],
+// clamped at zero when relu is set (the hidden layers). Each output is
+// summed from its bias in input order; four outputs share one pass
+// over in, so their independent sums overlap their add latencies.
+func dense(out, in []float64, w [][]float64, b []float64, relu bool) {
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		r0, r1, r2, r3 := w[o][:len(in)], w[o+1][:len(in)], w[o+2][:len(in)], w[o+3][:len(in)]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, v := range in {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		s := b[o]
+		row := w[o][:len(in)]
+		for i, v := range in {
+			s += row[i] * v
+		}
+		out[o] = s
+	}
+	if relu {
+		for o, s := range out {
+			if s < 0 {
+				out[o] = 0
+			}
+		}
+	}
 }
 
 // grads accumulates parameter gradients for a batch.
@@ -233,7 +290,8 @@ func (m *MLP) listStep(l List, lr float64) float64 {
 	actsAll := make([][][]float64, n)
 	scores := make([]float64, n)
 	for i, x := range l.Features {
-		acts := m.forward(x)
+		acts := m.activations(x)
+		m.forward(x, acts[1:])
 		actsAll[i] = acts
 		scores[i] = acts[len(acts)-1][0]
 	}

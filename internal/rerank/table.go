@@ -297,6 +297,32 @@ type Match struct {
 	ord    []uint32
 	weight []float64
 	total  float64
+	// peq is the bit-parallel edit distance's match-mask table: bit j
+	// of peq[id] is set when the question's token j has vocab id id.
+	// Nil when the question has no tokens or more than maxMyers, which
+	// fall back to the DP.
+	peq []uint64
+}
+
+// maxMyers is the longest question, in tokens, whose edit distance
+// runs bit-parallel: one machine word holds a column of the DP.
+const maxMyers = 64
+
+// matchMasks builds the match-mask table of a question's token ids
+// over a vocabulary of vocab ids, or nil when the question is empty or
+// longer than maxMyers. Only ids below vocab can occur in a table
+// entry, so the table covers exactly those.
+func matchMasks(toks []uint32, vocab int) []uint64 {
+	if len(toks) == 0 || len(toks) > maxMyers {
+		return nil
+	}
+	peq := make([]uint64, vocab)
+	for j, tok := range toks {
+		if int(tok) < vocab {
+			peq[tok] |= 1 << j
+		}
+	}
+	return peq
 }
 
 // Match maps the prepared question into t's vocabulary.
@@ -350,6 +376,7 @@ func (x *Extractor) Match(p *Prep, t *Table) *Match {
 			m.total += w
 		}
 	}
+	m.peq = matchMasks(m.toks, len(t.vocab))
 	m.head = sortUnique(slices.Clone(m.content[:min(3, len(m.content))]))
 	m.content = sortUnique(m.content)
 	m.bigrams, m.nums = sortUnique(m.bigrams), sortUnique(m.nums)
@@ -388,7 +415,7 @@ func (x *Extractor) pairFeatures(f []float64, m *Match, i int, dialVec vector.Ve
 	// 5: character-trigram similarity (robust to morphology).
 	f[5] = jaccard(len(p.grams), len(e.grams), intersect(p.grams, e.grams))
 	// 6: normalized token edit distance.
-	ed := sc.editDistance(m.toks, e.toks)
+	ed := m.editDistance(e.toks, sc)
 	den := len(m.toks) + len(e.toks)
 	if den == 0 {
 		den = 1
@@ -496,6 +523,44 @@ func overlap(na, inter int) float64 {
 		return 0
 	}
 	return float64(inter) / float64(na)
+}
+
+// editDistance is text.EditDistance(question tokens, b). Questions of
+// at most maxMyers tokens take Myers' bit-parallel algorithm in
+// Hyyrö's edit-distance form over the match masks; longer ones take
+// the DP on the scratch rows.
+func (m *Match) editDistance(b []uint32, sc *scratch) int {
+	if m.peq == nil || len(b) == 0 {
+		return sc.editDistance(m.toks, b)
+	}
+	// pv and mv are the DP column's vertical +1 and -1 deltas, one bit
+	// per question token; score tracks the bottom cell. Bits above the
+	// question's length hold junk, but every operation carries
+	// information only upward, so they never reach the bits below.
+	last := uint64(1) << (len(m.toks) - 1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(m.toks)
+	for _, c := range b {
+		var eq uint64
+		if int(c) < len(m.peq) {
+			eq = m.peq[c]
+		}
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		// Row 0 of the DP is D[0][j] = j: its horizontal delta is +1.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
 }
 
 // editDistance is text.EditDistance over token ids, on the scratch

@@ -242,7 +242,9 @@ func (l *Linker) FillPlaceholders(q *sqlast.Query, nl string) *sqlast.Query {
 }
 
 // Fill is FillPlaceholders over values already extracted from the
-// question.
+// question. It never modifies q. When vals is empty or q has no
+// placeholder (HasPlaceholder), the copy equals q, so a caller that
+// knows as much can use q itself.
 func (l *Linker) Fill(q *sqlast.Query, vals []NLValue) *sqlast.Query {
 	out := q.Clone()
 	usedNum := map[int]bool{}
@@ -279,22 +281,46 @@ func (l *Linker) Fill(q *sqlast.Query, vals []NLValue) *sqlast.Query {
 		return "", false
 	}
 
-	sqlast.WalkQueries(out, func(sub *sqlast.Query) {
-		fill := func(e sqlast.Expr) {
+	eachComparison(out, func(lhs, rhs sqlast.Expr, s *sqlast.Select) {
+		l.fillOne(lhs, rhs, s, takeNum, takeText)
+	})
+	return out
+}
+
+// HasPlaceholder reports whether Fill can change q: whether a
+// comparison Fill visits (eachComparison) has a placeholder on its
+// right-hand side.
+func HasPlaceholder(q *sqlast.Query) bool {
+	found := false
+	eachComparison(q, func(_, rhs sqlast.Expr, _ *sqlast.Select) {
+		if lit, ok := rhs.(*sqlast.Lit); ok && lit.Kind == sqlast.PlaceholderLit {
+			found = true
+		}
+	})
+	return found
+}
+
+// eachComparison calls fn, in order, on every comparison in a WHERE or
+// HAVING of q or any of its subqueries — the places value filling
+// instantiates — with its left and right operands and the SELECT it
+// belongs to: once per binary operator, twice per BETWEEN (low bound,
+// then high).
+func eachComparison(q *sqlast.Query, fn func(lhs, rhs sqlast.Expr, s *sqlast.Select)) {
+	sqlast.WalkQueries(q, func(sub *sqlast.Query) {
+		visit := func(e sqlast.Expr) {
 			sqlast.WalkExprs(e, func(n sqlast.Expr) {
 				switch x := n.(type) {
 				case *sqlast.Binary:
-					l.fillOne(x.L, x.R, sub.Select, takeNum, takeText)
+					fn(x.L, x.R, sub.Select)
 				case *sqlast.Between:
-					l.fillOne(x.X, x.Lo, sub.Select, takeNum, takeText)
-					l.fillOne(x.X, x.Hi, sub.Select, takeNum, takeText)
+					fn(x.X, x.Lo, sub.Select)
+					fn(x.X, x.Hi, sub.Select)
 				}
 			})
 		}
-		fill(sub.Select.Where)
-		fill(sub.Select.Having)
+		visit(sub.Select.Where)
+		visit(sub.Select.Having)
 	})
-	return out
 }
 
 // fillOne replaces rhs with an NL value when it is a placeholder whose

@@ -1,6 +1,7 @@
 package values_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,5 +145,68 @@ func TestRequiredColumns(t *testing.T) {
 	}
 	if !tables["employee"] || !tables["shop"] {
 		t.Errorf("expected hints in employee and shop: %+v", cols)
+	}
+}
+
+// TestFillCopyContract pins what the translate path relies on to skip
+// copies: Fill never modifies its input and returns what filling a
+// copy returns; and when the question has no values or the query has
+// no placeholder Fill can reach (HasPlaceholder), Fill's result equals
+// the query itself, so the query can stand in for it.
+func TestFillCopyContract(t *testing.T) {
+	l := linkerWithContent()
+	queries := []string{
+		"SELECT name FROM employee WHERE city = 'value' AND age > 'value'",
+		"SELECT name FROM employee WHERE age BETWEEN 'value' AND 'value'",
+		"SELECT city FROM employee GROUP BY city HAVING COUNT(*) > 'value'",
+		"SELECT name FROM employee WHERE employee_id IN (SELECT employee_id FROM evaluation WHERE bonus > 'value')",
+		"SELECT name FROM employee AS T1 WHERE EXISTS (SELECT * FROM evaluation AS T2 WHERE T2.bonus > 'value')",
+		"SELECT city FROM (SELECT city FROM employee WHERE age > 'value') AS sub",
+		"SELECT name FROM employee UNION SELECT manager_name FROM shop WHERE number_products > 'value'",
+		"SELECT name FROM employee WHERE 'value' = city",
+		"SELECT name FROM employee ORDER BY age DESC LIMIT 1",
+		"SELECT name FROM employee WHERE city = 'Austin'",
+		"SELECT COUNT(*) FROM employee",
+	}
+	questions := []string{
+		"employees in Austin older than 30",
+		"cities with more than 3 employees between 20 and 40",
+		"who works at Red Bull",
+		"show every employee",
+	}
+	reached := map[bool]int{}
+	for _, src := range queries {
+		for _, nl := range questions {
+			q := sqlparse.MustParse(src)
+			vals := l.Extract(nl)
+			out := l.Fill(q, vals)
+			if !reflect.DeepEqual(q, sqlparse.MustParse(src)) {
+				t.Fatalf("Fill(%q) for %q modified its input: %s", src, nl, q)
+			}
+			if out == q {
+				t.Fatalf("Fill(%q) returned its input, not a copy", src)
+			}
+			if viaCopy := l.Fill(q.Clone(), vals); !reflect.DeepEqual(out, viaCopy) {
+				t.Fatalf("Fill(%q) for %q: %s, filling a copy gives %s", src, nl, out, viaCopy)
+			}
+			skip := len(vals) == 0 || !values.HasPlaceholder(q)
+			if skip && !reflect.DeepEqual(out, q) {
+				t.Fatalf("Fill(%q) for %q changed a query it cannot fill: %s", src, nl, out)
+			}
+			reached[reflect.DeepEqual(out, q)]++
+		}
+	}
+	if reached[false] == 0 || reached[true] == 0 {
+		t.Fatalf("cases filled / unchanged: %d / %d, want both", reached[false], reached[true])
+	}
+	for _, src := range queries[:7] {
+		if !values.HasPlaceholder(sqlparse.MustParse(src)) {
+			t.Errorf("HasPlaceholder(%q) = false", src)
+		}
+	}
+	for _, src := range queries[7:] {
+		if values.HasPlaceholder(sqlparse.MustParse(src)) {
+			t.Errorf("HasPlaceholder(%q) = true", src)
+		}
 	}
 }

@@ -1,12 +1,8 @@
-// Package vector provides dense float32 vector operations and a small
-// k-means implementation, used by the retrieval encoder and the IVF
-// vector index.
+// Package vector provides dense float32 vector operations, used by the
+// retrieval encoder and the vector index.
 package vector
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Vec is a dense vector.
 type Vec []float32
@@ -21,6 +17,22 @@ func Dot(a, b Vec) float32 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// Dot4 returns the inner products of q with each of a, b, c and d.
+// Each sum runs in index order, exactly as Dot's does, so every result
+// is bit-identical to Dot(q, row); the four independent running sums
+// overlap the float-add latency that one sum serializes. Every row
+// must be at least as long as q.
+func Dot4(q, a, b, c, d Vec) (sa, sb, sc, sd float32) {
+	a, b, c, d = a[:len(q)], b[:len(q)], c[:len(q)], d[:len(q)]
+	for i, x := range q {
+		sa += x * a[i]
+		sb += x * b[i]
+		sc += x * c[i]
+		sd += x * d[i]
+	}
+	return sa, sb, sc, sd
 }
 
 // Norm returns the Euclidean norm.
@@ -70,73 +82,4 @@ func Clone(a Vec) Vec {
 	out := make(Vec, len(a))
 	copy(out, a)
 	return out
-}
-
-// KMeans clusters the vectors into k centroids with Lloyd's algorithm.
-// It returns the centroids and the assignment of each vector. When there
-// are fewer vectors than k, the number of centroids is reduced.
-func KMeans(vecs []Vec, k, iters int, seed int64) ([]Vec, []int) {
-	if len(vecs) == 0 || k <= 0 {
-		return nil, nil
-	}
-	if k > len(vecs) {
-		k = len(vecs)
-	}
-	dim := len(vecs[0])
-	rng := rand.New(rand.NewSource(seed))
-
-	// Initialize with distinct random points.
-	perm := rng.Perm(len(vecs))
-	centroids := make([]Vec, k)
-	for i := 0; i < k; i++ {
-		centroids[i] = Clone(vecs[perm[i]])
-	}
-	assign := make([]int, len(vecs))
-	for it := 0; it < iters; it++ {
-		changed := false
-		for i, v := range vecs {
-			best, bestD := 0, float32(math.MaxFloat32)
-			for c, cent := range centroids {
-				d := sqDist(v, cent)
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		if !changed && it > 0 {
-			break
-		}
-		sums := make([]Vec, k)
-		counts := make([]int, k)
-		for i := range sums {
-			sums[i] = New(dim)
-		}
-		for i, v := range vecs {
-			Axpy(sums[assign[i]], 1, v)
-			counts[assign[i]]++
-		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				// Re-seed an empty cluster with a random point.
-				centroids[c] = Clone(vecs[rng.Intn(len(vecs))])
-				continue
-			}
-			Scale(sums[c], 1/float32(counts[c]))
-			centroids[c] = sums[c]
-		}
-	}
-	return centroids, assign
-}
-
-func sqDist(a, b Vec) float32 {
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }

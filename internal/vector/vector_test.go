@@ -1,6 +1,7 @@
 package vector_test
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -67,54 +68,30 @@ func TestAxpyScaleClone(t *testing.T) {
 	}
 }
 
-func TestKMeansSeparatesClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var vecs []vector.Vec
-	// Two well-separated blobs.
-	for i := 0; i < 50; i++ {
-		vecs = append(vecs, vector.Vec{float32(rng.NormFloat64()*0.1 + 5), 0})
-	}
-	for i := 0; i < 50; i++ {
-		vecs = append(vecs, vector.Vec{float32(rng.NormFloat64()*0.1 - 5), 0})
-	}
-	_, assign := vector.KMeans(vecs, 2, 20, 7)
-	first := assign[0]
-	for i := 1; i < 50; i++ {
-		if assign[i] != first {
-			t.Fatal("first blob split across clusters")
+// FuzzDot4 checks Dot4 against Dot bit for bit: the fuzzer's bytes
+// become a query and four rows of the same dimension, with any float32
+// bit pattern (NaNs, infinities, subnormals) allowed.
+func FuzzDot4(f *testing.F) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64, 0, 0, 128, 64, 0, 0, 160, 64}, uint8(1))
+	f.Add([]byte("a query and four rows of floats, some of them huge or tiny......"), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, dim uint8) {
+		n := int(dim)%16 + 1
+		floats := make([]float32, 5*n)
+		for i := range floats {
+			if 4*i+4 <= len(data) {
+				floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			}
 		}
-	}
-	second := assign[50]
-	if second == first {
-		t.Fatal("blobs merged")
-	}
-	for i := 51; i < 100; i++ {
-		if assign[i] != second {
-			t.Fatal("second blob split across clusters")
+		q := vector.Vec(floats[:n])
+		rows := []vector.Vec{floats[n : 2*n], floats[2*n : 3*n], floats[3*n : 4*n], floats[4*n:]}
+		var got [4]float32
+		got[0], got[1], got[2], got[3] = vector.Dot4(q, rows[0], rows[1], rows[2], rows[3])
+		for r, row := range rows {
+			want := vector.Dot(q, row)
+			if math.Float32bits(got[r]) != math.Float32bits(want) && !(got[r] != got[r] && want != want) {
+				t.Fatalf("row %d: Dot4 %v (%#x), Dot %v (%#x)", r, got[r], math.Float32bits(got[r]), want, math.Float32bits(want))
+			}
 		}
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	if c, a := vector.KMeans(nil, 3, 5, 1); c != nil || a != nil {
-		t.Error("empty input should return nil")
-	}
-	vecs := []vector.Vec{{1, 0}, {0, 1}}
-	c, a := vector.KMeans(vecs, 5, 5, 1)
-	if len(c) != 2 || len(a) != 2 {
-		t.Errorf("k > n should clamp: %d centroids", len(c))
-	}
-}
-
-func TestKMeansDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var vecs []vector.Vec
-	for i := 0; i < 30; i++ {
-		vecs = append(vecs, vector.Vec{rng.Float32(), rng.Float32()})
-	}
-	_, a1 := vector.KMeans(vecs, 4, 10, 9)
-	_, a2 := vector.KMeans(vecs, 4, 10, 9)
-	if !reflect.DeepEqual(a1, a2) {
-		t.Error("KMeans not deterministic for fixed seed")
-	}
+	})
 }

@@ -34,15 +34,3 @@ func BenchmarkFlatSearch(b *testing.B) {
 		_ = idx.Search(q, 100)
 	}
 }
-
-// BenchmarkIVFSearch measures the clustered (Faiss-style) search.
-func BenchmarkIVFSearch(b *testing.B) {
-	idx := vindex.NewIVF(64, 8, 2)
-	q := fill(idx, 4000, 64, 1)
-	idx.Build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = idx.Search(q, 100)
-	}
-}

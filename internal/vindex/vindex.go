@@ -1,8 +1,8 @@
 // Package vindex provides top-k vector similarity search over unit-norm
-// embeddings: an exact flat index and an IVF-style clustered index (a
-// k-means coarse quantizer over probed inverted lists). It plays the
-// role Faiss plays in the paper's inference pipeline (§V-A2): retrieving
-// the closest dialect-expression embeddings for an NL query embedding.
+// embeddings: an exact flat index whose scan shards across workers. It
+// plays the role Faiss plays in the paper's inference pipeline
+// (§V-A2): retrieving the closest dialect-expression embeddings for an
+// NL query embedding.
 //
 // Searches accept a context.Context; cancellation and deadlines are
 // checked inside the scoring loops, so a slow scan over a very large
@@ -12,8 +12,8 @@ package vindex
 
 import (
 	"context"
-	"sort"
-	"sync"
+	"math"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/vector"
@@ -50,33 +50,42 @@ type Index interface {
 	Len() int
 }
 
-// searchBatch fans a query batch across CPUs over any per-query search
-// function, keeping out[i] aligned with qs[i].
-func searchBatch(ctx context.Context, qs []vector.Vec, k int,
-	search func(ctx context.Context, q vector.Vec, k int) ([]Hit, error)) ([][]Hit, error) {
-	out := make([][]Hit, len(qs))
-	err := parallel.ForEach(ctx, len(qs), 0, func(i int) error {
-		hits, serr := search(ctx, qs[i], k)
-		if serr != nil {
-			return serr
-		}
-		out[i] = hits
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Flat is the exact brute-force index.
+// Flat is the exact brute-force index. A search splits the stored
+// vectors into shards of at least minShard rows, up to one per worker,
+// scans each with its own bounded heap and merges the shards' hits
+// under `better`. Because `better` is a strict total order, the merged
+// hits are exactly a sequential scan's at every shard count.
 type Flat struct {
 	ids  []int
 	vecs []vector.Vec
+	// workers caps the shards of one search: 0 means one per CPU, 1
+	// scans sequentially.
+	workers int
 }
 
-// NewFlat returns an empty exact index.
+// minShard is the fewest rows a search hands to one shard, so pools
+// under twice this size scan sequentially. On a 2-vCPU VM at dimension
+// 64, two shards broke even with one sequential scan at about 3,000
+// rows and saved ~5 % at 4,096 and ~17 % at 5,400; on smaller pools
+// the hand-off to other goroutines costs what the split saves.
+const minShard = 2048
+
+// NewFlat returns an empty exact index whose searches shard across one
+// worker per CPU.
 func NewFlat() *Flat { return &Flat{} }
+
+// NewFlatRows returns an exact index over rows, row i stored under id
+// i. It keeps the rows without copying them, so rows sharing one
+// backing array (vector.Rows) are scanned in memory order. A search
+// shards across at most workers goroutines: 0 means one per CPU, 1
+// scans sequentially.
+func NewFlatRows(rows []vector.Vec, workers int) *Flat {
+	ids := make([]int, len(rows))
+	for i := range ids {
+		ids[i] = i
+	}
+	return &Flat{ids: ids, vecs: rows, workers: workers}
+}
 
 // Add implements Index.
 func (f *Flat) Add(id int, v vector.Vec) {
@@ -91,138 +100,73 @@ func (f *Flat) Len() int { return len(f.ids) }
 //
 //garlint:allow ctxpass errlost -- compatibility wrapper over SearchContext; the fresh root context and the dropped error are the legacy signature
 func (f *Flat) Search(q vector.Vec, k int) []Hit {
-	hits, _ := topK(context.Background(), q, f.ids, f.vecs, k)
+	hits, _ := f.SearchContext(context.Background(), q, k)
 	return hits
 }
 
 // SearchContext implements Index.
 func (f *Flat) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, error) {
-	return topK(ctx, q, f.ids, f.vecs, k)
+	n := len(f.ids)
+	if k <= 0 || k > n {
+		k = n
+	}
+	shards := min(parallel.Workers(f.workers), n/minShard)
+	if shards <= 1 {
+		return topK(ctx, q, f.ids, f.vecs, k)
+	}
+	size := (n + shards - 1) / shards
+	parts := make([][]Hit, shards)
+	err := parallel.ForEach(ctx, shards, shards, func(s int) error {
+		lo, hi := s*size, min((s+1)*size, n)
+		var err error
+		parts[s], err = topK(ctx, q, f.ids[lo:hi], f.vecs[lo:hi], k)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return mergeHits(parts, k), nil
 }
 
-// SearchBatch implements Index.
+// SearchBatch implements Index. The queries fan out across CPUs, and
+// each scans in one shard: the batch already keeps the CPUs busy.
 func (f *Flat) SearchBatch(ctx context.Context, qs []vector.Vec, k int) ([][]Hit, error) {
-	return searchBatch(ctx, qs, k, f.SearchContext)
-}
-
-// IVF is the clustered index: vectors are assigned to the nearest of
-// nlist k-means centroids; a query scans only the nprobe closest lists.
-type IVF struct {
-	nlist, nprobe int
-	seed          int64
-	ids           []int
-	vecs          []vector.Vec
-	centroids     []vector.Vec
-	lists         [][]int // centroid → positions in ids/vecs
-	// buildMu serializes the lazy clustering so concurrent first
-	// searches do not race; built is only written under buildMu.
-	buildMu sync.Mutex
-	built   bool
-}
-
-// NewIVF returns an IVF index with nlist clusters probing nprobe lists
-// per query. The index trains lazily on first search.
-func NewIVF(nlist, nprobe int, seed int64) *IVF {
-	if nlist < 1 {
-		nlist = 1
+	out := make([][]Hit, len(qs))
+	err := parallel.ForEach(ctx, len(qs), 0, func(i int) error {
+		var err error
+		out[i], err = topK(ctx, qs[i], f.ids, f.vecs, k)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if nprobe < 1 {
-		nprobe = 1
-	}
-	return &IVF{nlist: nlist, nprobe: nprobe, seed: seed}
+	return out, nil
 }
 
-// Add implements Index. Adding invalidates the trained clustering.
-func (iv *IVF) Add(id int, v vector.Vec) {
-	iv.buildMu.Lock()
-	iv.ids = append(iv.ids, id)
-	iv.vecs = append(iv.vecs, v)
-	iv.built = false
-	iv.buildMu.Unlock()
-}
-
-// Len implements Index.
-func (iv *IVF) Len() int {
-	iv.buildMu.Lock()
-	defer iv.buildMu.Unlock()
-	return len(iv.ids)
-}
-
-// Build trains the coarse quantizer; called automatically by Search.
-// It is safe to call from concurrent searches.
-func (iv *IVF) Build() {
-	iv.buildMu.Lock()
-	defer iv.buildMu.Unlock()
-	if iv.built || len(iv.vecs) == 0 {
-		return
-	}
-	centroids, assign := vector.KMeans(iv.vecs, iv.nlist, 10, iv.seed)
-	iv.centroids = centroids
-	iv.lists = make([][]int, len(centroids))
-	for i, c := range assign {
-		iv.lists[c] = append(iv.lists[c], i)
-	}
-	iv.built = true
-}
-
-// Search implements Index.
-//
-//garlint:allow ctxpass errlost -- compatibility wrapper over SearchContext; the fresh root context and the dropped error are the legacy signature
-func (iv *IVF) Search(q vector.Vec, k int) []Hit {
-	hits, _ := iv.SearchContext(context.Background(), q, k)
-	return hits
-}
-
-// SearchContext implements Index. The centroid ranking and the probed
-// scans both observe cancellation.
-func (iv *IVF) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, error) {
-	iv.Build()
-	if len(iv.centroids) == 0 {
-		return nil, ctx.Err()
-	}
-	// Rank centroids by similarity and scan the top nprobe lists.
-	type cs struct {
-		c     int
-		score float32
-	}
-	order := make([]cs, len(iv.centroids))
-	for i, cent := range iv.centroids {
-		if i&(ctxCheckStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+// mergeHits merges shards' hit lists, each sorted under `better`, into
+// the k best overall, in `better` order.
+func mergeHits(parts [][]Hit, k int) []Hit {
+	out := make([]Hit, 0, k)
+	for len(out) < k {
+		best := -1
+		for s, p := range parts {
+			if len(p) > 0 && (best < 0 || better(p[0], parts[best][0])) {
+				best = s
 			}
 		}
-		order[i] = cs{c: i, score: vector.Dot(q, cent)}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].score > order[j].score })
-	probes := iv.nprobe
-	if probes > len(order) {
-		probes = len(order)
-	}
-	var ids []int
-	var vecs []vector.Vec
-	for _, o := range order[:probes] {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if best < 0 {
+			break
 		}
-		for _, pos := range iv.lists[o.c] {
-			ids = append(ids, iv.ids[pos])
-			vecs = append(vecs, iv.vecs[pos])
-		}
+		out = append(out, parts[best][0])
+		parts[best] = parts[best][1:]
 	}
-	return topK(ctx, q, ids, vecs, k)
-}
-
-// SearchBatch implements Index. The coarse quantizer is built once up
-// front so concurrent per-query scans never contend on the lazy build.
-func (iv *IVF) SearchBatch(ctx context.Context, qs []vector.Vec, k int) ([][]Hit, error) {
-	iv.Build()
-	return searchBatch(ctx, qs, k, iv.SearchContext)
+	return out
 }
 
 // better is the ranking order of hits: score descending, ID ascending
 // on ties. It is a strict total order, which is what makes the bounded
-// heap selection below return exactly the prefix a full sort would.
+// heap selection below return exactly the prefix a full sort would,
+// and a merge of shards exactly a single scan's hits.
 func better(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -230,49 +174,86 @@ func better(a, b Hit) bool {
 	return a.ID < b.ID
 }
 
-// topK scores every vector against q and returns the k best hits in
-// `better` order. For k well below the pool size it keeps a bounded
-// min-heap (worst hit at the root) instead of sorting the whole score
+// cmpHits orders hits under `better` for slices.SortFunc.
+func cmpHits(a, b Hit) int {
+	if better(a, b) {
+		return -1
+	}
+	if better(b, a) {
+		return 1
+	}
+	return 0
+}
+
+// topK scores every vector against q and returns the min(k, n) best
+// hits in `better` order; k <= 0 means every hit. It keeps a bounded
+// min-heap (worst hit at the root) rather than sorting the whole score
 // slice: O(n log k) with a k-sized footprint rather than O(n log n)
 // over the full pool, which is the dominant cost of first-stage
-// retrieval over large candidate pools.
+// retrieval over large candidate pools. Rows are scored four at a time
+// (vector.Dot4, bit-identical to Dot), and a score below the heap's
+// worst is dropped before a Hit is built.
 func topK(ctx context.Context, q vector.Vec, ids []int, vecs []vector.Vec, k int) ([]Hit, error) {
-	if k <= 0 || k >= len(ids) {
-		hits := make([]Hit, 0, len(ids))
-		for i, v := range vecs {
-			if i&(ctxCheckStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			hits = append(hits, Hit{ID: ids[i], Score: vector.Dot(q, v)})
-		}
-		sort.Slice(hits, func(i, j int) bool { return better(hits[i], hits[j]) })
-		return hits, nil
+	if k <= 0 || k > len(ids) {
+		k = len(ids)
 	}
-
-	// heap[0] is the worst of the k best seen so far (min-heap under
-	// `better`).
-	heap := make([]Hit, 0, k)
-	for i, v := range vecs {
+	h := bounded{heap: make([]Hit, 0, k)}
+	// worst is the score a hit must reach to enter the heap: -Inf until
+	// it is full, then its root's. "Not below" keeps a NaN score, which
+	// the heap then orders as it always has.
+	worst := float32(math.Inf(-1))
+	var s [4]float32
+	i := 0
+	for ; i+4 <= len(vecs); i += 4 {
 		if i&(ctxCheckStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		h := Hit{ID: ids[i], Score: vector.Dot(q, v)}
-		if len(heap) < k {
-			heap = append(heap, h)
-			siftUp(heap, len(heap)-1)
-			continue
-		}
-		if better(h, heap[0]) {
-			heap[0] = h
-			siftDown(heap, 0)
+		s[0], s[1], s[2], s[3] = vector.Dot4(q, vecs[i], vecs[i+1], vecs[i+2], vecs[i+3])
+		for j, score := range s {
+			if !(score < worst) {
+				worst = h.push(Hit{ID: ids[i+j], Score: score})
+			}
 		}
 	}
-	sort.Slice(heap, func(i, j int) bool { return better(heap[i], heap[j]) })
-	return heap, nil
+	for ; i < len(vecs); i++ {
+		if i&(ctxCheckStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if score := vector.Dot(q, vecs[i]); !(score < worst) {
+			worst = h.push(Hit{ID: ids[i], Score: score})
+		}
+	}
+	slices.SortFunc(h.heap, cmpHits)
+	return h.heap, nil
+}
+
+// bounded keeps the cap(heap) best hits pushed, as a min-heap under
+// `better`: heap[0] is the worst of them.
+type bounded struct {
+	heap []Hit
+}
+
+// push adds hit while the heap has room, and otherwise replaces the
+// worst hit when hit is better. It returns the score a later hit must
+// reach to enter: -Inf while the heap has room, else the worst score.
+func (b *bounded) push(hit Hit) float32 {
+	if len(b.heap) < cap(b.heap) {
+		b.heap = append(b.heap, hit)
+		siftUp(b.heap, len(b.heap)-1)
+		if len(b.heap) < cap(b.heap) {
+			return float32(math.Inf(-1))
+		}
+		return b.heap[0].Score
+	}
+	if better(hit, b.heap[0]) {
+		b.heap[0] = hit
+		siftDown(b.heap, 0)
+	}
+	return b.heap[0].Score
 }
 
 // siftUp restores the min-heap property (worst hit at the root, under
