@@ -1,5 +1,5 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-smoke cover qualgate stress
+.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-smoke cover qualgate stress perfbench
 
 build:
 	go build ./...
@@ -30,11 +30,18 @@ test:
 race:
 	go test -race ./...
 
+# perfbench vets and tests the benchmark harness. It is its own module,
+# so `go build ./...` and `go test ./...` never compile it, yet it
+# imports the checkpoint, feedback and model-file APIs.
+perfbench:
+	cd perfbench && go vet ./... && go test ./...
+
 # verify is the full robustness gate: build, static checks (go vet,
 # gofmt and the custom garlint analyzers), the whole suite (including
 # the fault-injection matrix and the concurrent translate stress test)
-# under the race detector, and the translation-quality ratchet.
-verify: build vet fmt lint race qualgate
+# under the race detector, the benchmark harness's own vet and tests,
+# and the translation-quality ratchet.
+verify: build vet fmt lint race perfbench qualgate
 
 bench:
 	go test -bench=. -benchmem
@@ -94,8 +101,9 @@ qualgate:
 # suite (tenant isolation under faults, per-tenant burst shedding,
 # LRU eviction/warm-reactivation churn, fleet restart round-trip), and
 # the online learning loop (feedback WAL fault matrix and SIGKILL
-# crash drill, shadow-gated promotion, rollback under live traffic).
+# crash drill, shadow-gated promotion, rollback under live traffic),
+# and the shared durable-file layer's fault and codec tests.
 stress:
 	go test -race -timeout 10m -count=1 \
-		-run 'TestServeBurst|TestServeReload|TestServeNotReady|TestServeHealthzDegraded|TestSwap|TestRerankBreaker|TestStageBudget|TestPrepareDuringTraffic|TestBreaker|TestAcquire|TestShed|TestQueued|TestBurst|TestBlockGate|TestFault|TestConcurrent|TestLoadModels|TestModelPersistence|TestParallelTranslateDeterminism|TestCheckpoint|TestCrash|TestRecover|TestStore|TestServeRestartSIGTERM|TestServeWarmStart|TestServeAllCorrupt|TestFleet|TestServeFleet|TestFeedback|TestTrainer|TestOnline|TestServeFeedback' \
-		./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/spill/ ./internal/memgov/ ./gar/
+		-run 'TestServeBurst|TestServeReload|TestServeNotReady|TestServeHealthzDegraded|TestSwap|TestRerankBreaker|TestStageBudget|TestPrepareDuringTraffic|TestBreaker|TestAcquire|TestShed|TestQueued|TestBurst|TestBlockGate|TestFault|TestConcurrent|TestLoadModels|TestModelPersistence|TestParallelTranslateDeterminism|TestCheckpoint|TestCrash|TestRecover|TestStore|TestServeRestartSIGTERM|TestServeWarmStart|TestServeAllCorrupt|TestFleet|TestServeFleet|TestFeedback|TestTrainer|TestOnline|TestServeFeedback|TestDurable' \
+		./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/spill/ ./internal/memgov/ ./internal/durable/ ./gar/

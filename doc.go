@@ -37,18 +37,25 @@
 // in library code, context propagation, and Must* helpers confined to
 // tests and generators.
 //
+// Models files, checkpoints, spill runs and the feedback WAL share one
+// durable-file layer, internal/durable: the CRC-64 checksum, the atomic
+// temp+fsync+rename write, the length+CRC frame, the magic-headed
+// block and the temp sweep; each format keeps its own magic, length
+// limit and torn-tail policy.
+//
 // The serving loop can also learn online. internal/feedback is a
-// durable append-only WAL (CRC-64 frames, fsync before acknowledgement,
-// crash recovery that truncates torn tails) for user feedback posted to
-// /feedback — an endorsed candidate or a corrected SQL text, validated
-// by re-parse and re-bind before it is recorded. A background
-// gar.Trainer folds accepted pairs into the training set and retrains
-// off the serving path; a retrained candidate is shadow-scored against
-// the live snapshot on held-out feedback and only promoted when it is
-// no worse, with a checkpointed rollback point and a post-promotion
-// regression detector that restores the prior generation automatically.
-// `gar feedback list|verify|compact` inspect and maintain the logs. See
-// the README's "Online learning & safe promotion" section.
+// durable append-only WAL (internal/durable frames, fsync before
+// acknowledgement, crash recovery that truncates torn tails) for user
+// feedback posted to /feedback — an endorsed candidate or a corrected
+// SQL text, validated by re-parse and re-bind before it is recorded. A
+// background gar.Trainer folds accepted pairs into the training set
+// and retrains off the serving path; a retrained candidate is
+// shadow-scored against the live snapshot on held-out feedback and
+// only promoted when it is no worse, with a checkpointed rollback point
+// and a post-promotion regression detector that restores the prior
+// generation automatically. `gar feedback list|verify|compact` inspect
+// and maintain the logs. See the README's "Online learning & safe
+// promotion" section.
 //
 // The internal packages implement
 // every substrate the paper depends on — SQL parsing and execution,

@@ -2,11 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc64"
+
+	"repro/internal/durable"
 )
 
 // Format is the layout version this package writes. Decode rejects any
@@ -39,9 +39,10 @@ var ErrIncompatible = errors.New("checkpoint incompatible")
 //	manifest CRC-64/ECMA      8 bytes  big-endian, over the gob bytes
 //	section payloads          raw, in Manifest.Sections order
 //
-// Every section's length and CRC-64 live in the manifest, so one
-// manifest read decides exactly which byte ranges are trustworthy; a
-// file that disagrees with its manifest anywhere is rejected whole.
+// The first four fields are one internal/durable block. Every
+// section's length and CRC-64 live in the manifest, so one manifest
+// read decides exactly which byte ranges are trustworthy; a file that
+// disagrees with its manifest anywhere is rejected whole.
 const magic = "GARCKPT1"
 
 // maxManifestLen bounds the manifest allocation before any decoding: a
@@ -54,8 +55,6 @@ const maxSections = 64
 
 // maxSectionName bounds one declared section name.
 const maxSectionName = 128
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // headerOverhead is the fixed non-manifest prefix: magic + length word.
 const headerOverhead = len(magic) + 8
@@ -128,7 +127,7 @@ func Encode(m Manifest, sections []Section) ([]byte, error) {
 		m.Sections = append(m.Sections, SectionInfo{
 			Name:   s.Name,
 			Length: int64(len(s.Data)),
-			CRC:    crc64.Checksum(s.Data, crcTable),
+			CRC:    durable.Checksum(s.Data),
 		})
 		total += len(s.Data)
 	}
@@ -144,18 +143,11 @@ func Encode(m Manifest, sections []Section) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: manifest of %d bytes exceeds the format limit", mbuf.Len())
 	}
 
-	out := bytes.NewBuffer(make([]byte, 0, headerOverhead+mbuf.Len()+8+total))
-	out.WriteString(magic)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(mbuf.Len()))
-	out.Write(n[:])
-	out.Write(mbuf.Bytes())
-	binary.BigEndian.PutUint64(n[:], crc64.Checksum(mbuf.Bytes(), crcTable))
-	out.Write(n[:])
+	out := durable.AppendBlock(make([]byte, 0, headerOverhead+mbuf.Len()+8+total), magic, mbuf.Bytes())
 	for _, s := range sections {
-		out.Write(s.Data)
+		out = append(out, s.Data...)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // Decode parses and fully validates an envelope: magic, bounded
@@ -164,7 +156,7 @@ func Encode(m Manifest, sections []Section) ([]byte, error) {
 // the bytes is ErrCorrupt; an unknown format version is
 // ErrIncompatible. Decode never panics, for any input.
 func Decode(data []byte) (*Checkpoint, error) {
-	m, bodyOff, err := decodeHeader(data)
+	m, body, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +164,6 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, corrupt("%d sections exceed the format limit %d", len(m.Sections), maxSections)
 	}
 
-	body := data[bodyOff:]
 	ck := &Checkpoint{Manifest: *m, sections: make(map[string][]byte, len(m.Sections))}
 	var off uint64
 	for _, s := range m.Sections {
@@ -186,7 +177,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 			return nil, corrupt("section %q claims %d bytes beyond the file: torn write", s.Name, s.Length)
 		}
 		payload := body[off : off+uint64(s.Length)]
-		if crc64.Checksum(payload, crcTable) != s.CRC {
+		if durable.Checksum(payload) != s.CRC {
 			return nil, corrupt("section %q checksum mismatch", s.Name)
 		}
 		ck.sections[s.Name] = payload
@@ -208,43 +199,29 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 }
 
 // decodeHeader is the shared manifest prefix of Decode and
-// DecodeManifest: it validates magic, manifest bounds, manifest
-// checksum and format version, and returns the manifest plus the
-// offset where the section payloads begin.
-func decodeHeader(data []byte) (m *Manifest, bodyOff int, err error) {
+// DecodeManifest: it validates the manifest block (magic, length bound,
+// checksum) and the format version, and returns the manifest plus the
+// section payloads that follow it.
+func decodeHeader(data []byte) (m *Manifest, body []byte, err error) {
 	// gob is not hardened against hostile input; the manifest bytes are
 	// checksummed before decoding, but CRC-64 is not cryptographic, so
 	// a crafted stream could still reach the decoder. Contain it.
 	defer func() {
 		if rec := recover(); rec != nil {
-			m, bodyOff, err = nil, 0, corrupt("malformed manifest: %v", rec)
+			m, body, err = nil, nil, corrupt("malformed manifest: %v", rec)
 		}
 	}()
-	if len(data) < headerOverhead+8 {
-		return nil, 0, corrupt("file of %d bytes is shorter than the fixed header", len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, 0, corrupt("missing checkpoint magic")
-	}
-	mlen := binary.BigEndian.Uint64(data[len(magic):headerOverhead])
-	if mlen == 0 || mlen > maxManifestLen {
-		return nil, 0, corrupt("manifest length %d outside (0, %d]", mlen, maxManifestLen)
-	}
-	if mlen > uint64(len(data)-headerOverhead-8) {
-		return nil, 0, corrupt("manifest length %d exceeds the file: torn or truncated write", mlen)
-	}
-	mbytes := data[headerOverhead : headerOverhead+int(mlen)]
-	wantCRC := binary.BigEndian.Uint64(data[headerOverhead+int(mlen) : headerOverhead+int(mlen)+8])
-	if crc64.Checksum(mbytes, crcTable) != wantCRC {
-		return nil, 0, corrupt("manifest checksum mismatch")
+	mbytes, body, err := durable.ParseBlock(data, maxManifestLen, magic)
+	if err != nil {
+		return nil, nil, corrupt("manifest: %v", err)
 	}
 	var out Manifest
 	if err := gob.NewDecoder(bytes.NewReader(mbytes)).Decode(&out); err != nil {
-		return nil, 0, corrupt("manifest does not decode: %v", err)
+		return nil, nil, corrupt("manifest does not decode: %v", err)
 	}
 	if out.FormatVersion != Format {
-		return nil, 0, fmt.Errorf("checkpoint: %w: format version %d, this build reads %d",
+		return nil, nil, fmt.Errorf("checkpoint: %w: format version %d, this build reads %d",
 			ErrIncompatible, out.FormatVersion, Format)
 	}
-	return &out, headerOverhead + int(mlen) + 8, nil
+	return &out, body, nil
 }

@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"hash/crc64"
+
+	"repro/internal/durable"
 )
 
 // Test-only raw encoders: build envelopes Encode refuses to, so the
@@ -12,7 +13,7 @@ import (
 // exercised with otherwise well-formed framing.
 
 // sectionCRC exposes the payload checksum for hand-built manifests.
-func sectionCRC(b []byte) uint64 { return crc64.Checksum(b, crcTable) }
+func sectionCRC(b []byte) uint64 { return durable.Checksum(b) }
 
 // frameManifestBytes wraps arbitrary bytes in valid magic + length +
 // CRC framing, so they reach the gob decoder intact.
@@ -23,7 +24,7 @@ func frameManifestBytes(mbytes []byte) []byte {
 	binary.BigEndian.PutUint64(n[:], uint64(len(mbytes)))
 	out.Write(n[:])
 	out.Write(mbytes)
-	binary.BigEndian.PutUint64(n[:], crc64.Checksum(mbytes, crcTable))
+	binary.BigEndian.PutUint64(n[:], durable.Checksum(mbytes))
 	out.Write(n[:])
 	return out.Bytes()
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -12,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/faults"
 )
 
@@ -20,14 +20,14 @@ import (
 // directory listing is already generation-sorted.
 const fileName = "gen-%020d.ckpt"
 
-// tmpPattern is the os.CreateTemp pattern of in-progress writes; the
-// leading dot keeps them out of casual globs and List.
+// tmpPattern names the temp files of in-progress writes; the leading
+// dot keeps them out of casual globs and List.
 const tmpPattern = ".ckpt-*.tmp"
 
 var fileRE = regexp.MustCompile(`^gen-(\d{20})\.ckpt$`)
 
 // Store manages a directory of checkpoint files, one per generation.
-// All writes go through the temp+fsync+rename discipline, so the
+// All writes go through the internal/durable atomic write, so the
 // directory only ever contains complete files (modulo media
 // corruption, which Decode catches) plus temp files from interrupted
 // writes, which CleanTemp removes.
@@ -66,77 +66,20 @@ func (st *Store) Path(gen uint64) string {
 }
 
 // Write encodes the checkpoint and persists it crash-safely under its
-// generation's name: the envelope goes to a temp file in the same
-// directory, is fsynced, renamed over the final name, and the
-// directory is fsynced so the rename itself survives a crash. A
-// failure at any point leaves the previous file for the generation (if
-// any) untouched.
-//
-//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename sequencing is the crash-safety contract and must run to completion; context.Background only feeds instantaneous test fault points
+// generation's name through the internal/durable atomic write: the
+// envelope goes to a temp file in the same directory, is fsynced,
+// renamed over the final name, and the directory is fsynced so the
+// rename itself survives a crash. A failure at any point leaves the
+// previous file for the generation (if any) untouched.
 func (st *Store) Write(m Manifest, sections []Section) error {
 	data, err := Encode(m, sections)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(st.dir, tmpPattern)
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
+	if err := durable.WriteFile(st.Path(m.Generation), tmpPattern, data, st.inj); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			discardTemp(tmp)
-		}
-	}()
-
-	// The write fault point may truncate or corrupt the buffer; what it
-	// returns is what reaches the disk, and its error is the write's.
-	buf, ferr := st.inj.FireData(faults.FSWrite, data)
-	if len(buf) > 0 {
-		if _, werr := tmp.Write(buf); werr != nil {
-			return fmt.Errorf("checkpoint: writing %s: %w", filepath.Base(tmp.Name()), werr)
-		}
-	}
-	if ferr != nil {
-		return fmt.Errorf("checkpoint: writing %s: %w", filepath.Base(tmp.Name()), ferr)
-	}
-	if err := st.inj.Fire(context.Background(), faults.FSSync); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", filepath.Base(tmp.Name()), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", filepath.Base(tmp.Name()), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing %s: %w", filepath.Base(tmp.Name()), err)
-	}
-	if err := st.inj.Fire(context.Background(), faults.FSRename); err != nil {
-		return fmt.Errorf("checkpoint: renaming into place: %w", err)
-	}
-	final := st.Path(m.Generation)
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("checkpoint: renaming into place: %w", err)
-	}
-	tmp = nil // renamed away; nothing to clean up
-	syncDir(st.dir)
 	return nil
-}
-
-// discardTemp closes and removes a temp file after a failure that is
-// already being reported.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func discardTemp(f *os.File) {
-	_ = f.Close()
-	_ = os.Remove(f.Name())
-}
-
-// syncDir fsyncs a directory so a completed rename survives a crash.
-//
-//garlint:allow errlost -- durability hint after the rename has already landed; there is nothing left to unwind
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
 }
 
 // Entry is one checkpoint file found in the state directory. Presence
@@ -269,20 +212,9 @@ func (st *Store) Prune(keep int) ([]string, error) {
 // returns the removed paths. Run it at startup, before any new write
 // can have a temp file legitimately in flight.
 func (st *Store) CleanTemp() ([]string, error) {
-	tmps, err := filepath.Glob(filepath.Join(st.dir, tmpPattern))
+	removed, err := durable.Sweep(st.dir, tmpPattern)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: scanning temp files: %w", err)
+		return removed, fmt.Errorf("checkpoint: cleaning temp files: %w", err)
 	}
-	var removed []string
-	var firstErr error
-	for _, p := range tmps {
-		if err := os.Remove(p); err != nil {
-			if firstErr == nil && !errors.Is(err, fs.ErrNotExist) {
-				firstErr = fmt.Errorf("checkpoint: cleaning temp files: %w", err)
-			}
-			continue
-		}
-		removed = append(removed, p)
-	}
-	return removed, firstErr
+	return removed, nil
 }

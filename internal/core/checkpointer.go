@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -78,11 +77,7 @@ type Checkpointer struct {
 	sys   *System
 	store *checkpoint.Store
 	cfg   CheckpointerConfig
-
-	// notify carries the dirty signal from the publish hook to the
-	// writer goroutine; capacity 1 makes every send non-blocking and
-	// every burst self-coalescing.
-	notify chan struct{}
+	w     *worker
 
 	// writeMu serializes writeOnce between the background loop and
 	// Flush, so a shutdown flush cannot interleave with a retry.
@@ -93,25 +88,27 @@ type Checkpointer struct {
 	durable bool
 	written uint64
 
-	mu      sync.Mutex
-	stats   CheckpointStats
-	rng     *rand.Rand
-	started bool
-	cancel  context.CancelFunc
-	done    chan struct{}
+	mu    sync.Mutex
+	stats CheckpointStats
 }
 
 // NewCheckpointer couples a system with a checkpoint store. Call Start
 // to begin background writes; Flush works with or without Start.
 func NewCheckpointer(sys *System, store *checkpoint.Store, cfg CheckpointerConfig) *Checkpointer {
 	cfg.fill()
-	c := &Checkpointer{
-		sys:    sys,
-		store:  store,
-		cfg:    cfg,
-		notify: make(chan struct{}, 1),
-		rng:    rand.New(rand.NewSource(sys.Opts.Seed + 0x6172)),
+	c := &Checkpointer{sys: sys, store: store, cfg: cfg}
+	// ErrNotReady is a bare Prepare with no models yet: nothing durable
+	// to write until the next publication, so it counts as done.
+	write := func(context.Context) error {
+		if err := c.writeOnce(); !errors.Is(err, ErrNotReady) {
+			return err
+		}
+		return nil
 	}
+	logRetry := func(err error, backoff time.Duration) {
+		cfg.Logf("checkpoint write failed (retrying in ~%s): %v", backoff, err)
+	}
+	c.w = newWorker(sys.Opts.Seed+0x6172, cfg.Coalesce, cfg.Backoff, cfg.MaxBackoff, write, logRetry)
 	if r := sys.recovered.Load(); r != nil && r.store == store {
 		c.durable, c.written = true, r.pub
 	}
@@ -126,49 +123,25 @@ func (c *Checkpointer) Notify() {
 	c.mu.Lock()
 	c.stats.Pending = true
 	c.mu.Unlock()
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
+	c.w.Notify()
 }
 
 // Start registers the publish hook and launches the background writer.
 // A second Start is a no-op.
-//
-//garlint:allow ctxpass -- owns the background goroutine's lifetime: the root context lives until Stop, not until any caller returns
 func (c *Checkpointer) Start() {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
+	if c.w.Start() {
+		c.sys.SetPublishHook(c.Notify)
 	}
-	c.started = true
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancel = cancel
-	c.done = make(chan struct{})
-	c.mu.Unlock()
-
-	c.sys.SetPublishHook(c.Notify)
-	go c.loop(ctx)
 }
 
-// Stop unregisters the hook and stops the background writer, waiting
-// for an in-progress write to finish. It does not write a final
+// Stop stops the background writer, waiting for an in-progress write
+// to finish, and unregisters the hook. It does not write a final
 // checkpoint — call Flush for that (typically right after Stop, once
 // no more mutations can arrive).
 func (c *Checkpointer) Stop() {
-	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return
+	if c.w.Stop() {
+		c.sys.SetPublishHook(nil)
 	}
-	c.started = false
-	cancel, done := c.cancel, c.done
-	c.mu.Unlock()
-
-	c.sys.SetPublishHook(nil)
-	cancel()
-	<-done
 }
 
 // Shutdown stops the background writer and synchronously flushes the
@@ -184,21 +157,7 @@ func (c *Checkpointer) Shutdown(ctx context.Context) error {
 // with backoff until it succeeds or ctx ends. A system with nothing to
 // persist (not Ready yet), or whose published state is already the one
 // in the store, flushes trivially.
-func (c *Checkpointer) Flush(ctx context.Context) error {
-	backoff := c.cfg.Backoff
-	for {
-		err := c.writeOnce()
-		if err == nil || errors.Is(err, ErrNotReady) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(c.jitter(backoff)):
-		}
-		backoff = min(backoff*2, c.cfg.MaxBackoff)
-	}
-}
+func (c *Checkpointer) Flush(ctx context.Context) error { return c.w.Flush(ctx) }
 
 // Stats returns a snapshot of the checkpointer's counters.
 func (c *Checkpointer) Stats() CheckpointStats {
@@ -207,56 +166,11 @@ func (c *Checkpointer) Stats() CheckpointStats {
 	return c.stats
 }
 
-// loop is the background writer: wait dirty → coalesce → write, with
-// jittered exponential backoff on failure. A publication arriving
-// while a write (or backoff) is in progress re-arms the loop, so the
-// newest state is always the one that ends up on disk.
-func (c *Checkpointer) loop(ctx context.Context) {
-	defer close(c.done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-c.notify:
-		}
-		// Coalesce: let the burst settle so Prepare-then-Train (two
-		// publications) costs one checkpoint, not two.
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(c.cfg.Coalesce):
-		}
-		// Absorb everything that arrived during the window: the write
-		// below reads the state published last, covering them all.
-		select {
-		case <-c.notify:
-		default:
-		}
-
-		backoff := c.cfg.Backoff
-		for {
-			err := c.writeOnce()
-			if err == nil || errors.Is(err, ErrNotReady) {
-				// ErrNotReady is a bare Prepare with no models yet:
-				// nothing durable to write until the next publication.
-				break
-			}
-			c.cfg.Logf("checkpoint write failed (retrying in ~%s): %v", backoff, err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(c.jitter(backoff)):
-			}
-			backoff = min(backoff*2, c.cfg.MaxBackoff)
-		}
-	}
-}
-
 // writeOnce exports, writes and prunes one checkpoint, updating the
 // counters. It skips the write when the published state is the one the
 // store already holds: publications are numbered, so a publish that
 // lands while a write is in flight still counts as unwritten.
-// Serialized against concurrent Flush/loop writes.
+// Serialized against concurrent Flush and background writes.
 func (c *Checkpointer) writeOnce() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -299,13 +213,4 @@ func (c *Checkpointer) writeOnce() error {
 	}
 	c.cfg.Logf("checkpoint generation %d written (%d sections, kept %d)", m.Generation, len(sections), c.cfg.Keep)
 	return nil
-}
-
-// jitter spreads a delay over [d/2, d) so synchronized retry storms
-// decorrelate.
-func (c *Checkpointer) jitter(d time.Duration) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(c.rng.Int63n(int64(half)+1))
 }

@@ -2,15 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
-	"os"
-	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/embed"
 	"repro/internal/nn"
 	"repro/internal/rerank"
@@ -23,11 +20,12 @@ import (
 // I/O error with errors.Is.
 var ErrCorruptModels = errors.New("model stream corrupt")
 
-// The model envelope: an 8-byte magic, a big-endian payload length,
-// the gob payload, and a trailing CRC-64/ECMA of the payload. The
-// trailing checksum makes torn writes detectable: a crash mid-write
-// leaves a file whose checksum (or length) cannot match. Version 2
-// stores the encoder's embedding table as one flat float block.
+// The model envelope is one internal/durable block: an 8-byte magic, a
+// big-endian payload length, the gob payload, and a trailing
+// CRC-64/ECMA of the payload. The trailing checksum makes torn writes
+// detectable: a crash mid-write leaves a file whose checksum (or
+// length) cannot match. Version 2 stores the encoder's embedding table
+// as one flat float block.
 const modelsMagic = "GARMDL2\n"
 
 // modelsMagicV1 marks a version-1 stream, whose encoder table is gob
@@ -36,11 +34,6 @@ const modelsMagic = "GARMDL2\n"
 // refuses a version-2 stream at the magic instead of deploying the
 // empty encoder it would decode.
 const modelsMagicV1 = "GARMDL1\n"
-
-var modelsCRC = crc64.MakeTable(crc64.ECMA)
-
-// envelopeOverhead is the non-payload size: magic + length + checksum.
-const envelopeOverhead = len(modelsMagic) + 8 + 8
 
 // modelsState is the serialized form of Models. The re-ranker is split
 // into its network and its extractor's IDF statistics; the extractor's
@@ -57,6 +50,34 @@ type modelsState struct {
 // format. Saved models can be reloaded with LoadModels and deployed on
 // any prepared System, skipping training entirely.
 func (m *Models) Save(w io.Writer) error {
+	data, err := m.encode()
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	if err != nil {
+		return fmt.Errorf("core: saving models: %w", err)
+	}
+	return nil
+}
+
+// SaveFile writes the models to path crash-safely through the
+// internal/durable atomic write: a crash at any point leaves either
+// the old complete file or the new complete file — never a torn one.
+// (A torn write that somehow survives is still caught by LoadModels
+// via the trailing checksum.)
+func (m *Models) SaveFile(path string) error {
+	data, err := m.encode()
+	if err == nil {
+		err = durable.WriteFile(path, ".gar-models-*.tmp", data, nil)
+	}
+	if err != nil {
+		return fmt.Errorf("core: saving models: %w", err)
+	}
+	return nil
+}
+
+// encode renders the models as one envelope.
+func (m *Models) encode() ([]byte, error) {
 	var payload bytes.Buffer
 	st := modelsState{Encoder: m.Encoder}
 	if m.Reranker != nil {
@@ -65,99 +86,20 @@ func (m *Models) Save(w io.Writer) error {
 		st.RerankIDF = m.Reranker.X.IDF
 	}
 	if err := gob.NewEncoder(&payload).Encode(&st); err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
+		return nil, err
 	}
-
-	var out bytes.Buffer
-	out.Grow(payload.Len() + envelopeOverhead)
-	out.WriteString(modelsMagic)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(payload.Len()))
-	out.Write(n[:])
-	out.Write(payload.Bytes())
-	binary.BigEndian.PutUint64(n[:], crc64.Checksum(payload.Bytes(), modelsCRC))
-	out.Write(n[:])
-	if _, err := w.Write(out.Bytes()); err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
-	}
-	return nil
-}
-
-// SaveFile writes the models to path crash-safely: the envelope goes
-// to a temporary file in the same directory, is fsynced, and is
-// renamed over path, so a crash at any point leaves either the old
-// complete file or the new complete file — never a torn one. (A torn
-// write that somehow survives is still caught by LoadModels via the
-// trailing checksum.)
-func (m *Models) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".gar-models-*.tmp")
-	if err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			discardTemp(tmp)
-		}
-	}()
-	if err := m.Save(tmp); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: saving models: %w", err)
-	}
-	tmp = nil // renamed away; nothing to clean up
-	// Fsync the directory so the rename itself survives a crash.
-	syncDir(dir)
-	return nil
-}
-
-// discardTemp closes and removes a temp file after a failure that is
-// already being reported.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func discardTemp(f *os.File) {
-	_ = f.Close()
-	_ = os.Remove(f.Name())
-}
-
-// syncDir fsyncs a directory so a completed rename survives a crash.
-//
-//garlint:allow errlost -- durability hint after the rename has already landed; there is nothing left to unwind
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	return durable.AppendBlock(nil, modelsMagic, payload.Bytes()), nil
 }
 
 // verifyEnvelope checks the magic, length and trailing checksum and
 // returns the gob payload. Every failure wraps ErrCorruptModels.
 func verifyEnvelope(data []byte) ([]byte, error) {
-	corrupt := func(reason string) error {
-		return fmt.Errorf("core: loading models: %w: %s", ErrCorruptModels, reason)
+	payload, rest, err := durable.ParseBlock(data, uint64(len(data)), modelsMagic, modelsMagicV1)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes after the checksum: torn write", len(rest))
 	}
-	if len(data) < envelopeOverhead {
-		return nil, corrupt(fmt.Sprintf("stream too short (%d bytes): torn or truncated write", len(data)))
-	}
-	if m := string(data[:len(modelsMagic)]); m != modelsMagic && m != modelsMagicV1 {
-		return nil, corrupt("missing model header")
-	}
-	body := data[len(modelsMagic):]
-	want := binary.BigEndian.Uint64(body[:8])
-	if got := uint64(len(body) - 16); got != want {
-		return nil, corrupt(fmt.Sprintf("payload length %d does not match header %d: torn write", got, want))
-	}
-	payload := body[8 : 8+want]
-	sum := binary.BigEndian.Uint64(body[8+want:])
-	if crc64.Checksum(payload, modelsCRC) != sum {
-		return nil, corrupt("checksum mismatch")
+	if err != nil {
+		return nil, fmt.Errorf("core: loading models: %w: %v", ErrCorruptModels, err)
 	}
 	return payload, nil
 }

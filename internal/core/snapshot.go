@@ -87,7 +87,7 @@ func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Secti
 		}
 	}
 
-	var poolBuf, statsBuf, modelsBuf bytes.Buffer
+	var poolBuf, statsBuf bytes.Buffer
 	if err := gob.NewEncoder(&poolBuf).Encode(entries); err != nil {
 		return checkpoint.Manifest{}, nil, fmt.Errorf("core: encoding pool section: %w", err)
 	}
@@ -98,9 +98,9 @@ func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Secti
 	if err := gob.NewEncoder(&statsBuf).Encode(st.prepStats); err != nil {
 		return checkpoint.Manifest{}, nil, fmt.Errorf("core: encoding stats section: %w", err)
 	}
-	m := &Models{Encoder: st.encoder, Reranker: st.pipeline.Reranker}
-	if err := m.Save(&modelsBuf); err != nil {
-		return checkpoint.Manifest{}, nil, err
+	models, err := (&Models{Encoder: st.encoder, Reranker: st.pipeline.Reranker}).encode()
+	if err != nil {
+		return checkpoint.Manifest{}, nil, fmt.Errorf("core: encoding models section: %w", err)
 	}
 
 	manifest := checkpoint.Manifest{
@@ -111,7 +111,7 @@ func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Secti
 	sections := []checkpoint.Section{
 		{Name: SectionPool, Data: poolBuf.Bytes()},
 		{Name: SectionVecs, Data: vecsBlock},
-		{Name: SectionModels, Data: modelsBuf.Bytes()},
+		{Name: SectionModels, Data: models},
 		{Name: SectionStats, Data: statsBuf.Bytes()},
 	}
 	return manifest, sections, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -123,7 +122,8 @@ type ShadowVerdict struct {
 // TrainerStats is a point-in-time snapshot of the trainer's counters,
 // surfaced by serving health endpoints.
 type TrainerStats struct {
-	// State is idle, training or backing-off.
+	// State is training while a cycle runs, backing-off while a failed
+	// cycle waits to retry, and idle otherwise — after Stop included.
 	State string `json:"state"`
 	// Retrains counts completed cycles (promoted or shadow-rejected);
 	// Failures counts cycles that errored or panicked (each retried
@@ -172,24 +172,16 @@ type Trainer struct {
 	store *checkpoint.Store // nil disables rollback arming
 	base  func() (TrainingData, error)
 	cfg   TrainerConfig
-
-	// notify carries the dirty signal from the feedback endpoint to the
-	// training goroutine; capacity 1 makes every send non-blocking and
-	// every burst self-coalescing.
-	notify chan struct{}
+	w     *worker
 
 	// trainMu serializes cycles (and rollbacks) between the background
 	// loop and Flush, so a shutdown flush cannot interleave with a
 	// retry and a rollback cannot interleave with a promotion.
 	trainMu sync.Mutex
 
-	mu      sync.Mutex
-	stats   TrainerStats
-	reg     regressState
-	rng     *rand.Rand
-	started bool
-	cancel  context.CancelFunc
-	done    chan struct{}
+	mu    sync.Mutex
+	stats TrainerStats
+	reg   regressState
 }
 
 // NewTrainer couples a serving system with its feedback log, base
@@ -197,71 +189,39 @@ type Trainer struct {
 // background cycles; Flush works with or without Start.
 func NewTrainer(sys *System, log *feedback.Log, store *checkpoint.Store, base func() (TrainingData, error), cfg TrainerConfig) *Trainer {
 	cfg.fill()
-	t := &Trainer{
-		sys:    sys,
-		log:    log,
-		store:  store,
-		base:   base,
-		cfg:    cfg,
-		notify: make(chan struct{}, 1),
-		rng:    rand.New(rand.NewSource(sys.Opts.Seed + 0x6662)),
-	}
+	t := &Trainer{sys: sys, log: log, store: store, base: base, cfg: cfg}
 	t.stats.State = TrainerIdle
+	logRetry := func(err error, backoff time.Duration) {
+		cfg.Logf("trainer: cycle failed (retrying in ~%s): %v", backoff, err)
+	}
+	t.w = newWorker(sys.Opts.Seed+0x6662, cfg.Interval, cfg.Backoff, cfg.MaxBackoff, t.retrainOnce, logRetry)
 	return t
 }
 
 // Notify marks the feedback log dirty and wakes the trainer. It never
 // blocks, so the feedback endpoint can call it inline.
-func (t *Trainer) Notify() {
-	select {
-	case t.notify <- struct{}{}:
-	default:
-	}
-}
+func (t *Trainer) Notify() { t.w.Notify() }
 
 // Stats returns a snapshot of the trainer's counters.
 func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
+	st := t.stats
+	t.mu.Unlock()
+	if st.State == TrainerIdle && t.w.backingOff() {
+		st.State = TrainerBackingOff
+	}
+	return st
 }
 
 // Start launches the background training loop. A second Start is a
 // no-op. A stopped trainer may be started again (an aborted tenant
 // eviction does exactly that).
-//
-//garlint:allow ctxpass -- owns the background goroutine's lifetime: the root context lives until Stop, not until any caller returns
-func (t *Trainer) Start() {
-	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
-		return
-	}
-	t.started = true
-	ctx, cancel := context.WithCancel(context.Background())
-	t.cancel = cancel
-	t.done = make(chan struct{})
-	t.mu.Unlock()
-
-	go t.loop(ctx)
-}
+func (t *Trainer) Start() { t.w.Start() }
 
 // Stop halts the background loop, waiting for an in-progress cycle to
 // finish. Feedback already on disk is not lost: it trains on the next
 // Start (or in another process — the WAL is the source of truth).
-func (t *Trainer) Stop() {
-	t.mu.Lock()
-	if !t.started {
-		t.mu.Unlock()
-		return
-	}
-	t.started = false
-	cancel, done := t.cancel, t.done
-	t.mu.Unlock()
-
-	cancel()
-	<-done
-}
+func (t *Trainer) Stop() { t.w.Stop() }
 
 // Shutdown stops the background loop and synchronously runs one final
 // cycle over any pending feedback, bounded by ctx — the graceful-
@@ -276,65 +236,7 @@ func (t *Trainer) Shutdown(ctx context.Context) error {
 // Flush synchronously runs one retraining cycle if enough feedback is
 // pending, retrying with backoff until it completes or ctx ends. A log
 // with nothing new trains trivially.
-func (t *Trainer) Flush(ctx context.Context) error {
-	backoff := t.cfg.Backoff
-	for {
-		err := t.retrainOnce(ctx)
-		if err == nil {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(t.jitter(backoff)):
-		}
-		backoff = min(backoff*2, t.cfg.MaxBackoff)
-	}
-}
-
-// loop is the background trainer: wait dirty → coalesce → retrain,
-// with jittered exponential backoff on failure. Feedback arriving
-// while a cycle (or backoff) is in progress re-arms the loop, so the
-// newest records always end up trained on.
-func (t *Trainer) loop(ctx context.Context) {
-	defer close(t.done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.notify:
-		}
-		// Coalesce: let the feedback burst settle so one cycle covers
-		// it whole.
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(t.cfg.Interval):
-		}
-		// Absorb everything that arrived during the window: the replay
-		// below reads the log's newest state, covering them all.
-		select {
-		case <-t.notify:
-		default:
-		}
-
-		backoff := t.cfg.Backoff
-		for {
-			err := t.retrainOnce(ctx)
-			if err == nil {
-				break
-			}
-			t.setState(TrainerBackingOff)
-			t.cfg.Logf("trainer: cycle failed (retrying in ~%s): %v", backoff, err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(t.jitter(backoff)):
-			}
-			backoff = min(backoff*2, t.cfg.MaxBackoff)
-		}
-	}
-}
+func (t *Trainer) Flush(ctx context.Context) error { return t.w.Flush(ctx) }
 
 func (t *Trainer) setState(state string) {
 	t.mu.Lock()
@@ -343,8 +245,8 @@ func (t *Trainer) setState(state string) {
 }
 
 // retrainOnce replays the log and, if enough new feedback is pending,
-// runs one panic-isolated cycle. Serialized against concurrent
-// Flush/loop cycles and rollbacks.
+// runs one panic-isolated cycle. Serialized against concurrent Flush
+// and background cycles and rollbacks.
 func (t *Trainer) retrainOnce(ctx context.Context) error {
 	t.trainMu.Lock()
 	defer t.trainMu.Unlock()
@@ -684,13 +586,4 @@ func (t *Trainer) restore(gen uint64) (err error) {
 		return err
 	}
 	return t.sys.RestoreCheckpoint(ck)
-}
-
-// jitter spreads a delay over [d/2, d) so synchronized retry storms
-// decorrelate.
-func (t *Trainer) jitter(d time.Duration) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(t.rng.Int63n(int64(half)+1))
 }

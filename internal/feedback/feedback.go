@@ -5,14 +5,15 @@
 // signal; the background trainer replays the log, folds the pairs into
 // the sample set, and retrains off the serving path.
 //
-// The log follows the house envelope discipline of internal/checkpoint:
-// every segment file starts with an 8-byte magic (version baked in) and
-// carries self-delimiting frames of [length, CRC-64, gob payload]; new
-// segments are created with temp + fsync + rename; recovery scans
-// segments oldest-first, truncates a torn tail (the un-acknowledged
-// leftover of a crash mid-append) from the newest segment only, and
-// skips CRC-corrupt records with typed errors rather than failing the
-// open. An append is acknowledged only after fsync plus a read-back
+// A segment is an internal/durable file: an 8-byte magic (version
+// baked in), then internal/durable frames of [length, CRC-64, gob
+// payload]. New segments and compactions are written with the durable
+// atomic write (temp, fsync, rename, directory fsync); appends go in
+// place. What is the WAL's own: the magic, the 1 MiB record limit, and
+// the torn-tail policy — recovery scans segments oldest-first,
+// truncates a torn tail (the un-acknowledged leftover of a crash
+// mid-append) from the newest segment only, and skips CRC-corrupt
+// records with typed errors rather than failing the open. An append is acknowledged only after fsync plus a read-back
 // verification of the bytes on the page cache, so an acknowledged
 // record survives both a crash and an injected bit flip; a failed
 // append is rolled back by truncation (or the segment is sealed when
@@ -27,28 +28,21 @@ package feedback
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"io"
+
+	"repro/internal/durable"
 )
 
 // magic identifies a feedback WAL segment; the trailing "01" is the
 // format version. Bump the suffix on any incompatible frame change.
 const magic = "GARFBL01"
 
-const (
-	// frameOverhead is the fixed prefix of every frame: a 4-byte
-	// big-endian payload length and the 8-byte big-endian CRC-64 (ECMA)
-	// of the payload.
-	frameOverhead = 12
-	// maxRecordLen bounds one encoded record; a length field above it
-	// is structural corruption, not a large record.
-	maxRecordLen = 1 << 20
-)
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// maxRecordLen bounds one encoded record; a length field above it is
+// structural corruption, not a large record.
+const maxRecordLen = 1 << 20
 
 // ErrCorrupt is wrapped by every error that reports damaged log bytes:
 // a bad segment header, a CRC mismatch, an undecodable payload, or an
@@ -84,8 +78,8 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// encodeRecord renders one record as a self-delimiting frame.
-func encodeRecord(rec Record) ([]byte, error) {
+// appendRecord appends the frame of one record to dst.
+func appendRecord(dst []byte, rec Record) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
 		return nil, fmt.Errorf("feedback: encoding record %d: %w", rec.Seq, err)
@@ -93,11 +87,7 @@ func encodeRecord(rec Record) ([]byte, error) {
 	if payload.Len() > maxRecordLen {
 		return nil, fmt.Errorf("feedback: record %d is %d bytes (limit %d)", rec.Seq, payload.Len(), maxRecordLen)
 	}
-	frame := make([]byte, frameOverhead+payload.Len())
-	binary.BigEndian.PutUint32(frame[0:4], uint32(payload.Len()))
-	binary.BigEndian.PutUint64(frame[4:12], crc64.Checksum(payload.Bytes(), crcTable))
-	copy(frame[frameOverhead:], payload.Bytes())
-	return frame, nil
+	return durable.AppendFrame(dst, payload.Bytes()), nil
 }
 
 // decodePayload gob-decodes one frame payload. Decoding foreign bytes
@@ -143,32 +133,26 @@ func scanSegment(data []byte) (scanResult, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return res, corrupt("bad segment header")
 	}
-	off := int64(len(magic))
-	res.Good = off
-	n := int64(len(data))
-	for off < n {
-		rem := n - off
-		if rem < frameOverhead {
-			res.TornBytes = rem
+	res.Good = int64(len(magic))
+	fr := durable.NewFrameReader(bytes.NewReader(data[len(magic):]), maxRecordLen, nil)
+	for {
+		start := res.Good
+		payload, err := fr.Next()
+		switch {
+		case errors.Is(err, io.EOF):
 			return res, nil
-		}
-		plen := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		if plen > maxRecordLen {
+		case errors.Is(err, durable.ErrTorn):
+			res.TornBytes = int64(len(data)) - start
+			return res, nil
+		case errors.Is(err, durable.ErrLength):
 			res.Lost = true
-			res.Errs = append(res.Errs, corrupt("impossible frame length %d at offset %d; %d trailing bytes unreachable", plen, off, rem))
+			res.Errs = append(res.Errs, corrupt("frame at offset %d: %v; %d trailing bytes unreachable", start, err, int64(len(data))-start))
 			return res, nil
 		}
-		if rem < frameOverhead+plen {
-			res.TornBytes = rem
-			return res, nil
-		}
-		want := binary.BigEndian.Uint64(data[off+4 : off+12])
-		payload := data[off+frameOverhead : off+frameOverhead+plen]
-		off += frameOverhead + plen
-		res.Good = off
-		if crc64.Checksum(payload, crcTable) != want {
+		res.Good = int64(len(magic)) + fr.Offset()
+		if err != nil { // a checksum mismatch: the frame boundary held
 			res.Corrupt++
-			res.Errs = append(res.Errs, corrupt("record CRC mismatch at offset %d", off-frameOverhead-plen))
+			res.Errs = append(res.Errs, corrupt("record CRC mismatch at offset %d", start))
 			continue
 		}
 		rec, err := decodePayload(payload)
@@ -179,5 +163,4 @@ func scanSegment(data []byte) (scanResult, error) {
 		}
 		res.Records = append(res.Records, rec)
 	}
-	return res, nil
 }

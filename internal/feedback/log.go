@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/faults"
 )
 
@@ -21,7 +22,7 @@ import (
 // listing is already segment-sorted.
 const segName = "seg-%020d.fwal"
 
-// tmpPattern is the os.CreateTemp pattern of in-progress segment and
+// tmpPattern names the temp files of in-progress segment and
 // compaction writes; the leading dot keeps them out of casual globs.
 const tmpPattern = ".fwal-*.tmp"
 
@@ -111,7 +112,8 @@ func Open(dir string, cfg Config) (*Log, error) {
 }
 
 // SetFaultInjector installs a fault injector fired at the FSWrite,
-// FSSync and FSRename points of subsequent appends and rotations.
+// FSSync and FSRename points of subsequent appends, rotations and
+// compactions.
 // Pass nil to disable. Intended for the crash-consistency harness.
 func (l *Log) SetFaultInjector(inj *faults.Injector) {
 	l.mu.Lock()
@@ -218,52 +220,20 @@ func truncateSegment(path string, size int64) error {
 		return err
 	}
 	if err := f.Truncate(size); err != nil {
-		closeQuiet(f)
-		return err
+		return errors.Join(err, f.Close())
 	}
 	if err := f.Sync(); err != nil {
-		closeQuiet(f)
-		return err
+		return errors.Join(err, f.Close())
 	}
 	return f.Close()
 }
 
-// closeQuiet closes a file on a path that is already failing.
+// cleanTemp removes leftover temp files from interrupted rotations and
+// compactions.
 //
-//garlint:allow errlost -- best-effort cleanup; the original error is the one to surface
-func closeQuiet(f *os.File) {
-	_ = f.Close()
-}
-
-// cleanTemp removes leftover temp files from interrupted rotations.
-//
-//garlint:allow errlost -- best-effort startup sweep of provably incomplete files
+//garlint:allow errlost -- best-effort startup sweep of provably incomplete files: a temp name never matches a segment, so one that stays is harmless
 func (l *Log) cleanTemp() {
-	matches, _ := filepath.Glob(filepath.Join(l.dir, tmpPattern))
-	for _, m := range matches {
-		_ = os.Remove(m)
-	}
-}
-
-// discardTemp closes and removes a temp file after a failure that is
-// already being reported.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func discardTemp(f *os.File) {
-	_ = f.Close()
-	_ = os.Remove(f.Name())
-}
-
-// syncDir fsyncs a directory so a completed rename survives a crash.
-//
-//garlint:allow errlost -- durability hint after the rename has already landed; there is nothing left to unwind
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
+	_, _ = durable.Sweep(l.dir, tmpPattern)
 }
 
 // Append assigns the next sequence number to rec, writes its frame to
@@ -284,7 +254,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if rec.TimeUnix == 0 {
 		rec.TimeUnix = time.Now().Unix()
 	}
-	frame, err := encodeRecord(rec)
+	frame, err := appendRecord(nil, rec)
 	if err != nil {
 		return 0, err
 	}
@@ -367,49 +337,14 @@ func (l *Log) seal() {
 	}
 }
 
-// openSegment creates segment id with the temp+fsync+rename discipline
-// (a segment file is either absent or has a complete header) and opens
-// it for appends.
-//
-//garlint:allow ctxpass -- deliberately synchronous: segment creation is part of the durable-append contract; context.Background only feeds instantaneous test fault points
+// openSegment creates segment id through the durable atomic write (a
+// segment file is either absent or has a complete header) and opens it
+// for appends.
 func (l *Log) openSegment(id uint64) error {
 	final := segPath(l.dir, id)
-	tmp, err := os.CreateTemp(l.dir, tmpPattern)
-	if err != nil {
+	if err := durable.WriteFile(final, tmpPattern, []byte(magic), l.inj); err != nil {
 		return fmt.Errorf("feedback: creating segment: %w", err)
 	}
-	buf, ferr := l.inj.FireData(faults.FSWrite, []byte(magic))
-	if len(buf) > 0 {
-		if _, werr := tmp.Write(buf); werr != nil {
-			discardTemp(tmp)
-			return fmt.Errorf("feedback: writing segment header: %w", werr)
-		}
-	}
-	if ferr != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: writing segment header: %w", ferr)
-	}
-	if err := l.inj.Fire(context.Background(), faults.FSSync); err != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: syncing segment header: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: syncing segment header: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: closing segment header: %w", err)
-	}
-	if err := l.inj.Fire(context.Background(), faults.FSRename); err != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: publishing segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		discardTemp(tmp)
-		return fmt.Errorf("feedback: publishing segment: %w", err)
-	}
-	syncDir(l.dir)
 	f, err := os.OpenFile(final, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("feedback: opening segment: %w", err)
@@ -419,8 +354,7 @@ func (l *Log) openSegment(id uint64) error {
 	// acknowledged yet, so on mismatch it is simply discarded.
 	hdr := make([]byte, len(magic))
 	if _, rerr := f.ReadAt(hdr, 0); rerr != nil || string(hdr) != magic {
-		discardTemp(f)
-		return corrupt("segment header does not match after write")
+		return errors.Join(corrupt("segment header does not match after write"), f.Close(), os.Remove(final))
 	}
 	l.f = f
 	l.activeID = id
@@ -491,9 +425,12 @@ func (l *Log) Stats() Stats {
 }
 
 // Compact rewrites every replayable record into one fresh segment and
-// deletes the older ones. A crash anywhere in between is safe: before
-// the rename nothing changed; after it, replay deduplicates the old
-// segments' records away and a re-run finishes the deletes.
+// deletes the older ones — but only after reading the new segment back
+// and finding exactly the bytes meant for it; otherwise the new
+// segment is removed, the old ones stay, and the error wraps
+// ErrCorrupt. A crash anywhere in between is safe: before the rename
+// nothing changed; after it, replay deduplicates the old segments'
+// records away and a re-run finishes the deletes.
 //
 //garlint:allow lockhold -- l.mu is the WAL's single-writer lock: every mutation (append, rotation, compaction) does file I/O under it by design, and no serving path ever holds it
 func (l *Log) Compact() (kept int, removed int, err error) {
@@ -541,39 +478,29 @@ func (l *Log) Compact() (kept int, removed int, err error) {
 	return len(recs), removed, err
 }
 
-// writeCompacted writes recs as segment id via temp+fsync+rename.
+// writeCompacted writes recs as segment id through the durable atomic
+// write, then reads the segment back and checks it holds exactly the
+// bytes written. On a mismatch it removes the segment.
 func (l *Log) writeCompacted(id uint64, recs []Record) (int64, error) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+	buf := []byte(magic)
 	for _, rec := range recs {
-		frame, err := encodeRecord(rec)
-		if err != nil {
+		var err error
+		if buf, err = appendRecord(buf, rec); err != nil {
 			return 0, err
 		}
-		buf.Write(frame)
 	}
-	tmp, err := os.CreateTemp(l.dir, tmpPattern)
-	if err != nil {
-		return 0, fmt.Errorf("feedback: creating compacted segment: %w", err)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		discardTemp(tmp)
+	path := segPath(l.dir, id)
+	if err := durable.WriteFile(path, tmpPattern, buf, l.inj); err != nil {
 		return 0, fmt.Errorf("feedback: writing compacted segment: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		discardTemp(tmp)
-		return 0, fmt.Errorf("feedback: syncing compacted segment: %w", err)
+	got, err := os.ReadFile(path)
+	if err == nil && !bytes.Equal(got, buf) {
+		err = corrupt("compacted segment does not read back as written")
 	}
-	if err := tmp.Close(); err != nil {
-		discardTemp(tmp)
-		return 0, fmt.Errorf("feedback: closing compacted segment: %w", err)
+	if err != nil {
+		return 0, errors.Join(fmt.Errorf("feedback: verifying compacted segment: %w", err), os.Remove(path))
 	}
-	if err := os.Rename(tmp.Name(), segPath(l.dir, id)); err != nil {
-		discardTemp(tmp)
-		return 0, fmt.Errorf("feedback: publishing compacted segment: %w", err)
-	}
-	syncDir(l.dir)
-	return int64(buf.Len()), nil
+	return int64(len(buf)), nil
 }
 
 // Close seals the log; further operations return ErrClosed.

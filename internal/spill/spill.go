@@ -4,14 +4,16 @@
 // builder streams candidate records into spill runs and replays them
 // with an external merge — pool size becomes bounded by disk, not RAM.
 //
-// Spill files reuse the durable-state discipline of the checkpoint and
-// feedback stores: a magic header, per-frame length + CRC-64/ECMA
-// envelopes, writes that go temp + fsync + rename so a finished run is
-// all-or-nothing, torn-tail-tolerant reads that stop cleanly at a
-// truncated final frame, and a startup sweep that removes whatever an
-// interrupted process left behind. The same internal/faults points
-// (FSWrite, FSSync, FSRename on the write side, FSRead on the merge
-// side) make the failure matrix deterministically testable.
+// A spill run is an internal/durable file: the magic "GARSPIL1", then
+// frames of [u32 length][u64 CRC-64/ECMA][payload]. A run is written
+// as a durable atomic file, so a finished run is all-or-nothing; reads
+// stop cleanly at a truncated final frame; and a startup sweep removes
+// whatever an interrupted process left behind. The internal/faults
+// points (FSWrite, FSSync, FSRename on the write side, FSRead on the
+// merge side) make the failure matrix deterministically testable. What
+// is spill's own: the magic, the 64 MiB frame limit, and the policy
+// that a torn tail ends a run cleanly while a checksum mismatch or an
+// impossible length is ErrCorrupt.
 //
 // Unlike checkpoints, spill runs are per-operation scratch: they carry
 // no versioned manifest, and any run found at startup is garbage by
@@ -21,17 +23,14 @@ package spill
 
 import (
 	"bufio"
-	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/durable"
 	"repro/internal/faults"
 )
 
@@ -48,30 +47,23 @@ const (
 	tmpPattern = tmpPrefix + "*" + tmpSuffix
 )
 
-// frameHeader is the per-frame envelope: a 4-byte big-endian payload
-// length followed by an 8-byte CRC-64/ECMA of the payload.
-const frameHeader = 12
-
 // maxFrame bounds the allocation a corrupt length field can demand.
 const maxFrame = 64 << 20
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // ErrCorrupt reports a frame whose envelope fails validation — a
 // checksum mismatch or an impossible length. A torn tail (truncated
 // final frame) is NOT corruption; readers report it via Torn.
 var ErrCorrupt = errors.New("spill: corrupt frame")
 
-// Writer streams frames into one spill run. Append buffers through
-// bufio; Finish makes the run durable and atomic (flush, fsync, rename
-// into place, directory fsync). Until Finish returns nil the run does
-// not exist under its final name. Not safe for concurrent use.
+// Writer streams frames into one spill run. Append buffers; Finish
+// makes the run durable and atomic (flush, fsync, rename into place,
+// directory fsync). Until Finish returns nil the run does not exist
+// under its final name. Not safe for concurrent use.
 type Writer struct {
-	f      *os.File
-	bw     *bufio.Writer
+	f      *durable.File
 	dir    string
 	prefix string
-	inj    *faults.Injector
+	buf    []byte // the frame being appended, reused across Appends
 	frames int
 	bytes  int64
 	err    error // sticky: first failure poisons the run
@@ -89,17 +81,11 @@ func Create(dir, prefix string, inj *faults.Injector) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: opening spill directory: %w", err)
 	}
-	f, err := os.CreateTemp(dir, tmpPattern)
+	f, err := durable.Create(dir, tmpPattern, magic, inj)
 	if err != nil {
-		return nil, fmt.Errorf("spill: creating temp file: %w", err)
+		return nil, fmt.Errorf("spill: %w", err)
 	}
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), dir: dir, prefix: prefix, inj: inj}
-	if _, err := w.bw.WriteString(magic); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("spill: writing header: %w", err)
-	}
-	w.bytes = int64(len(magic))
-	return w, nil
+	return &Writer{f: f, dir: dir, prefix: prefix, bytes: int64(len(magic))}, nil
 }
 
 // Append writes one frame. The first failure poisons the writer: every
@@ -115,26 +101,14 @@ func (w *Writer) Append(payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("spill: frame of %d bytes exceeds limit %d", len(payload), maxFrame)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(frame[4:12], crc64.Checksum(payload, crcTable))
-	copy(frame[frameHeader:], payload)
-
-	// The write fault point may truncate or corrupt the frame; what it
-	// returns is what reaches the run, and its error is the write's.
-	buf, ferr := w.inj.FireData(faults.FSWrite, frame)
-	if len(buf) > 0 {
-		if _, werr := w.bw.Write(buf); werr != nil {
-			w.err = fmt.Errorf("spill: writing frame: %w", werr)
-			return w.err
-		}
-	}
-	if ferr != nil {
-		w.err = fmt.Errorf("spill: writing frame: %w", ferr)
+	w.buf = durable.AppendFrame(w.buf[:0], payload)
+	n, err := w.f.Write(w.buf)
+	if err != nil {
+		w.err = fmt.Errorf("spill: writing frame: %w", err)
 		return w.err
 	}
 	w.frames++
-	w.bytes += int64(len(buf))
+	w.bytes += int64(n)
 	return nil
 }
 
@@ -150,48 +124,23 @@ func (w *Writer) Bytes() int64 { return w.bytes }
 // success it returns the final path; on any failure the temp file is
 // discarded and no run exists. A poisoned writer fails with its sticky
 // error without touching the disk further.
-//
-//garlint:allow ctxpass -- deliberately synchronous: the fsync/rename sequencing is the crash-safety contract and must run to completion; context.Background only feeds instantaneous test fault points
 func (w *Writer) Finish() (string, error) {
 	if w.done {
 		return "", fmt.Errorf("spill: finish after finish")
 	}
 	w.done = true
 	if w.err != nil {
-		w.discard()
+		w.f.Abort()
 		return "", w.err
-	}
-	name := filepath.Base(w.f.Name())
-	if err := w.bw.Flush(); err != nil {
-		w.discard()
-		return "", fmt.Errorf("spill: flushing %s: %w", name, err)
-	}
-	if err := w.inj.Fire(context.Background(), faults.FSSync); err != nil {
-		w.discard()
-		return "", fmt.Errorf("spill: syncing %s: %w", name, err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.discard()
-		return "", fmt.Errorf("spill: syncing %s: %w", name, err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.remove()
-		return "", fmt.Errorf("spill: closing %s: %w", name, err)
-	}
-	if err := w.inj.Fire(context.Background(), faults.FSRename); err != nil {
-		w.remove()
-		return "", fmt.Errorf("spill: renaming %s into place: %w", name, err)
 	}
 	// Reuse the temp file's random component so the final name is
 	// unique without another source of randomness.
+	name := filepath.Base(w.f.Name())
 	unique := strings.TrimSuffix(strings.TrimPrefix(name, tmpPrefix), tmpSuffix)
 	final := filepath.Join(w.dir, w.prefix+"-"+unique+runSuffix)
-	if err := os.Rename(w.f.Name(), final); err != nil {
-		w.remove()
-		return "", fmt.Errorf("spill: renaming %s into place: %w", name, err)
+	if err := w.f.Commit(final); err != nil {
+		return "", fmt.Errorf("spill: %w", err)
 	}
-	w.f = nil
-	syncDir(w.dir)
 	return final, nil
 }
 
@@ -202,41 +151,7 @@ func (w *Writer) Abort() {
 		return
 	}
 	w.done = true
-	w.discard()
-}
-
-// discard closes and removes the temp file after a failure that is
-// already being reported.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func (w *Writer) discard() {
-	if w.f == nil {
-		return
-	}
-	_ = w.f.Close()
-	_ = os.Remove(w.f.Name())
-	w.f = nil
-}
-
-// remove deletes the temp file when the handle is already closed.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func (w *Writer) remove() {
-	if w.f == nil {
-		return
-	}
-	_ = os.Remove(w.f.Name())
-	w.f = nil
-}
-
-// syncDir fsyncs a directory so a completed rename survives a crash.
-//
-//garlint:allow errlost -- durability hint after the rename has already landed; there is nothing left to unwind
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	w.f.Abort()
 }
 
 // Reader iterates the frames of one spill run. A truncated final frame
@@ -245,9 +160,8 @@ func syncDir(dir string) {
 // length anywhere is ErrCorrupt. Not safe for concurrent use.
 type Reader struct {
 	f      *os.File
-	br     *bufio.Reader
+	fr     *durable.FrameReader
 	path   string
-	inj    *faults.Injector
 	frames int
 	torn   bool
 	done   bool
@@ -263,10 +177,9 @@ func Open(path string, inj *faults.Injector) (*Reader, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != magic {
-		closeQuiet(f)
-		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
+		return nil, errors.Join(fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path)), f.Close())
 	}
-	return &Reader{f: f, br: br, path: path, inj: inj}, nil
+	return &Reader{f: f, fr: durable.NewFrameReader(br, maxFrame, inj), path: path}, nil
 }
 
 // Next returns the next frame's payload. io.EOF ends iteration — both
@@ -277,46 +190,26 @@ func (r *Reader) Next() ([]byte, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	hdr := make([]byte, frameHeader)
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
-		r.done = true
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			r.torn = true // partial header: the crash point of a frame write
-			return nil, io.EOF
-		}
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("spill: reading %s: %w", filepath.Base(r.path), err)
+	payload, err := r.fr.Next()
+	if err == nil {
+		r.frames++
+		return payload, nil
 	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	want := binary.BigEndian.Uint64(hdr[4:12])
-	if length > maxFrame {
-		r.done = true
-		return nil, fmt.Errorf("%w: %s: frame length %d exceeds limit", ErrCorrupt, filepath.Base(r.path), length)
+	r.done = true
+	base := filepath.Base(r.path)
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil, io.EOF
+	case errors.Is(err, durable.ErrTorn):
+		r.torn = true // the crash signature of a frame write
+		return nil, io.EOF
+	case errors.Is(err, durable.ErrLength):
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, base, err)
+	case errors.Is(err, durable.ErrChecksum):
+		return nil, fmt.Errorf("%w: %s: frame %d checksum mismatch", ErrCorrupt, base, r.frames)
+	default: // the disk, or the FSRead fault point
+		return nil, fmt.Errorf("spill: reading %s: %w", base, err)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		r.done = true
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			r.torn = true // truncated payload: same crash signature
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("spill: reading %s: %w", filepath.Base(r.path), err)
-	}
-	// The read fault point models media rot and failing disks: what it
-	// returns is what the checksum judges, and its error is the read's.
-	payload, ferr := r.inj.FireData(faults.FSRead, payload)
-	if ferr != nil {
-		r.done = true
-		return nil, fmt.Errorf("spill: reading %s: %w", filepath.Base(r.path), ferr)
-	}
-	if crc64.Checksum(payload, crcTable) != want {
-		r.done = true
-		return nil, fmt.Errorf("%w: %s: frame %d checksum mismatch", ErrCorrupt, filepath.Base(r.path), r.frames)
-	}
-	r.frames++
-	return payload, nil
 }
 
 // Frames returns how many frames have been read successfully.
@@ -339,19 +232,11 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// closeQuiet closes a file on a path that is already reporting a more
-// specific error.
-//
-//garlint:allow errlost -- best-effort cleanup on a path that is already failing; the original error is the one to surface
-func closeQuiet(f *os.File) {
-	_ = f.Close()
-}
-
 // CleanTemp removes temp files abandoned by interrupted writes and
 // returns the removed paths. Run it at startup, before any new write
 // can have a temp file legitimately in flight.
 func CleanTemp(dir string) ([]string, error) {
-	return removeGlob(dir, tmpPattern)
+	return sweep(dir, tmpPattern)
 }
 
 // Sweep removes every spill artifact — temps and finished runs alike —
@@ -359,32 +244,18 @@ func CleanTemp(dir string) ([]string, error) {
 // so anything present at startup belongs to an operation that died
 // with the previous process.
 func Sweep(dir string) ([]string, error) {
-	removed, err := removeGlob(dir, tmpPattern)
+	removed, err := sweep(dir, tmpPattern)
 	if err != nil {
 		return removed, err
 	}
-	runs, err := removeGlob(dir, "*"+runSuffix)
+	runs, err := sweep(dir, "*"+runSuffix)
 	return append(removed, runs...), err
 }
 
-func removeGlob(dir, pattern string) ([]string, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+func sweep(dir, pattern string) ([]string, error) {
+	removed, err := durable.Sweep(dir, pattern)
 	if err != nil {
-		return nil, fmt.Errorf("spill: scanning %s: %w", pattern, err)
+		return removed, fmt.Errorf("spill: %w", err)
 	}
-	var removed []string
-	var firstErr error
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil {
-			if firstErr == nil && !errors.Is(err, fs.ErrNotExist) {
-				firstErr = fmt.Errorf("spill: sweeping: %w", err)
-			}
-			continue
-		}
-		removed = append(removed, p)
-	}
-	return removed, firstErr
+	return removed, nil
 }
