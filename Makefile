@@ -97,13 +97,25 @@ qualgate:
 # snapshot-swap races against live traffic, breaker trip/recover
 # cycles, the fault-injection matrix, torn-write persistence, the
 # checkpoint crash/recovery drills (write/recover fault matrix, SIGKILL
-# mid-write crash matrix, SIGTERM restart round-trip), the fleet
-# suite (tenant isolation under faults, per-tenant burst shedding,
-# LRU eviction/warm-reactivation churn, fleet restart round-trip), and
-# the online learning loop (feedback WAL fault matrix and SIGKILL
-# crash drill, shadow-gated promotion, rollback under live traffic),
-# and the shared durable-file layer's fault and codec tests.
+# mid-write crash matrix, SIGTERM restart round-trip, the upgrade of a
+# single-database state directory), the request contract (JSON errors
+# on every route), the fleet suite (tenant isolation under faults,
+# per-tenant burst shedding, LRU eviction/warm-reactivation churn,
+# fleet restart round-trip), and the online learning loop (feedback
+# WAL fault matrix and SIGKILL crash drill, shadow-gated promotion,
+# rollback under live traffic), and the shared durable-file layer's
+# fault and codec tests. It first lists the packages' tests and fails
+# if an alternative of the -run pattern matches none, so a renamed or
+# deleted test cannot drop out of the run unnoticed.
+STRESS_RUN := TestServeBurst|TestServeReload|TestServeNotReady|TestServeHealthzDegraded|TestServeRequestValidation|TestSwap|TestRerankBreaker|TestStageBudget|TestPrepareDuringTraffic|TestBreaker|TestAcquire|TestShed|TestQueued|TestBurst|TestBlockGate|TestFault|TestConcurrent|TestLoadModels|TestModelPersistence|TestParallelTranslateDeterminism|TestCheckpoint|TestCrash|TestRecover|TestStore|TestServeRestartSIGTERM|TestServeUpgradesSingleDatabaseStateDir|TestServeWarmStart|TestServeAllCorrupt|TestFleet|TestServeFleet|TestFeedback|TestTrainer|TestOnline|TestServeFeedback|TestDurable
+STRESS_PKGS := ./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/spill/ ./internal/memgov/ ./internal/durable/ ./gar/
+
 stress:
-	go test -race -timeout 10m -count=1 \
-		-run 'TestServeBurst|TestServeReload|TestServeNotReady|TestServeHealthzDegraded|TestSwap|TestRerankBreaker|TestStageBudget|TestPrepareDuringTraffic|TestBreaker|TestAcquire|TestShed|TestQueued|TestBurst|TestBlockGate|TestFault|TestConcurrent|TestLoadModels|TestModelPersistence|TestParallelTranslateDeterminism|TestCheckpoint|TestCrash|TestRecover|TestStore|TestServeRestartSIGTERM|TestServeWarmStart|TestServeAllCorrupt|TestFleet|TestServeFleet|TestFeedback|TestTrainer|TestOnline|TestServeFeedback|TestDurable' \
-		./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/spill/ ./internal/memgov/ ./internal/durable/ ./gar/
+	@tests="$$(go test -list '.*' $(STRESS_PKGS))" || { echo "$$tests"; exit 1; }; \
+	tests="$$(echo "$$tests" | grep -E '^(Test|Fuzz|Benchmark|Example)')"; \
+	missing=""; \
+	for alt in $$(echo '$(STRESS_RUN)' | tr '|' ' '); do \
+		echo "$$tests" | grep -Eq "$$alt" || missing="$$missing $$alt"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "make stress: no test matches -run alternative(s):$$missing"; exit 1; fi
+	go test -race -timeout 10m -count=1 -run '$(STRESS_RUN)' $(STRESS_PKGS)

@@ -11,9 +11,9 @@
 // sweeps temp files abandoned by interrupted writes.
 //
 // Both layouts are understood: a single-tenant directory holding
-// checkpoint files directly, and the multi-tenant tree of fleet mode
-// ({statedir}/{tenant}/...), where every verb walks each tenant
-// subdirectory and reports per tenant.
+// checkpoint files directly (`gar serve -spec` and `-demo`), and the
+// multi-tenant tree of `-specdir` ({statedir}/{tenant}/...), where
+// every verb walks each tenant subdirectory and reports per tenant.
 //
 // Exit codes: 0 clean, 1 invalid checkpoints found (verify), 2 usage or
 // I/O error.

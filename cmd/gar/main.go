@@ -29,9 +29,9 @@
 //	gar -spec db.json -q "who is the oldest employee"
 //	gar -spec db.json            # interactive: one question per line
 //	gar -demo -q "how many employees are there"
-//	gar serve -demo -addr :8765  # HTTP JSON API (see serve.go)
-//	gar serve -demo -statedir /var/lib/gar   # durable checkpoints + warm start
-//	gar serve -specdir specs/ -statedir /var/lib/gar -maxtenants 16   # multi-tenant fleet (see serve_fleet.go)
+//	gar serve -demo -addr :8765  # HTTP JSON API, one tenant named default (see serve.go)
+//	gar serve -spec db.json -statedir /var/lib/gar   # durable checkpoints + warm start
+//	gar serve -specdir specs/ -statedir /var/lib/gar -maxtenants 16   # one tenant per specs/{tenant}.json
 //	gar lint -spec db.json queries.sql   # semantic SQL checks (see lint.go)
 //	gar lint -demo -pool 500 -o json     # lint a generated candidate pool
 //	gar checkpoint list -statedir /var/lib/gar   # inspect/verify/prune state (see checkpoint.go)

@@ -1,16 +1,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
 	"repro/gar"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 )
 
 func testServeOpts() gar.Options {
@@ -33,10 +34,7 @@ func getJSON(t *testing.T, h http.Handler, path string) (int, map[string]any) {
 }
 
 func postReload(h http.Handler) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/reload", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
+	return serveRequest(h, http.MethodPost, "/reload", "")
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -53,13 +51,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestServeNotReady: before any snapshot is published the service must
 // refuse work loudly — 503 everywhere a probe or client looks.
 func TestServeNotReady(t *testing.T) {
-	db := gar.NewDatabase("empty")
-	db.AddTable("t", gar.Key("id"), gar.NumberColumn("id", "identifier"))
-	sys, err := gar.New(db, gar.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{})
+	bare := demoSpec()
+	bare.Samples = nil
+	src := &specSource{file: writeSpecFile(t, bare), opts: testServeOpts()}
+	_, h := newTestServer(t, src, fleet.Config{}, serveConfig{})
 
 	rec := postTranslate(h, `{"question": "anything"}`)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -81,23 +76,23 @@ func TestServeNotReady(t *testing.T) {
 
 // TestServeReadyzHealthz checks the happy-path shape of both probes.
 func TestServeReadyzHealthz(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), testServeOpts(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{MaxInFlight: 4})
+	_, h := newTestServer(t, &specSource{demo: true, opts: testServeOpts()},
+		fleet.Config{MaxInFlight: 4}, serveConfig{})
 
 	code, body := getJSON(t, h, "/readyz")
 	if code != http.StatusOK || body["ready"] != true {
 		t.Fatalf("readyz: %d %v", code, body)
 	}
-	if body["generation"].(float64) < 1 {
-		t.Errorf("readyz generation: %v", body["generation"])
+	if code, body := getJSON(t, h, "/healthz"); code != http.StatusOK || body["status"] != "ok" {
+		t.Fatalf("healthz: %d %v", code, body)
 	}
 
-	code, body = getJSON(t, h, "/healthz")
+	code, body = getJSON(t, h, "/db/default/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
-		t.Fatalf("healthz: %d %v", code, body)
+		t.Fatalf("tenant healthz: %d %v", code, body)
+	}
+	if body["generation"].(float64) < 1 {
+		t.Errorf("tenant healthz generation: %v", body["generation"])
 	}
 	br := body["breaker"].(map[string]any)
 	if br["state"] != "closed" {
@@ -113,13 +108,10 @@ func TestServeReadyzHealthz(t *testing.T) {
 // serving (readyz 200) but flips /healthz to degraded so operators see
 // the reduced answer quality.
 func TestServeHealthzDegraded(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), testServeOpts(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg, h := newTestServer(t, &specSource{demo: true, opts: testServeOpts()},
+		fleet.Config{BreakerFailures: 1, BreakerCooldown: time.Hour}, serveConfig{})
 	inj := faults.NewInjector(1).Fail(faults.Rerank, errors.New("reranker down"))
-	sys.SetFaultInjector(inj)
-	h := newServeHandler(sys, serveConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	defaultSys(t, reg).SetFaultInjector(inj)
 
 	rec := postTranslate(h, `{"question": "how many employees are there"}`)
 	if rec.Code != http.StatusOK {
@@ -133,9 +125,12 @@ func TestServeHealthzDegraded(t *testing.T) {
 		t.Error("re-rank failure not flagged degraded")
 	}
 
-	code, body := getJSON(t, h, "/healthz")
-	if code != http.StatusOK || body["status"] != "degraded" {
+	if code, body := getJSON(t, h, "/healthz"); code != http.StatusOK || body["status"] != "degraded" {
 		t.Errorf("healthz with open breaker: %d %v", code, body)
+	}
+	code, body := getJSON(t, h, "/db/default/healthz")
+	if code != http.StatusOK || body["status"] != "degraded" {
+		t.Errorf("tenant healthz with open breaker: %d %v", code, body)
 	}
 	if br := body["breaker"].(map[string]any); br["state"] != "open" {
 		t.Errorf("healthz breaker: %v", br)
@@ -151,22 +146,16 @@ func TestServeHealthzDegraded(t *testing.T) {
 // immediately with 429 + Retry-After, and every admitted request served
 // once the stall clears.
 func TestServeBurstSheds(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), testServeOpts(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.NewInjector(1)
-	release := inj.Block(faults.Retrieval)
-	defer release()
-	sys.SetFaultInjector(inj)
-
-	h := newServeHandler(sys, serveConfig{
-		Timeout:     10 * time.Second,
+	reg, h := newTestServer(t, &specSource{demo: true, opts: testServeOpts()}, fleet.Config{
 		MaxInFlight: 2,
 		MaxQueue:    2,
 		RetryAfter:  3 * time.Second,
 		NoBreaker:   true,
-	})
+	}, serveConfig{Timeout: 10 * time.Second})
+	inj := faults.NewInjector(1)
+	release := inj.Block(faults.Retrieval)
+	defer release()
+	defaultSys(t, reg).SetFaultInjector(inj)
 
 	type result struct {
 		code       int
@@ -178,7 +167,7 @@ func TestServeBurstSheds(t *testing.T) {
 		results <- result{rec.Code, rec.Header().Get("Retry-After")}
 	}
 	admission := func() map[string]any {
-		_, body := getJSON(t, h, "/healthz")
+		_, body := getJSON(t, h, "/db/default/healthz")
 		return body["admission"].(map[string]any)
 	}
 
@@ -238,21 +227,13 @@ func TestServeBurstSheds(t *testing.T) {
 }
 
 // TestServeReload: POST /reload swaps in a new generation with zero
-// downtime, concurrent reloads are refused with 409, and an
-// unconfigured or failing reload reports honestly.
+// downtime, concurrent reloads are refused with 409, and a failing
+// reload reports honestly.
 func TestServeReload(t *testing.T) {
-	sys, _, models, err := buildSystemModels(demoSpec(), testServeOpts(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error {
-			_, err := sys.Swap(demoSpec().Samples, models)
-			return err
-		},
-	})
+	path := writeSpecFile(t, demoSpec())
+	reg, h := newTestServer(t, &specSource{file: path, opts: testServeOpts()}, fleet.Config{}, serveConfig{})
 
-	before := sys.Generation()
+	before := defaultSys(t, reg).Generation()
 	rec := postReload(h)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", rec.Code, rec.Body)
@@ -271,41 +252,33 @@ func TestServeReload(t *testing.T) {
 		t.Errorf("translate after reload: status %d", rec.Code)
 	}
 
-	// Method and configuration errors.
-	req := httptest.NewRequest(http.MethodGet, "/reload", nil)
-	mrec := httptest.NewRecorder()
-	h.ServeHTTP(mrec, req)
-	if mrec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /reload: status %d", mrec.Code)
+	// Method and spec errors.
+	if rec := serveRequest(h, http.MethodGet, "/reload", ""); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /reload: status %d", rec.Code)
 	}
-	if rec := postReload(newServeHandler(sys, serveConfig{})); rec.Code != http.StatusNotImplemented {
-		t.Errorf("unconfigured reload: status %d", rec.Code)
+	if err := os.WriteFile(path, []byte("spec unreadable"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	failing := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error { return errors.New("spec unreadable") },
-	})
-	if rec := postReload(failing); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postReload(h); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("failing reload: status %d", rec.Code)
 	}
 
 	// A reload in progress makes a second one bounce with 409 instead
 	// of queueing behind it.
-	entered := make(chan struct{})
-	proceed := make(chan struct{})
-	blocking := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error {
-			close(entered)
-			<-proceed
-			return nil
-		},
-	})
+	gate := make(chan struct{})
+	src := &gatedFleetSource{
+		specSource: &specSource{demo: true, opts: testServeOpts()},
+		gate:       map[string]chan struct{}{defaultTenant: gate},
+		entered:    make(chan string, 1),
+	}
+	_, blocking := newTestFleet(t, src, fleet.Config{}, serveConfig{}, defaultTenant)
 	first := make(chan *httptest.ResponseRecorder, 1)
 	go func() { first <- postReload(blocking) }()
-	<-entered
+	<-src.entered
 	if rec := postReload(blocking); rec.Code != http.StatusConflict {
 		t.Errorf("concurrent reload: status %d, want 409", rec.Code)
 	}
-	close(proceed)
+	close(gate)
 	if rec := <-first; rec.Code != http.StatusOK {
 		t.Errorf("blocked reload after release: status %d", rec.Code)
 	}

@@ -1,38 +1,38 @@
-// The serve mode runs GAR as a small HTTP JSON service:
+// The serve mode runs GAR as an HTTP JSON service over a fleet of
+// per-database tenants (internal/fleet):
 //
-//	gar serve -spec db.json -addr :8765
-//	gar serve -demo
+//	gar serve -spec db.json -addr :8765        # one database, tenant "default"
+//	gar serve -demo                            # the built-in demo database as "default"
+//	gar serve -specdir specs/ -statedir dir    # one tenant per {tenant}.json
 //
-//	POST /translate {"question": "who is the oldest employee"}
-//	POST /reload
-//	GET  /healthz
-//	GET  /readyz
+// Every mode serves one route table:
+//
+//	POST /db/{name}/translate {"question": "who is the oldest employee"}
+//	POST /db/{name}/reload
+//	POST /db/{name}/feedback  (see serve_feedback.go)
+//	GET  /db/{name}/healthz   the tenant's health row
+//	GET  /healthz             the fleet roll-up
+//	GET  /readyz              200 once at least one tenant serves a snapshot
+//	POST /translate, /reload, /feedback    aliases of /db/default/...
+//
+// With -spec or -demo the fleet is one tenant named default. It is
+// built, or warm-started from -statedir, before the server announces
+// readiness, is never evicted, and keeps the flat layout: checkpoints
+// in -statedir itself, the feedback WAL in {statedir}/feedback and
+// spill runs in {statedir}/spill. With -specdir every {tenant}.json is
+// a tenant; tenants activate on first request within a bounded LRU
+// working set and keep their state in {statedir}/{tenant}/.
 //
 // Each request runs under a per-request timeout, the request body is
-// size-limited, panics are recovered into 500 responses, and SIGINT or
-// SIGTERM drains in-flight requests before exiting.
-//
-// The service is overload-protected: an admission controller bounds
-// how many translations run concurrently, queues a bounded overflow
-// with a deadline-aware wait (a request that would miss its deadline
-// in the queue is shed immediately), and answers sheds with 429 +
-// Retry-After. A circuit breaker trips the re-ranking stage into
-// retrieval-only degraded mode after repeated stage failures, and
-// POST /reload hot-swaps the candidate pool and models from the spec
-// with zero downtime (old snapshot serves until the atomic swap).
-//
-// With -statedir the serving state is durable: the server warm-starts
-// from the newest valid checkpoint (skipping Prepare and Train
-// entirely), checkpoints in the background after every state change,
-// flushes a final checkpoint on graceful shutdown, and prunes old
-// generations down to -keepckpt. /healthz reports the last checkpoint
-// generation and age.
-//
-// With -specdir the same process serves a multi-tenant fleet — one
-// isolated System per {tenant}.json spec, routed by path
-// (POST /db/{name}/translate) with a bounded LRU working set,
-// per-tenant admission budgets and breakers, and per-tenant state
-// under -statedir/{tenant}/. See serve_fleet.go.
+// size-limited, panics are recovered into 500 responses, and every
+// error, 404 and 405 included, answers a JSON body with an "error"
+// field. Every tenant has its own admission budget (overflow is shed
+// with 429 + Retry-After) and re-rank circuit breaker, and a reload
+// hot-swaps its pool and models with zero downtime. With -statedir a
+// tenant checkpoints in the background after every state change and
+// warm-starts from its newest valid checkpoint. SIGINT or SIGTERM
+// drains in-flight requests, flushes every resident tenant's final
+// checkpoint and exits.
 package main
 
 import (
@@ -46,76 +46,37 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/gar"
 	"repro/internal/admit"
-	"repro/internal/breaker"
-	"repro/internal/checkpoint"
-	"repro/internal/feedback"
 	"repro/internal/fleet"
-	"repro/internal/spill"
 )
 
-// serveConfig holds the tunables of the HTTP service.
+// defaultTenant names the one tenant of -spec and -demo; the legacy
+// routes address it in every mode.
+const defaultTenant = "default"
+
+// serveConfig holds the per-request tunables of the HTTP handler.
 type serveConfig struct {
-	// Timeout bounds each translation (the request context is also
-	// honored, so a disconnecting client cancels its work).
+	// Timeout bounds each translation and feedback request (the request
+	// context is also honored, so a disconnecting client cancels its
+	// work).
 	Timeout time.Duration
 	// MaxBody caps the request body size in bytes.
 	MaxBody int64
 	// TopK caps the candidates returned per translation.
 	TopK int
-
-	// MaxInFlight bounds concurrent translations; MaxQueue bounds how
-	// many more may wait for a slot before new arrivals are shed with
-	// 429. RetryAfter is the back-off hint attached to sheds.
-	MaxInFlight int
-	MaxQueue    int
-	RetryAfter  time.Duration
-
-	// BreakerFailures consecutive re-rank failures trip the breaker
-	// into retrieval-only mode for BreakerCooldown; NoBreaker disables
-	// it.
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	NoBreaker       bool
-
-	// Reload rebuilds the system state (pool, models, content) and
-	// swaps it in; wired by runServe to re-read the spec. nil disables
-	// POST /reload.
-	Reload func(ctx context.Context) error
-	// ReloadTimeout bounds one reload (default 5m).
-	ReloadTimeout time.Duration
-
-	// Ckpt, when set, is the background checkpointer persisting the
-	// serving state; /healthz reports its last generation, age and
-	// counters. nil when -statedir is not given.
-	Ckpt *gar.Checkpointer
-
-	// Feedback, when set, enables POST /feedback: the durable WAL, the
-	// background trainer and the accept/reject tallies. nil when
-	// -feedback is not given.
-	Feedback *feedbackState
-
-	// ExecGuide mirrors the system's execution-guided reranking switch;
-	// /healthz reports the stage's counters when it is on.
-	ExecGuide bool
 }
 
-type server struct {
-	sys *gar.System
+// handler routes requests to the tenants of a fleet registry.
+type handler struct {
+	reg *fleet.Registry
 	cfg serveConfig
-	ctl *admit.Controller
-	br  *breaker.Breaker
-
-	// reloadMu serializes POST /reload; a second concurrent reload is
-	// answered 409 instead of queueing behind the first.
-	reloadMu sync.Mutex
 }
 
 type translateRequest struct {
@@ -129,8 +90,8 @@ type candidateJSON struct {
 }
 
 type translateResponse struct {
-	// Tenant names the database that answered; set in fleet mode only.
-	Tenant     string          `json:"tenant,omitempty"`
+	// Tenant names the database that answered.
+	Tenant     string          `json:"tenant"`
 	SQL        string          `json:"sql"`
 	Dialect    string          `json:"dialect"`
 	Degraded   bool            `json:"degraded,omitempty"`
@@ -144,9 +105,9 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// newServeHandler assembles the routed handler with the panic-recovery
+// newHandler assembles the route table with the panic-recovery
 // middleware outermost, so no handler bug can kill the process.
-func newServeHandler(sys *gar.System, cfg serveConfig) http.Handler {
+func newHandler(reg *fleet.Registry, cfg serveConfig) http.Handler {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
@@ -156,38 +117,46 @@ func newServeHandler(sys *gar.System, cfg serveConfig) http.Handler {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 5
 	}
-	if cfg.BreakerFailures <= 0 {
-		cfg.BreakerFailures = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.ReloadTimeout <= 0 {
-		cfg.ReloadTimeout = 5 * time.Minute
-	}
-	s := &server{
-		sys: sys,
-		cfg: cfg,
-		ctl: admit.New(admit.Config{
-			MaxInFlight: cfg.MaxInFlight,
-			MaxQueue:    cfg.MaxQueue,
-			RetryAfter:  cfg.RetryAfter,
-		}),
-	}
-	if !cfg.NoBreaker {
-		s.br = breaker.New(breaker.Config{
-			FailureThreshold: cfg.BreakerFailures,
-			Cooldown:         cfg.BreakerCooldown,
-		})
-		sys.SetRerankBreaker(s.br)
-	}
+	s := &handler{reg: reg, cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/translate", s.handleTranslate)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/reload", s.handleReload)
-	mux.HandleFunc("/feedback", s.handleFeedback)
+	route := func(method, pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, allow(method, h))
+	}
+	route(http.MethodPost, "/db/{name}/translate", s.handleTranslate)
+	route(http.MethodPost, "/db/{name}/reload", s.handleReload)
+	route(http.MethodPost, "/db/{name}/feedback", s.handleFeedback)
+	route(http.MethodGet, "/db/{name}/healthz", s.handleTenantHealthz)
+	route(http.MethodGet, "/healthz", s.handleHealthz)
+	route(http.MethodGet, "/readyz", s.handleReadyz)
+	route(http.MethodPost, "/translate", asDefault(s.handleTranslate))
+	route(http.MethodPost, "/reload", asDefault(s.handleReload))
+	route(http.MethodPost, "/feedback", asDefault(s.handleFeedback))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusNotFound, errorJSON{Error: "no route for " + r.URL.Path})
+	})
 	return recoverMiddleware(mux)
+}
+
+// allow answers every method but the route's own with a JSON 405 (a
+// GET route also serves HEAD).
+func allow(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method && (method != http.MethodGet || r.Method != http.MethodHead) {
+			w.Header().Set("Allow", method)
+			writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use " + method})
+			return
+		}
+		h(w, r)
+	}
+}
+
+// asDefault serves a legacy single-database route as the same route of
+// the tenant named default.
+func asDefault(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.SetPathValue("name", defaultTenant)
+		h(w, r)
+	}
 }
 
 // recoverMiddleware converts handler panics into JSON 500 responses.
@@ -203,173 +172,54 @@ func recoverMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// breakerJSON reports the re-rank breaker for health endpoints; the
-// snapshot's own MarshalJSON renders the wire shape.
-func (s *server) breakerJSON() any {
-	if s.br == nil {
-		return map[string]any{"state": "disabled"}
-	}
-	return s.br.Snapshot()
-}
-
-// handleHealthz reports live service health: pool and generation,
-// breaker position, and admission occupancy. While no translatable
-// snapshot is published (startup, or a bare re-Prepare) it answers
-// 503 so load balancers stop routing here.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use GET"})
-		return
-	}
-	st := s.ctl.Stats()
-	cs := s.sys.CacheStats()
-	body := map[string]any{
-		"pool":       s.sys.PoolSize(),
-		"generation": s.sys.Generation(),
-		"breaker":    s.breakerJSON(),
-		"caches": map[string]any{
-			"embeddings":   cs.Embeddings,
-			"translations": cs.Translations,
-		},
-		"admission": map[string]any{
-			"in_flight":       st.InFlight,
-			"queued":          st.Queued,
-			"peak_in_flight":  st.PeakInFlight,
-			"max_in_flight":   s.ctl.MaxInFlight(),
-			"admitted":        st.Admitted,
-			"shed_queue_full": st.ShedQueueFull,
-			"shed_deadline":   st.ShedDeadline,
-		},
-	}
-	if s.cfg.Ckpt != nil {
-		cs := s.cfg.Ckpt.Stats()
-		ck := map[string]any{
-			"last_generation": cs.LastGeneration,
-			"writes":          cs.Writes,
-			"failures":        cs.Failures,
-			"pruned":          cs.Pruned,
-			"pending":         cs.Pending,
-		}
-		if cs.LastUnix > 0 {
-			ck["age_seconds"] = time.Now().Unix() - cs.LastUnix
-		}
-		if cs.LastError != "" {
-			ck["last_error"] = cs.LastError
-		}
-		body["checkpoint"] = ck
-	}
-	if s.cfg.Feedback != nil {
-		body["feedback"] = s.cfg.Feedback.healthJSON()
-	}
-	if s.cfg.ExecGuide {
-		es := s.sys.ExecGuideStats()
-		body["execguide"] = map[string]any{
-			"enabled":  true,
-			"executed": es.Executed,
-			"demoted":  es.Demoted,
-			"errors":   es.Errors,
-			"timeouts": es.Timeouts,
-		}
-	}
-	if ms := s.sys.MemStats(); ms.Budget != nil {
-		// Resource governance: live budget usage, the published
-		// snapshot's footprint, spill gauges, and the degradation record.
-		body["memory"] = ms
-	}
-	if !s.sys.Ready() {
-		body["status"] = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	status := "ok"
-	if s.br != nil && s.br.State() != breaker.Closed {
-		// Serving, but re-ranking is tripped: retrieval-only answers.
-		status = "degraded"
-	}
-	body["status"] = status
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleReadyz is the readiness probe, distinct from /healthz: it
-// answers 200 exactly when a complete translatable snapshot is
-// published, and reports the breaker position so orchestrators can
-// see a degraded-but-serving instance.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use GET"})
-		return
-	}
-	if !s.sys.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":   false,
-			"reason":  "no snapshot published",
-			"breaker": s.breakerJSON(),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ready":      true,
-		"generation": s.sys.Generation(),
-		"breaker":    s.breakerJSON(),
-	})
-}
-
-// handleReload rebuilds pool, models and content from the (re-read)
-// spec off to the side and atomically swaps them in; translations keep
-// serving the old snapshot throughout. Reloads are serialized: a
-// concurrent reload answers 409.
-func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	if s.cfg.Reload == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "reload not configured"})
-		return
-	}
-	if !s.reloadMu.TryLock() {
-		writeJSON(w, http.StatusConflict, errorJSON{Error: "reload already in progress"})
-		return
-	}
-	defer s.reloadMu.Unlock()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReloadTimeout)
-	defer cancel()
-	start := time.Now()
-	if err := s.cfg.Reload(ctx); err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: "reload failed: " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": s.sys.Generation(),
-		"pool":       s.sys.PoolSize(),
-		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-func (s *server) handleTranslate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	if !s.sys.Ready() {
+// writeAcquireError maps a registry acquire/reload failure onto the
+// HTTP surface: unknown tenant 404, saturated working set 429 with
+// Retry-After, closed registry 503, an activation still running at the
+// request's deadline 503 with Retry-After (the build continues; the
+// client should come back), anything else 503.
+func writeAcquireError(w http.ResponseWriter, err error) {
+	var sat *fleet.SaturatedError
+	switch {
+	case errors.Is(err, fleet.ErrUnknownTenant):
+		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
+	case errors.As(err, &sat):
+		w.Header().Set("Retry-After", retryAfterSeconds(sat.RetryAfter))
+		writeJSON(w, http.StatusTooManyRequests, errorJSON{Error: err.Error()})
+	case errors.Is(err, fleet.ErrClosed):
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
+	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no snapshot published"})
-		return
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant still activating: " + err.Error()})
+	default:
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
 	}
-	req, ok := decodeTranslate(w, r, s.cfg.MaxBody)
-	if !ok {
-		return
-	}
+}
 
+func (s *handler) handleTranslate(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	var req translateRequest
+	if !decodeRequest(w, r, s.cfg.MaxBody, &req, &req.Question) {
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
-	// Admission: take a worker slot, or wait for one only as long as
-	// the deadline allows. Shed requests fail fast with 429 so a
-	// saturated server answers immediately instead of timing everyone
-	// out.
-	release, err := s.ctl.Acquire(ctx)
+	h, err := s.reg.Acquire(ctx, name)
+	if err != nil {
+		writeAcquireError(w, err)
+		return
+	}
+	defer h.Release()
+	if !h.Sys().Ready() {
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant " + name + ": no snapshot published"})
+		return
+	}
+	// Admission: take one of this tenant's worker slots, or wait for one
+	// only as long as the deadline allows. A burst here sheds here and
+	// nowhere else, with 429 so a saturated tenant answers immediately
+	// instead of timing everyone out.
+	release, err := h.Admit(ctx)
 	if err != nil {
 		writeAdmitError(w, err)
 		return
@@ -377,33 +227,112 @@ func (s *server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	res, err := s.sys.TranslateContext(ctx, req.Question)
+	res, err := h.Sys().TranslateContext(ctx, req.Question)
 	if err != nil {
 		writeTranslateError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, translateJSON(res, s.cfg.TopK, start, ""))
+	writeJSON(w, http.StatusOK, translateJSON(res, s.cfg.TopK, start, name))
 }
 
-// decodeTranslate reads and validates a translate request body, writing
-// the error response itself when the body is unusable.
-func decodeTranslate(w http.ResponseWriter, r *http.Request, maxBody int64) (translateRequest, bool) {
+// reloadTimeout bounds one reload.
+const reloadTimeout = 5 * time.Minute
+
+// handleReload rebuilds the tenant's pool, models and content from its
+// re-read spec off to the side and swaps them in atomically;
+// translations keep serving the old snapshot throughout. A concurrent
+// reload of the same tenant answers 409.
+func (s *handler) handleReload(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	ctx, cancel := context.WithTimeout(r.Context(), reloadTimeout)
+	defer cancel()
+	start := time.Now()
+	gen, err := s.reg.Reload(ctx, name)
+	if err != nil {
+		if errors.Is(err, fleet.ErrReloadInProgress) {
+			writeJSON(w, http.StatusConflict, errorJSON{Error: err.Error()})
+			return
+		}
+		if errors.Is(err, fleet.ErrUnknownTenant) || errors.As(err, new(*fleet.SaturatedError)) ||
+			errors.Is(err, fleet.ErrClosed) {
+			writeAcquireError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: "reload failed: " + err.Error()})
+		return
+	}
+	elapsed := float64(time.Since(start).Microseconds()) / 1000
+	row, err := s.reg.TenantHealth(name)
+	if err != nil {
+		writeAcquireError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"tenant":     name,
+		"generation": gen,
+		"pool":       row.Pool,
+		"elapsed_ms": elapsed,
+	})
+}
+
+// handleTenantHealthz serves one tenant's health row: 200 while it
+// serves (ok or degraded), 503 while it is cold, activating, evicting
+// or unavailable.
+func (s *handler) handleTenantHealthz(w http.ResponseWriter, r *http.Request) {
+	th, err := s.reg.TenantHealth(r.PathValue("name"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
+		return
+	}
+	status := http.StatusOK
+	if th.Status != "ok" && th.Status != "degraded" {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, th)
+}
+
+// handleHealthz serves the fleet roll-up: 503 while no tenant serves.
+func (s *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h := s.reg.Health()
+	status := http.StatusOK
+	if h.Status == "unavailable" {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, h)
+}
+
+// handleReadyz gates readiness on the first published snapshot: 503
+// until at least one tenant serves.
+func (s *handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if !s.reg.AnyReady() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"ready":  false,
+			"reason": "no tenant has a published snapshot",
+		})
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+}
+
+// decodeRequest reads a size-limited JSON request body into v and
+// requires a non-blank *question, writing the 400 or 413 response
+// itself when the body is unusable.
+func decodeRequest(w http.ResponseWriter, r *http.Request, maxBody int64, v any, question *string) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req translateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorJSON{Error: "bad request body: " + err.Error()})
-		return req, false
+		return false
 	}
-	if strings.TrimSpace(req.Question) == "" {
+	if strings.TrimSpace(*question) == "" {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "empty question"})
-		return req, false
+		return false
 	}
-	return req, true
+	return true
 }
 
 // writeAdmitError maps an admission failure: sheds answer 429 with a
@@ -466,66 +395,158 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// buildServingSystem assembles the system runServe serves. Durable
-// state: with a state directory the newest valid checkpoint brings the
-// complete serving snapshot back in seconds — no Prepare, no Train.
-// Recovery falls back generation-by-generation past corrupt or
-// incompatible files; only when nothing valid exists does the server
-// cold-build from the spec (or, with a schema-only spec, start on a
-// clean empty state answering 503 until a reload). Without a state
-// directory it cold-builds directly and returns a nil store.
-func buildServingSystem(stateDir string, s *spec, opts gar.Options, loadModels string,
-	logf func(format string, args ...any)) (*gar.System, *checkpoint.Store, bool, error) {
-	if stateDir == "" {
-		sys, _, err := buildSystem(s, opts, loadModels)
-		return sys, nil, false, err
+// specSource is the fleet.Source of every serve mode. It loads a
+// tenant's spec from {dir}/{tenant}.json under -specdir, or from -spec
+// or -demo for the one tenant of those modes, and builds, deploys and
+// reloads it the same way in each: with the ranking models of
+// loadModels when that is set (train once, deploy on unseen
+// databases), trained on the spec's examples otherwise. The registry
+// calls it concurrently for different tenants.
+type specSource struct {
+	dir        string // -specdir; empty for -spec and -demo
+	file       string // -spec
+	demo       bool   // -demo
+	opts       gar.Options
+	loadModels string // -loadmodels
+}
+
+func (s *specSource) load(name string) (*spec, error) {
+	if s.dir != "" {
+		return loadSpec(filepath.Join(s.dir, name+".json"), false)
 	}
-	ckStore, err := checkpoint.Open(stateDir)
+	return loadSpec(s.file, s.demo)
+}
+
+// Cold assembles the schema-bound shell the registry warm-starts or
+// deploys into.
+func (s *specSource) Cold(name string) (*gar.System, error) {
+	sp, err := s.load(name)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	if removed, err := ckStore.CleanTemp(); err != nil {
-		logf("%v", err)
-	} else if len(removed) > 0 {
-		logf("removed %d abandoned temp file(s) from %s", len(removed), stateDir)
+	sys, _, err := newSystem(sp, s.opts)
+	return sys, err
+}
+
+// Deploy cold-builds the tenant from its spec: prepare the pool and
+// train or load the models. A schema-only spec deploys nothing; the
+// tenant serves 503 until a reload provides samples.
+func (s *specSource) Deploy(ctx context.Context, name string, sys *gar.System) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
 	}
-	sys, _, err := newSystem(s, opts)
+	sp, err := s.load(name)
 	if err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
-	ck, skipped, err := sys.RecoverCheckpoint(ckStore)
+	if len(sp.Samples) == 0 {
+		return false, nil
+	}
+	if _, err := deploySystem(sys, sp, s.opts, s.loadModels); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// Reload re-reads the tenant's spec, rebuilds pool/models/content off
+// to the side, and swaps them into the live system atomically.
+func (s *specSource) Reload(ctx context.Context, name string, sys *gar.System) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sp, err := s.load(name)
 	if err != nil {
-		return nil, nil, false, err
+		return err
 	}
-	for _, sk := range skipped {
-		logf("skipping checkpoint %s: %v", sk.Path, sk.Err)
+	content, models, err := reloadModels(sp, s.opts, s.loadModels)
+	if err != nil {
+		return err
 	}
-	switch {
-	case ck != nil:
-		logf("warm start from checkpoint generation %d (%d candidates)",
-			ck.Manifest.Generation, sys.PoolSize())
-		return sys, ckStore, true, nil
-	case len(s.Samples) > 0:
-		logf("no recoverable checkpoint; cold-building from spec")
-		if _, err := deploySystem(sys, s, opts, loadModels); err != nil {
-			return nil, nil, false, err
+	if content != nil {
+		sys.SetContent(content)
+	}
+	_, err = sys.Swap(sp.Samples, models)
+	return err
+}
+
+// FeedbackBase loads the tenant's committed corpus for the online
+// trainer; implementing fleet.FeedbackSource opts the fleet into the
+// feedback loop.
+func (s *specSource) FeedbackBase(name string) (gar.BaseData, error) {
+	sp, err := s.load(name)
+	if err != nil {
+		return gar.BaseData{}, err
+	}
+	return specBase(sp), nil
+}
+
+// ExecGuided reports -execguide to the health rows
+// (fleet.ExecGuideSource).
+func (s *specSource) ExecGuided() bool { return s.opts.ExecGuide }
+
+// tenantNames lists the tenants of a spec directory: the stem of every
+// *.json file.
+func tenantNames(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+			continue
 		}
-		return sys, ckStore, false, nil
-	default:
-		logf("no recoverable checkpoint and no sample queries; serving 503 until a reload provides state")
-		return sys, ckStore, false, nil
+		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
 	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// openRegistry builds the fleet `gar serve` serves. Under -specdir it
+// registers one cold tenant per spec. Otherwise it registers the one
+// tenant default — resident, never idle-evicted, in the flat state
+// layout — and activates it before returning, so a spec that cannot be
+// loaded or built fails startup instead of the first request.
+func openRegistry(src *specSource, cfg fleet.Config) (*fleet.Registry, error) {
+	names := []string{defaultTenant}
+	if src.dir != "" {
+		var err error
+		if names, err = tenantNames(src.dir); err != nil {
+			return nil, err
+		}
+		if len(names) == 0 {
+			return nil, fmt.Errorf("gar serve: no tenant specs (*.json) in %s", src.dir)
+		}
+	} else {
+		cfg.MaxActive, cfg.IdleAfter, cfg.FlatState = 1, 0, true
+		cfg.TenantInFlight, cfg.TenantQueue, cfg.TenantMemLimit = 0, 0, 0
+	}
+	reg := fleet.New(src, cfg)
+	for _, name := range names {
+		if err := reg.Register(name); err != nil {
+			return nil, err
+		}
+	}
+	if src.dir == "" {
+		h, err := reg.Acquire(context.Background(), defaultTenant)
+		if err != nil {
+			// Nothing is resident to flush; this removes a spill root.
+			return nil, errors.Join(err, reg.Shutdown(context.Background()))
+		}
+		h.Release()
+	}
+	return reg, nil
 }
 
 // runServe is the `gar serve` entry point.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("gar serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8765", "listen address")
-	specPath := fs.String("spec", "", "path to the JSON database spec")
-	demo := fs.Bool("demo", false, "use the built-in employee demo database")
+	specPath := fs.String("spec", "", "path to the JSON database spec (served as tenant default)")
+	demo := fs.Bool("demo", false, "serve the built-in employee demo database as tenant default")
 	garJ := fs.Bool("j", false, "enable GAR-J (use join annotations)")
 	pool := fs.Int("pool", 2000, "generalized candidate pool size")
-	loadModels := fs.String("loadmodels", "", "load ranking models instead of training")
+	loadModels := fs.String("loadmodels", "", "load ranking models for every tenant instead of training")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request translation timeout")
 	maxBody := fs.Int64("maxbody", 1<<20, "maximum request body size in bytes")
 	topK := fs.Int("top", 5, "number of candidates returned per translation")
@@ -542,18 +563,18 @@ func runServe(args []string) {
 	cacheSize := fs.Int("cachesize", 1024, "entries per translation cache (embeddings, results)")
 	noCache := fs.Bool("nocache", false, "disable the translation-path caches")
 	stateDir := fs.String("statedir", "", "durable serving-state directory: warm-start from the newest valid checkpoint and checkpoint after every state change")
-	keepCkpt := fs.Int("keepckpt", 3, "checkpoint generations retained in -statedir")
+	keepCkpt := fs.Int("keepckpt", 3, "checkpoint generations retained per tenant")
 	specDir := fs.String("specdir", "", "directory of per-tenant JSON database specs ({tenant}.json): serve a multi-tenant fleet")
-	maxTenants := fs.Int("maxtenants", 8, "fleet mode: tenants resident in memory at once (LRU eviction beyond)")
-	tenantIdle := fs.Duration("tenantidle", 15*time.Minute, "fleet mode: evict tenants idle this long (0 disables)")
-	tenantInFlight := fs.Int("tenantinflight", 0, "fleet mode: per-tenant concurrent translations (0 = maxinflight/maxtenants)")
-	tenantQueue := fs.Int("tenantqueue", 0, "fleet mode: per-tenant queue depth (0 = maxqueue/maxtenants)")
+	maxTenants := fs.Int("maxtenants", 8, "-specdir only: tenants resident in memory at once (LRU eviction beyond)")
+	tenantIdle := fs.Duration("tenantidle", 15*time.Minute, "-specdir only: evict tenants idle this long (0 disables)")
+	tenantInFlight := fs.Int("tenantinflight", 0, "-specdir only: per-tenant concurrent translations (0 = maxinflight/maxtenants)")
+	tenantQueue := fs.Int("tenantqueue", 0, "-specdir only: per-tenant queue depth (0 = maxqueue/maxtenants)")
 	memLimit := fs.Int64("memlimit", 0, "serving-state memory budget in bytes: pool, embeddings and caches spill or degrade instead of growing past it (0 = unbounded)")
-	tenantMemLimit := fs.Int64("tenantmemlimit", 0, "fleet mode: per-tenant share of -memlimit in bytes (0 = memlimit/maxtenants)")
+	tenantMemLimit := fs.Int64("tenantmemlimit", 0, "-specdir only: per-tenant share of -memlimit in bytes (0 = memlimit/maxtenants)")
 	feedbackOn := fs.Bool("feedback", false, "accept POST /feedback into a durable WAL and retrain in the background (requires -statedir)")
 	shadowThreshold := fs.Float64("shadowthreshold", 0, "how much worse (shadow top-1 exact match) a retrained candidate may score and still be promoted")
 	trainInterval := fs.Duration("traininterval", 30*time.Second, "quiet window after feedback arrives before a background retrain starts")
-	trainBudget := fs.Int("trainbudget", 1, "fleet mode: tenants allowed to retrain concurrently")
+	trainBudget := fs.Int("trainbudget", 1, "-specdir only: tenants allowed to retrain concurrently")
 	if err := fs.Parse(args); err != nil {
 		// Unreachable with ExitOnError, but the error stays handled if
 		// the flag set's policy ever changes.
@@ -585,7 +606,6 @@ func runServe(args []string) {
 	if *memLimit != 0 && *memLimit < minMemLimit {
 		fatal(fmt.Errorf("gar serve: -memlimit %d bytes is below the %d-byte (1 MiB) floor: a budget that small cannot hold even a minimal serving snapshot; raise it or pass 0 for unbounded", *memLimit, minMemLimit))
 	}
-
 	if *specDir != "" {
 		if *specPath != "" || *demo {
 			fatal(fmt.Errorf("gar serve: -specdir is exclusive with -spec and -demo"))
@@ -602,175 +622,42 @@ func runServe(args []string) {
 				fatal(fmt.Errorf("gar serve: the per-tenant memory share (%d bytes) is below the %d-byte (1 MiB) floor; raise -memlimit or -tenantmemlimit, or lower -maxtenants", share, minMemLimit))
 			}
 		}
-		runServeFleet(fleetServeParams{
-			Addr:    *addr,
-			SpecDir: *specDir,
-			Opts:    opts,
-			Cfg: serveConfig{
-				Timeout:   *timeout,
-				MaxBody:   *maxBody,
-				TopK:      *topK,
-				ExecGuide: *execGuide,
-			},
-			Fleet: fleet.Config{
-				MaxActive:       *maxTenants,
-				IdleAfter:       *tenantIdle,
-				MaxInFlight:     *maxInFlight,
-				MaxQueue:        *maxQueue,
-				TenantInFlight:  *tenantInFlight,
-				TenantQueue:     *tenantQueue,
-				RetryAfter:      *retryAfter,
-				BreakerFailures: *breakerFailures,
-				BreakerCooldown: *breakerCooldown,
-				NoBreaker:       *noBreaker,
-				StateDir:        *stateDir,
-				Keep:            *keepCkpt,
-				Feedback:        *feedbackOn,
-				TrainInterval:   *trainInterval,
-				ShadowThreshold: *shadowThreshold,
-				TrainBudget:     *trainBudget,
-				MemLimit:        *memLimit,
-				TenantMemLimit:  *tenantMemLimit,
-			},
-		})
-		return
 	}
 
-	if *memLimit > 0 {
-		opts.MemBudget = *memLimit
-		// Spill lives beside the durable state when there is any, in a
-		// private temp directory otherwise. Runs are per-build scratch:
-		// anything present at startup was orphaned by a previous
-		// process, so sweep before the first build can write.
-		spillDir := ""
-		if *stateDir != "" {
-			spillDir = filepath.Join(*stateDir, "spill")
-		} else if d, err := os.MkdirTemp("", "gar-spill-"); err != nil {
-			fatal(fmt.Errorf("gar serve: creating spill directory: %w", err))
-		} else {
-			spillDir = d
-			defer os.RemoveAll(d)
-		}
-		if removed, err := spill.Sweep(spillDir); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: sweeping spill directory: %v\n", err)
-		} else if len(removed) > 0 {
-			fmt.Fprintf(os.Stderr, "gar serve: removed %d orphaned spill file(s) from %s\n", len(removed), spillDir)
-		}
-		opts.SpillDir = spillDir
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
 	}
-
-	s, err := loadSpec(*specPath, *demo)
+	src := &specSource{dir: *specDir, file: *specPath, demo: *demo, opts: opts, loadModels: *loadModels}
+	reg, err := openRegistry(src, fleet.Config{
+		MaxActive:       *maxTenants,
+		IdleAfter:       *tenantIdle,
+		MaxInFlight:     *maxInFlight,
+		MaxQueue:        *maxQueue,
+		TenantInFlight:  *tenantInFlight,
+		TenantQueue:     *tenantQueue,
+		RetryAfter:      *retryAfter,
+		BreakerFailures: *breakerFailures,
+		BreakerCooldown: *breakerCooldown,
+		NoBreaker:       *noBreaker,
+		StateDir:        *stateDir,
+		Keep:            *keepCkpt,
+		Feedback:        *feedbackOn,
+		TrainInterval:   *trainInterval,
+		ShadowThreshold: *shadowThreshold,
+		TrainBudget:     *trainBudget,
+		MemLimit:        *memLimit,
+		TenantMemLimit:  *tenantMemLimit,
+		Logf:            logf,
+	})
 	if err != nil {
 		fatal(err)
-	}
-
-	sys, ckStore, warm, err := buildServingSystem(*stateDir, s, opts, *loadModels,
-		func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-		})
-	if err != nil {
-		fatal(err)
-	}
-
-	// Background checkpointer: every published state change (cold
-	// build, reload swap, retrain) schedules a durable checkpoint;
-	// bursts coalesce and failed writes retry with jittered backoff.
-	var ckptr *gar.Checkpointer
-	if ckStore != nil {
-		ckptr = sys.NewCheckpointer(ckStore, gar.CheckpointerConfig{
-			Keep: *keepCkpt,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-			},
-		})
-		ckptr.Start()
-		if sys.Ready() && !warm {
-			// Persist the freshly cold-built state now, so a crash
-			// before the first reload already has something to recover.
-			ckptr.Notify()
-		}
-	}
-
-	// Online feedback loop: a durable WAL inside the state directory
-	// plus a background trainer that folds accepted feedback into the
-	// spec's corpus, retrains off the serving path, and promotes only
-	// through the shadow gate (with checkpoint-backed rollback).
-	var fb *feedbackState
-	if *feedbackOn {
-		flog, err := feedback.Open(filepath.Join(*stateDir, "feedback"), feedback.Config{})
-		if err != nil {
-			fatal(err)
-		}
-		base := func() (gar.BaseData, error) {
-			fresh, err := loadSpec(*specPath, *demo)
-			if err != nil {
-				return gar.BaseData{}, err
-			}
-			return specBase(fresh), nil
-		}
-		trainer := sys.NewTrainer(flog, ckStore, base, gar.TrainerConfig{
-			Interval:        *trainInterval,
-			ShadowThreshold: *shadowThreshold,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-			},
-		})
-		trainer.Start()
-		if flog.LastSeq() > 0 {
-			// Feedback recorded before the last shutdown may not have
-			// been trained on yet; wake the trainer to fold it in.
-			trainer.Notify()
-		}
-		fb = &feedbackState{log: flog, trainer: trainer}
-	}
-
-	// Reload re-reads the spec (and model file, if any), rebuilds a
-	// complete new state off to the side, and publishes it with one
-	// atomic snapshot swap — in-flight and new translations keep
-	// hitting the old snapshot until the swap.
-	reload := func(ctx context.Context) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fresh, err := loadSpec(*specPath, *demo)
-		if err != nil {
-			return err
-		}
-		content, models, err := reloadModels(fresh, opts, *loadModels)
-		if err != nil {
-			return err
-		}
-		if content != nil {
-			sys.SetContent(content)
-		}
-		gen, err := sys.Swap(fresh.Samples, models)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "gar serve: reloaded, generation %d, %d candidates\n", gen, sys.PoolSize())
-		return nil
 	}
 
 	srv := &http.Server{
-		Addr: *addr,
-		Handler: newServeHandler(sys, serveConfig{
-			Timeout:         *timeout,
-			MaxBody:         *maxBody,
-			TopK:            *topK,
-			MaxInFlight:     *maxInFlight,
-			MaxQueue:        *maxQueue,
-			RetryAfter:      *retryAfter,
-			BreakerFailures: *breakerFailures,
-			BreakerCooldown: *breakerCooldown,
-			NoBreaker:       *noBreaker,
-			Reload:          reload,
-			Ckpt:            ckptr,
-			Feedback:        fb,
-			ExecGuide:       *execGuide,
-		}),
+		Addr:              *addr,
+		Handler:           newHandler(reg, serveConfig{Timeout: *timeout, MaxBody: *maxBody, TopK: *topK}),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-
 	// Listen before announcing readiness so the logged address is the
 	// bound one (":0" resolves to a real port — the restart tests rely
 	// on reading it back).
@@ -783,7 +670,35 @@ func runServe(args []string) {
 	// and flush, not kill.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "gar serve: %d candidate queries ready on %s\n", sys.PoolSize(), ln.Addr())
+	ready := fmt.Sprintf("fleet of %d tenants", len(reg.Names()))
+	if src.dir == "" {
+		row, err := reg.TenantHealth(defaultTenant)
+		if err != nil {
+			fatal(err)
+		}
+		ready = fmt.Sprintf("%d candidate queries", row.Pool)
+	}
+	logf("%s ready on %s", ready, ln.Addr())
+
+	// Idle reaper: periodically evict tenants idle past -tenantidle,
+	// each flushed before its snapshot is dropped.
+	if idle := *tenantIdle; src.dir != "" && idle > 0 {
+		go func() {
+			tick := time.NewTicker(max(idle/4, time.Second))
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					if n := reg.EvictIdle(ctx); n > 0 {
+						logf("idle reaper evicted %d tenant(s)", n)
+					}
+				}
+			}
+		}()
+	}
+
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -791,37 +706,18 @@ func runServe(args []string) {
 		fatal(err)
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "gar serve: draining connections")
-	// One shutdown window covers the whole sequence — drain in-flight
-	// requests, then flush the final checkpoint — so a slow drain
-	// cannot silently double the time to exit.
+	logf("draining connections")
+	// One window bounds the whole sequence: drain in-flight requests,
+	// then flush every resident tenant's final checkpoint.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		fatal(err)
 	}
-	if fb != nil {
-		// Stop the trainer before the final checkpoint flush so no
-		// promotion publishes after the state that is supposed to be
-		// last. Pending feedback is already fsynced in the WAL; the next
-		// process trains on it.
-		fb.trainer.Stop()
-	}
-	if ckptr != nil {
-		// Final flush: no more mutations can arrive, so stop the
-		// background writer and persist the last published state
-		// synchronously — the restart warm-starts from exactly what
-		// this process was serving.
-		if err := ckptr.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: final checkpoint flush failed: %v\n", err)
-		} else if st := ckptr.Stats(); st.Writes > 0 {
-			fmt.Fprintf(os.Stderr, "gar serve: final checkpoint flushed (generation %d)\n", st.LastGeneration)
-		}
-	}
-	if fb != nil {
-		if err := fb.log.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: closing feedback log: %v\n", err)
-		}
+	if err := reg.Shutdown(shutdownCtx); err != nil {
+		logf("fleet shutdown: %v", err)
+	} else {
+		logf("fleet flushed and stopped")
 	}
 }
 

@@ -1,8 +1,8 @@
 // The feedback endpoint of the online learning loop:
 //
-//	POST /feedback            {"question": "...", "chosen": 0}
-//	POST /feedback            {"question": "...", "sql": "SELECT ..."}
-//	POST /db/{name}/feedback  (fleet mode, same bodies)
+//	POST /db/{name}/feedback  {"question": "...", "chosen": 0}
+//	POST /db/{name}/feedback  {"question": "...", "sql": "SELECT ..."}
+//	POST /feedback            (the same for the tenant named default)
 //
 // A submission either endorses one of the candidates a /translate
 // response offered ("chosen", an index into its candidates array) or
@@ -11,19 +11,15 @@
 // invalid SQL is rejected with 422 and never reaches disk. Accepted
 // records are appended to the durable feedback WAL (fsynced before the
 // 202 acknowledgement) and wake the background trainer; see
-// internal/feedback and gar.Trainer.
+// internal/feedback and gar.Trainer. The endpoint answers 501 unless
+// the server runs with -statedir and -feedback.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync/atomic"
 
-	"repro/gar"
 	"repro/internal/feedback"
 	"repro/internal/fleet"
 )
@@ -39,65 +35,52 @@ type feedbackRequest struct {
 }
 
 type feedbackResponse struct {
-	Tenant   string `json:"tenant,omitempty"`
+	Tenant   string `json:"tenant"`
 	Accepted bool   `json:"accepted"`
 	Seq      uint64 `json:"seq"`
 	Source   string `json:"source"`
 }
 
-// feedbackState couples the single-tenant server's WAL, trainer and
-// accept/reject tallies (fleet mode keeps the same state per tenant in
-// the registry).
-type feedbackState struct {
-	log      *feedback.Log
-	trainer  *gar.Trainer
-	accepted atomic.Uint64
-	rejected atomic.Uint64
-}
-
-// healthJSON is the /healthz feedback block, shaped like fleet mode's
-// per-tenant row.
-func (fb *feedbackState) healthJSON() fleet.FeedbackHealth {
-	return fleet.FeedbackHealth{
-		Accepted: fb.accepted.Load(),
-		Rejected: fb.rejected.Load(),
-		WAL:      fb.log.Stats(),
-		Trainer:  fb.trainer.Stats(),
-	}
-}
-
-// decodeFeedback reads and validates a feedback request body, writing
-// the error response itself when the body is unusable.
-func decodeFeedback(w http.ResponseWriter, r *http.Request, maxBody int64) (feedbackRequest, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+// handleFeedback is POST /db/{name}/feedback and its /feedback alias.
+func (s *handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorJSON{Error: "bad request body: " + err.Error()})
-		return req, false
-	}
-	if strings.TrimSpace(req.Question) == "" {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "empty question"})
-		return req, false
+	if !decodeRequest(w, r, s.cfg.MaxBody, &req, &req.Question) {
+		return
 	}
 	if (req.Chosen == nil) == (req.SQL == "") {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "provide exactly one of chosen or sql"})
-		return req, false
+		return
 	}
-	return req, true
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	h, err := s.reg.Acquire(ctx, name)
+	if err != nil {
+		writeAcquireError(w, err)
+		return
+	}
+	defer h.Release()
+	if h.FeedbackLog() == nil || h.Trainer() == nil {
+		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled (start with -statedir and -feedback)"})
+		return
+	}
+	if !h.Sys().Ready() {
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant " + name + ": no snapshot published"})
+		return
+	}
+	status, body := acceptFeedback(ctx, h, req)
+	writeJSON(w, status, body)
 }
 
-// acceptFeedback validates one decoded submission against the serving
-// system and, if it survives, durably records it and wakes the
-// trainer. It reports the HTTP status and body; countRejected is
-// bumped for submissions refused at validation (not for transport or
-// storage errors — those are the server's fault, not the client's).
-func acceptFeedback(ctx context.Context, sys *gar.System, flog *feedback.Log, trainer *gar.Trainer,
-	req feedbackRequest, tenant string, countRejected func()) (int, any) {
+// acceptFeedback validates one decoded submission against the tenant's
+// serving system and, if it survives, durably records it and wakes the
+// tenant's trainer. It reports the HTTP status and body, and tallies
+// the outcome in the tenant's health row: a rejection only for a
+// submission refused at validation (transport and storage errors are
+// the server's fault, not the client's).
+func acceptFeedback(ctx context.Context, h *fleet.Handle, req feedbackRequest) (int, any) {
+	sys := h.Sys()
 	rec := feedback.Record{
 		Question:   req.Question,
 		Generation: sys.Generation(),
@@ -111,7 +94,7 @@ func acceptFeedback(ctx context.Context, sys *gar.System, flog *feedback.Log, tr
 			return http.StatusInternalServerError, errorJSON{Error: "translating question: " + err.Error()}
 		}
 		if *req.Chosen < 0 || *req.Chosen >= len(res.Candidates) {
-			countRejected()
+			h.CountFeedback(false)
 			return http.StatusUnprocessableEntity,
 				errorJSON{Error: "chosen index out of range (the question has " +
 					strconv.Itoa(len(res.Candidates)) + " candidates)"}
@@ -122,88 +105,27 @@ func acceptFeedback(ctx context.Context, sys *gar.System, flog *feedback.Log, tr
 		// A correction: re-parse and re-bind against the schema before
 		// anything touches disk.
 		if err := sys.ValidateSQL(req.SQL); err != nil {
-			countRejected()
+			h.CountFeedback(false)
 			return http.StatusUnprocessableEntity, errorJSON{Error: err.Error()}
 		}
 		rec.SQL = req.SQL
 		rec.Source = feedback.SourceCorrected
 	}
 
-	seq, err := flog.Append(rec)
+	seq, err := h.FeedbackLog().Append(rec)
 	if err != nil {
 		// Not acknowledged: the record is not durable, the client should
 		// retry. No sequence number was consumed.
 		return http.StatusInternalServerError, errorJSON{Error: "feedback not recorded: " + err.Error()}
 	}
 	rec.Seq = seq
-	trainer.ObserveFeedback(ctx, rec)
-	trainer.Notify()
+	h.Trainer().ObserveFeedback(ctx, rec)
+	h.Trainer().Notify()
+	h.CountFeedback(true)
 	return http.StatusAccepted, feedbackResponse{
-		Tenant:   tenant,
+		Tenant:   h.Tenant(),
 		Accepted: true,
 		Seq:      seq,
 		Source:   rec.Source,
 	}
-}
-
-// handleFeedback is the single-tenant POST /feedback endpoint.
-func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	fb := s.cfg.Feedback
-	if fb == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled (start with -feedback)"})
-		return
-	}
-	if !s.sys.Ready() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no snapshot published"})
-		return
-	}
-	req, ok := decodeFeedback(w, r, s.cfg.MaxBody)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	status, body := acceptFeedback(ctx, s.sys, fb.log, fb.trainer, req, "",
-		func() { fb.rejected.Add(1) })
-	if status == http.StatusAccepted {
-		fb.accepted.Add(1)
-	}
-	writeJSON(w, status, body)
-}
-
-// handleFeedback is the fleet POST /db/{name}/feedback endpoint.
-func (s *fleetServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	req, ok := decodeFeedback(w, r, s.cfg.MaxBody)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	h, err := s.reg.Acquire(ctx, name)
-	if err != nil {
-		writeAcquireError(w, err)
-		return
-	}
-	defer h.Release()
-	if h.FeedbackLog() == nil || h.Trainer() == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled for this fleet"})
-		return
-	}
-	if !h.Sys().Ready() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant " + name + ": no snapshot published"})
-		return
-	}
-	status, body := acceptFeedback(ctx, h.Sys(), h.FeedbackLog(), h.Trainer(), req, name,
-		func() { h.CountFeedback(false) })
-	if status == http.StatusAccepted {
-		h.CountFeedback(true)
-	}
-	writeJSON(w, status, body)
 }

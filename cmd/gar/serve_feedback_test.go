@@ -1,51 +1,44 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/gar"
-	"repro/internal/checkpoint"
 	"repro/internal/feedback"
 	"repro/internal/fleet"
 )
 
-// feedbackHandler builds a single-tenant handler with the feedback
-// endpoint armed: a real WAL and trainer over the demo spec, the
-// trainer left unstarted so no background cycle races the assertions.
-func feedbackHandler(t *testing.T) (http.Handler, *feedbackState) {
+// feedbackHandler serves the demo database as tenant default with the
+// feedback endpoint armed: a real WAL in the flat state directory and
+// a trainer whose quiet window outlasts the test, so no background
+// cycle races the assertions.
+func feedbackHandler(t *testing.T) (*fleet.Registry, http.Handler) {
 	t.Helper()
-	s := demoSpec()
-	sys, _, err := buildSystem(s, gar.Options{
-		GeneralizeSize: 200, RetrievalK: 10, Seed: 1,
-		EncoderEpochs: 12, RerankEpochs: 30,
-	}, "")
+	return newTestServer(t, &specSource{demo: true, opts: testServeOpts()}, fleet.Config{
+		StateDir: t.TempDir(), Feedback: true, TrainInterval: time.Hour,
+	}, serveConfig{})
+}
+
+// feedbackRow is tenant default's feedback health block.
+func feedbackRow(t *testing.T, reg *fleet.Registry) *fleet.FeedbackHealth {
+	t.Helper()
+	row, err := reg.TenantHealth(defaultTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flog, err := feedback.Open(t.TempDir(), feedback.Config{})
-	if err != nil {
-		t.Fatal(err)
+	if row.Feedback == nil {
+		t.Fatal("tenant row has no feedback block")
 	}
-	t.Cleanup(func() { _ = flog.Close() })
-	st, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainer := sys.NewTrainer(flog, st,
-		func() (gar.BaseData, error) { return specBase(s), nil }, gar.TrainerConfig{})
-	fb := &feedbackState{log: flog, trainer: trainer}
-	return newServeHandler(sys, serveConfig{Feedback: fb}), fb
+	return row.Feedback
 }
 
 func postFeedback(h http.Handler, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/feedback", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
+	return serveRequest(h, http.MethodPost, "/feedback", body)
 }
 
 func TestServeFeedbackDisabled(t *testing.T) {
@@ -56,7 +49,7 @@ func TestServeFeedbackDisabled(t *testing.T) {
 }
 
 func TestServeFeedbackValidation(t *testing.T) {
-	h, fb := feedbackHandler(t)
+	reg, h := feedbackHandler(t)
 
 	for name, body := range map[string]string{
 		"malformed":      `not json`,
@@ -86,19 +79,20 @@ func TestServeFeedbackValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 422: %s", name, rec.Code, rec.Body)
 		}
 	}
-	if got := fb.rejected.Load(); got != 3 {
+	fb := feedbackRow(t, reg)
+	if got := fb.Rejected; got != 3 {
 		t.Errorf("rejected tally = %d, want 3", got)
 	}
-	if got := fb.accepted.Load(); got != 0 {
+	if got := fb.Accepted; got != 0 {
 		t.Errorf("accepted tally = %d, want 0", got)
 	}
-	if fb.log.LastSeq() != 0 {
+	if fb.WAL.LastSeq != 0 {
 		t.Error("a rejected submission reached the WAL")
 	}
 }
 
 func TestServeFeedbackAccept(t *testing.T) {
-	h, fb := feedbackHandler(t)
+	reg, h := feedbackHandler(t)
 
 	rec := postFeedback(h, `{"question": "how many people work here", "sql": "SELECT COUNT(*) FROM employee"}`)
 	if rec.Code != http.StatusAccepted {
@@ -124,7 +118,12 @@ func TestServeFeedbackAccept(t *testing.T) {
 	}
 
 	// Both acks mean both records are durable and replayable.
-	recs, err := fb.log.Records()
+	hnd, err := reg.Acquire(context.Background(), defaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := hnd.FeedbackLog().Records()
+	hnd.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +131,8 @@ func TestServeFeedbackAccept(t *testing.T) {
 		t.Fatalf("WAL replay = %+v", recs)
 	}
 
-	// The /healthz feedback block mirrors the tallies and WAL state.
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	// The tenant's feedback block mirrors the tallies and WAL state.
+	req := httptest.NewRequest(http.MethodGet, "/db/default/healthz", nil)
 	hrec := httptest.NewRecorder()
 	h.ServeHTTP(hrec, req)
 	if hrec.Code != http.StatusOK {
@@ -168,14 +167,14 @@ func TestServeFleetFeedback(t *testing.T) {
 	dir := writeSpecDir(t, "acme")
 
 	// A fleet without the loop enabled answers 501.
-	bareSrc := &specDirSource{dir: dir, opts: testServeOpts()}
+	bareSrc := &specSource{dir: dir, opts: testServeOpts()}
 	_, bareH := newTestFleet(t, bareSrc, fleet.Config{}, serveConfig{}, "acme")
 	rec := postFleetFeedback(bareH, "acme", `{"question": "q", "chosen": 0}`)
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("fleet feedback disabled: status %d: %s", rec.Code, rec.Body)
 	}
 
-	src := &specDirSource{dir: dir, opts: testServeOpts()}
+	src := &specSource{dir: dir, opts: testServeOpts()}
 	reg, h := newTestFleet(t, src, fleet.Config{
 		StateDir: t.TempDir(), Feedback: true,
 	}, serveConfig{}, "acme")

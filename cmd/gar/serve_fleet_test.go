@@ -53,7 +53,7 @@ func newTestFleet(t *testing.T, src fleet.Source, fcfg fleet.Config, cfg serveCo
 		defer cancel()
 		_ = reg.Shutdown(ctx)
 	})
-	return reg, newFleetHandler(reg, cfg)
+	return reg, newHandler(reg, cfg)
 }
 
 func postFleetTranslate(h http.Handler, tenant, question string) *httptest.ResponseRecorder {
@@ -77,7 +77,7 @@ func postFleetReload(h http.Handler, tenant string) *httptest.ResponseRecorder {
 // and both health endpoints tell the truth about a half-cold fleet.
 func TestFleetHandlerRoutingAndHealth(t *testing.T) {
 	dir := writeSpecDir(t, "alpha", "beta")
-	src := &specDirSource{dir: dir, opts: testServeOpts()}
+	src := &specSource{dir: dir, opts: testServeOpts()}
 	reg, h := newTestFleet(t, src, fleet.Config{}, serveConfig{}, "alpha", "beta")
 
 	// Before any request, no tenant has a snapshot: not ready.
@@ -155,10 +155,10 @@ func TestFleetHandlerRoutingAndHealth(t *testing.T) {
 	}
 }
 
-// gatedFleetSource wraps specDirSource so a test can park one tenant's
+// gatedFleetSource wraps specSource so a test can park one tenant's
 // reload at a gate, after announcing itself on entered.
 type gatedFleetSource struct {
-	*specDirSource
+	*specSource
 	mu      sync.Mutex
 	gate    map[string]chan struct{}
 	entered chan string
@@ -176,7 +176,7 @@ func (g *gatedFleetSource) Reload(ctx context.Context, name string, sys *gar.Sys
 		case <-gate:
 		}
 	}
-	return g.specDirSource.Reload(ctx, name, sys)
+	return g.specSource.Reload(ctx, name, sys)
 }
 
 // TestFleetHandlerReloadScoping pins the per-tenant 409: while alpha's
@@ -186,9 +186,9 @@ func TestFleetHandlerReloadScoping(t *testing.T) {
 	dir := writeSpecDir(t, "alpha", "beta")
 	gate := make(chan struct{})
 	src := &gatedFleetSource{
-		specDirSource: &specDirSource{dir: dir, opts: testServeOpts()},
-		gate:          map[string]chan struct{}{"alpha": gate},
-		entered:       make(chan string, 1),
+		specSource: &specSource{dir: dir, opts: testServeOpts()},
+		gate:       map[string]chan struct{}{"alpha": gate},
+		entered:    make(chan string, 1),
 	}
 	_, h := newTestFleet(t, src, fleet.Config{}, serveConfig{}, "alpha", "beta")
 
@@ -232,7 +232,7 @@ func TestFleetHandlerReloadScoping(t *testing.T) {
 // serving 200s, and the parked requests complete once released.
 func TestFleetBurstSheds(t *testing.T) {
 	dir := writeSpecDir(t, "alpha", "beta")
-	src := &specDirSource{dir: dir, opts: testServeOpts()}
+	src := &specSource{dir: dir, opts: testServeOpts()}
 	reg, h := newTestFleet(t, src,
 		fleet.Config{TenantInFlight: 1, TenantQueue: 1, RetryAfter: 7 * time.Second},
 		serveConfig{Timeout: time.Minute}, "alpha", "beta")
@@ -496,7 +496,7 @@ func TestFleetHandlerColdPaths(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "empty.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := &specDirSource{dir: dir, opts: testServeOpts()}
+	src := &specSource{dir: dir, opts: testServeOpts()}
 	reg, h := newTestFleet(t, src,
 		fleet.Config{MaxActive: 1, RetryAfter: 2 * time.Second},
 		serveConfig{}, "alpha", "empty")
@@ -551,5 +551,84 @@ func TestFleetHandlerColdPaths(t *testing.T) {
 	}
 	if rec := postFleetReload(h, "alpha"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("reload after shutdown = %d, want 503", rec.Code)
+	}
+}
+
+// TestServeLoadModelsEveryTenant: -loadmodels applies to every tenant
+// of a -specdir fleet, on activation and on reload — train once,
+// deploy on each database. Both tenants answer with the candidates and
+// scores of buildSystem(spec, opts, file), not those of a fresh
+// training.
+func TestServeLoadModelsEveryTenant(t *testing.T) {
+	// Models trained for fewer epochs than the serving options, so the
+	// file's scores differ from a fresh training's.
+	trainOpts := testServeOpts()
+	trainOpts.EncoderEpochs, trainOpts.RerankEpochs = 4, 5
+	_, _, models, err := buildSystemModels(demoSpec(), trainOpts, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "models.gob")
+	if err := models.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := buildSystem(demoSpec(), testServeOpts(), file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, _, err := buildSystem(demoSpec(), testServeOpts(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const topK = 8
+	src := &specSource{dir: writeSpecDir(t, "alpha", "beta"), opts: testServeOpts(), loadModels: file}
+	_, h := newTestServer(t, src, fleet.Config{}, serveConfig{TopK: topK})
+
+	differs := false
+	check := func(tenant, q string) {
+		t.Helper()
+		rec := postFleetTranslate(h, tenant, q)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %q: status %d: %s", tenant, q, rec.Code, rec.Body)
+		}
+		var got translateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		w, err := want.TranslateContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trained.TranslateContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SQL != w.SQL || len(got.Candidates) != min(topK, len(w.Candidates)) {
+			t.Fatalf("%s %q: served %q with %d candidates, file build %q with %d", tenant, q,
+				got.SQL, len(got.Candidates), w.SQL, len(w.Candidates))
+		}
+		for i, c := range got.Candidates {
+			if c.SQL != w.Candidates[i].SQL || c.Score != w.Candidates[i].Score {
+				t.Fatalf("%s %q candidate %d: served %+v, file build %+v", tenant, q, i, c, w.Candidates[i])
+			}
+			if i < len(tr.Candidates) && c.Score != tr.Candidates[i].Score {
+				differs = true
+			}
+		}
+	}
+	questions := []string{"how many employees are there", "who is the oldest employee", "what is the average bonus"}
+	for _, tenant := range []string{"alpha", "beta"} {
+		for _, q := range questions {
+			check(tenant, q)
+		}
+	}
+	if rec := postFleetReload(h, "alpha"); rec.Code != http.StatusOK {
+		t.Fatalf("reload: %d %s", rec.Code, rec.Body)
+	}
+	for _, q := range questions {
+		check("alpha", q)
+	}
+	if !differs {
+		t.Fatal("the models file scores like a fresh training; the test cannot tell them apart")
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"strings"
 	"testing"
 
-	"repro/gar"
+	"repro/internal/fleet"
 )
 
 const serveMemArgsEnv = "GAR_SERVE_MEM_ARGS"
 
-// TestServeMemlimitHelper is the child body for the flag-rejection
-// tests: it runs the real runServe with the arguments passed in the
-// environment, so the parent can observe the fatal exit.
+// TestServeMemlimitHelper is a child body for subprocess tests: it
+// runs the real runServe with the arguments passed in the environment,
+// so the flag-rejection tests can observe the fatal exit and the
+// layout-upgrade test can serve from it.
 func TestServeMemlimitHelper(t *testing.T) {
 	raw := os.Getenv(serveMemArgsEnv)
 	if raw == "" {
@@ -61,23 +62,17 @@ func TestServeMemlimitFloor(t *testing.T) {
 }
 
 // TestServeHealthzReportsMemory pins the resource-governance block of
-// /healthz: with a budget configured, operators must see live usage,
-// the snapshot's footprint, and a clean degradation record.
+// the tenant's health row: with a budget configured, operators must
+// see live usage, the snapshot's footprint, and a clean degradation
+// record.
 func TestServeHealthzReportsMemory(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), gar.Options{
-		GeneralizeSize: 200, RetrievalK: 10, Seed: 1,
-		EncoderEpochs: 12, RerankEpochs: 30,
-		MemBudget: 64 << 20, SpillDir: t.TempDir(),
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{})
+	_, h := newTestServer(t, &specSource{demo: true, opts: testServeOpts()},
+		fleet.Config{MemLimit: 64 << 20, StateDir: t.TempDir()}, serveConfig{})
 
 	if rec := postTranslate(h, `{"question": "how many employees are there"}`); rec.Code != http.StatusOK {
 		t.Fatalf("translate status %d: %s", rec.Code, rec.Body)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req := httptest.NewRequest(http.MethodGet, "/db/default/healthz", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -115,15 +110,18 @@ func TestServeHealthzReportsMemory(t *testing.T) {
 		t.Errorf("roomy budget degraded: %v %q", m.Degraded, m.DegradeReason)
 	}
 
-	// An ungoverned system must not grow a memory block.
+	// An ungoverned system must not grow a memory block, in its row or
+	// in the roll-up.
 	plain := testHandler(t, serveConfig{})
-	rec = httptest.NewRecorder()
-	plain.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var bare map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &bare); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bare["memory"]; ok {
-		t.Errorf("ungoverned healthz has memory block: %s", rec.Body)
+	for _, path := range []string{"/db/default/healthz", "/healthz"} {
+		rec = httptest.NewRecorder()
+		plain.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		var bare map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &bare); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := bare["memory"]; ok {
+			t.Errorf("ungoverned %s has memory block: %s", path, rec.Body)
+		}
 	}
 }

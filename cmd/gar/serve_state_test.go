@@ -19,6 +19,8 @@ import (
 
 	"repro/gar"
 	"repro/internal/checkpoint"
+	"repro/internal/feedback"
+	"repro/internal/fleet"
 )
 
 var serveStateOpts = gar.Options{
@@ -27,12 +29,13 @@ var serveStateOpts = gar.Options{
 }
 
 // TestServeWarmStartHandler is the in-process restart: a trained
-// server's checkpoint is recovered into a system that never ran
-// Prepare or Train, and the warm handler answers /translate with the
-// same SQL at the same generation while /healthz reports the
-// checkpoint counters.
+// server's checkpoint is recovered into a tenant that never runs
+// Prepare or Train, and the warm server answers /translate with the
+// same SQL at the same generation as a cold one while the tenant's
+// health row reports the checkpoint counters.
 func TestServeWarmStartHandler(t *testing.T) {
-	st, err := checkpoint.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +47,12 @@ func TestServeWarmStartHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldHandler := newServeHandler(cold, serveConfig{})
-
-	warm, _, err := newSystem(demoSpec(), serveStateOpts)
-	if err != nil {
-		t.Fatal(err)
+	src := &specSource{demo: true, opts: serveStateOpts}
+	_, coldHandler := newTestServer(t, src, fleet.Config{}, serveConfig{})
+	warmReg, warmHandler := newTestServer(t, src, fleet.Config{StateDir: dir}, serveConfig{})
+	if row, _ := warmReg.TenantHealth(defaultTenant); row.Counters.WarmStarts != 1 || row.Counters.ColdBuilds != 0 {
+		t.Fatalf("warm server did not warm-start: %+v", row.Counters)
 	}
-	ck, skipped, err := warm.RecoverCheckpoint(st)
-	if err != nil || ck == nil || len(skipped) != 0 {
-		t.Fatalf("recover: ck=%v skipped=%v err=%v", ck, skipped, err)
-	}
-	ckptr := warm.NewCheckpointer(st, gar.CheckpointerConfig{Keep: 2})
-	warmHandler := newServeHandler(warm, serveConfig{Ckpt: ckptr})
 
 	for _, q := range []string{"who is the oldest employee", "how many employees are there"} {
 		body := fmt.Sprintf(`{"question": %q}`, q)
@@ -79,9 +76,7 @@ func TestServeWarmStartHandler(t *testing.T) {
 		}
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	rec := httptest.NewRecorder()
-	warmHandler.ServeHTTP(rec, req)
+	rec := serveRequest(warmHandler, http.MethodGet, "/db/default/healthz", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz status %d: %s", rec.Code, rec.Body)
 	}
@@ -124,7 +119,18 @@ func TestServeAllCorruptCleanEmptyState(t *testing.T) {
 		t.Fatal("corrupt checkpoint marked the system ready")
 	}
 
-	h := newServeHandler(sys, serveConfig{Ckpt: sys.NewCheckpointer(st, gar.CheckpointerConfig{})})
+	bare := demoSpec()
+	bare.Samples = nil
+	var logs strings.Builder
+	var logMu sync.Mutex
+	_, h := newTestServer(t, &specSource{file: writeSpecFile(t, bare), opts: serveStateOpts}, fleet.Config{
+		StateDir: dir,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	}, serveConfig{})
 	rec := postTranslate(h, `{"question": "how many employees are there"}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("translate on empty state: %d, want 503", rec.Code)
@@ -134,6 +140,11 @@ func TestServeAllCorruptCleanEmptyState(t *testing.T) {
 	h.ServeHTTP(ready, req)
 	if ready.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz on empty state: %d, want 503", ready.Code)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(logs.String(), "skipping checkpoint "+name) {
+		t.Fatalf("damaged checkpoint not reported; logs:\n%s", logs.String())
 	}
 }
 
@@ -369,20 +380,27 @@ func TestRunCheckpointCLI(t *testing.T) {
 	}
 }
 
-// TestBuildServingSystemPaths drives the startup decision tree
-// directly: warm start from a valid checkpoint, fallback past a
-// corrupt one, cold build when nothing is recoverable, clean empty
-// state for a schema-only spec, and abandoned-temp cleanup.
-func TestBuildServingSystemPaths(t *testing.T) {
-	logf := func(format string, args ...any) { t.Logf("serve: "+format, args...) }
+// TestServeActivationPaths drives the startup decision tree of the
+// single tenant through openRegistry, the path runServe takes: a cold
+// build without a state directory, a warm start past a corrupt newer
+// checkpoint with the abandoned temp swept, a cold build behind an
+// empty store, and a schema-only spec on an empty store serving 503
+// until a reload.
+func TestServeActivationPaths(t *testing.T) {
+	demo := &specSource{demo: true, opts: serveStateOpts}
+	row := func(reg *fleet.Registry) fleet.TenantHealth {
+		t.Helper()
+		r, err := reg.TenantHealth(defaultTenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 
 	// No statedir: plain cold build, no store.
-	sys, st, warm, err := buildServingSystem("", demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != nil || warm || !sys.Ready() {
-		t.Fatalf("cold path: store=%v warm=%v ready=%v", st, warm, sys.Ready())
+	reg, _ := newTestServer(t, demo, fleet.Config{}, serveConfig{})
+	if r := row(reg); r.Checkpoint != nil || r.Counters.ColdBuilds != 1 || !r.Ready {
+		t.Fatalf("cold path: checkpoint=%v counters=%+v ready=%v", r.Checkpoint, r.Counters, r.Ready)
 	}
 
 	// Seed a state directory from that system, plus a corrupt newer
@@ -392,7 +410,7 @@ func TestBuildServingSystemPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := sys.WriteCheckpoint(seed)
+	gen, err := defaultSys(t, reg).WriteCheckpoint(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,12 +425,9 @@ func TestBuildServingSystemPaths(t *testing.T) {
 
 	// Statedir with a recoverable generation: warm start past the
 	// corrupt file, temp swept.
-	sys2, st2, warm2, err := buildServingSystem(dir, demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 == nil || !warm2 || !sys2.Ready() || sys2.Generation() != gen {
-		t.Fatalf("warm path: store=%v warm=%v ready=%v gen=%d", st2, warm2, sys2.Ready(), sys2.Generation())
+	reg2, _ := newTestServer(t, demo, fleet.Config{StateDir: dir}, serveConfig{})
+	if r := row(reg2); r.Checkpoint == nil || r.Counters.WarmStarts != 1 || !r.Ready || r.Generation != gen {
+		t.Fatalf("warm path: checkpoint=%v counters=%+v ready=%v gen=%d", r.Checkpoint, r.Counters, r.Ready, r.Generation)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("abandoned temp not swept: %v", err)
@@ -420,23 +435,133 @@ func TestBuildServingSystemPaths(t *testing.T) {
 
 	// Statedir with nothing recoverable but samples in the spec: cold
 	// build behind the store.
-	sys3, st3, warm3, err := buildServingSystem(t.TempDir(), demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3 == nil || warm3 || !sys3.Ready() {
-		t.Fatalf("cold-behind-store path: store=%v warm=%v ready=%v", st3, warm3, sys3.Ready())
+	reg3, _ := newTestServer(t, demo, fleet.Config{StateDir: t.TempDir()}, serveConfig{})
+	if r := row(reg3); r.Checkpoint == nil || r.Counters.ColdBuilds != 1 || r.Counters.WarmStarts != 0 || !r.Ready {
+		t.Fatalf("cold-behind-store path: checkpoint=%v counters=%+v ready=%v", r.Checkpoint, r.Counters, r.Ready)
 	}
 
-	// Schema-only spec and an empty statedir: clean empty state.
+	// Schema-only spec and an empty statedir: clean empty state that
+	// serves 503.
 	bare := demoSpec()
 	bare.Samples = nil
-	sys4, st4, warm4, err := buildServingSystem(t.TempDir(), bare, serveStateOpts, "", logf)
+	reg4, h4 := newTestServer(t, &specSource{file: writeSpecFile(t, bare), opts: serveStateOpts},
+		fleet.Config{StateDir: t.TempDir()}, serveConfig{})
+	if r := row(reg4); r.Checkpoint == nil || r.Counters.WarmStarts != 0 || r.Counters.ColdBuilds != 0 || r.Ready {
+		t.Fatalf("empty-state path: checkpoint=%v counters=%+v ready=%v", r.Checkpoint, r.Counters, r.Ready)
+	}
+	if rec := postTranslate(h4, `{"question": "how many employees are there"}`); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("empty-state translate = %d, want 503", rec.Code)
+	}
+
+	// The same rule without a statedir: a schema-only spec serves 503
+	// too, instead of failing startup.
+	reg5, _ := newTestServer(t, &specSource{file: writeSpecFile(t, bare), opts: serveStateOpts},
+		fleet.Config{}, serveConfig{})
+	if r := row(reg5); r.State != "active" || r.Ready {
+		t.Fatalf("schema-only without statedir: state=%s ready=%v", r.State, r.Ready)
+	}
+
+	// A spec that cannot be built fails activation, so runServe exits
+	// before announcing readiness.
+	broken := demoSpec()
+	broken.Samples = []string{"SELECT nosuch FROM nowhere"}
+	if _, err := openRegistry(&specSource{file: writeSpecFile(t, broken), opts: serveStateOpts}, fleet.Config{}); err == nil {
+		t.Fatal("a spec whose samples bind nothing activated")
+	}
+	if _, err := openRegistry(&specSource{file: filepath.Join(t.TempDir(), "missing.json"), opts: serveStateOpts}, fleet.Config{}); err == nil {
+		t.Fatal("a missing spec file activated")
+	}
+}
+
+// TestServeUpgradesSingleDatabaseStateDir: a state directory laid out
+// by the single-database server of earlier releases — checkpoints
+// directly in the directory, the feedback WAL in {dir}/feedback —
+// upgrades in place. `gar serve -demo -statedir dir -feedback` warm-starts at the
+// stored generation, its health row counts the stored WAL records, and
+// its next checkpoint lands in dir, not in dir/default.
+func TestServeUpgradesSingleDatabaseStateDir(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("POSIX signal semantics required")
+	}
+	if testing.Short() {
+		t.Skip("subprocess restart test skipped in -short")
+	}
+	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st4 == nil || warm4 || sys4.Ready() {
-		t.Fatalf("empty-state path: store=%v warm=%v ready=%v", st4, warm4, sys4.Ready())
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, err := buildSystem(demoSpec(), serveStateOpts, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.WriteCheckpoint(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flog, err := feedback.Open(filepath.Join(dir, "feedback"), feedback.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"how many people work here", "count the staff"} {
+		rec := feedback.Record{Question: q, SQL: "SELECT COUNT(*) FROM employee",
+			Source: feedback.SourceCorrected, Generation: gen}
+		if _, err := flog.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := flog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd, addr, logs := serveChild(t, exe, "TestServeMemlimitHelper",
+		serveMemArgsEnv+"=-demo -addr 127.0.0.1:0 -pool 200 -feedback -traininterval 1h -statedir "+dir)
+	defer func() { _ = cmd.Process.Kill() }()
+	if out := logs(); !strings.Contains(out, fmt.Sprintf("warm start from checkpoint generation %d", gen)) {
+		t.Fatalf("did not warm-start from the stored generation %d; logs:\n%s", gen, out)
+	}
+	var row struct {
+		Generation uint64                `json:"generation"`
+		Counters   fleet.Counters        `json:"counters"`
+		Feedback   *fleet.FeedbackHealth `json:"feedback"`
+	}
+	resp, err := http.Get("http://" + addr + "/db/default/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&row)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Generation != gen || row.Counters.WarmStarts != 1 {
+		t.Fatalf("tenant row: generation %d warm starts %d, want generation %d warm", row.Generation, row.Counters.WarmStarts, gen)
+	}
+	if row.Feedback == nil || row.Feedback.WAL.Records != 2 {
+		t.Fatalf("tenant feedback block = %+v, want the 2 stored WAL records", row.Feedback)
+	}
+	if got := translateOver(t, addr, "who is the oldest employee"); got.Generation != gen {
+		t.Fatalf("served generation %d, want %d", got.Generation, gen)
+	}
+	resp, err = http.Post("http://"+addr+"/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload status %d", resp.StatusCode)
+	}
+	stopServeChild(t, cmd, logs)
+
+	if _, err := os.Stat(st.Path(gen + 1)); err != nil {
+		t.Fatalf("the next checkpoint did not land in the state directory: %v; logs:\n%s", err, logs())
+	}
+	if _, err := os.Stat(filepath.Join(dir, defaultTenant)); !os.IsNotExist(err) {
+		t.Fatalf("the upgrade created a tenant subdirectory (err=%v)", err)
 	}
 }
 

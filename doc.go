@@ -10,18 +10,24 @@
 // falls back to retrieval order and a value post-processing failure
 // falls back to masked SQL, both flagged on Result.Degraded. A System
 // is safe for concurrent translations, and `gar serve` (cmd/gar) runs
-// it as an HTTP JSON service. See the README's "Serving & robustness"
-// section.
+// systems as one HTTP JSON service: every database is a tenant of an
+// internal/fleet registry — one tenant named default for -spec or
+// -demo, one per spec file for -specdir — behind one route table
+// (/db/{name}/..., with /translate, /reload and /feedback as aliases
+// of /db/default/...). internal/fleet is the only serving code that
+// wires memory budgets, spill, checkpoints, the feedback WAL and the
+// trainer, and the only health renderer. See the README's "Serving &
+// robustness" section.
 //
 // The serving state is copy-on-write: pool, index and models live in
 // one immutable snapshot behind an atomic pointer, so a translation
 // always observes a single consistent generation while System.Swap
 // (surfaced as POST /reload) publishes a complete replacement with
 // zero downtime. The server is overload-protected — internal/admit
-// bounds in-flight work with a deadline-aware queue and sheds the
-// excess with 429 + Retry-After, internal/breaker trips a failing
-// re-ranker into retrieval-only degraded mode, and /readyz vs /healthz
-// distinguish "routable" from "healthy". Model files are written
+// bounds each tenant's in-flight work with a deadline-aware queue and
+// sheds the excess with 429 + Retry-After, internal/breaker trips a
+// failing re-ranker into retrieval-only degraded mode, and /readyz vs
+// /healthz distinguish "routable" from "healthy". Model files are written
 // crash-safely (temp file + fsync + rename, checksummed envelope) and
 // torn or corrupted streams are rejected with gar.ErrCorruptModels.
 // See the README's "Overload & hot reload" section.

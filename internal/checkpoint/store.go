@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/durable"
@@ -95,28 +93,20 @@ type Entry struct {
 // List returns every checkpoint file in the directory, newest
 // generation first. Temp files and foreign names are ignored.
 func (st *Store) List() ([]Entry, error) {
-	des, err := os.ReadDir(st.dir)
+	files, err := durable.ListNumbered(st.dir, fileRE)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: listing state directory: %w", err)
 	}
 	var out []Entry
-	for _, de := range des {
-		match := fileRE.FindStringSubmatch(de.Name())
-		if match == nil || de.IsDir() {
-			continue
-		}
-		gen, err := strconv.ParseUint(match[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		e := Entry{Generation: gen, Path: filepath.Join(st.dir, de.Name())}
-		if info, err := de.Info(); err == nil {
+	for i := len(files) - 1; i >= 0; i-- {
+		f := files[i]
+		e := Entry{Generation: f.N, Path: f.Path}
+		if info, err := f.Entry.Info(); err == nil {
 			e.Size = info.Size()
 			e.ModTime = info.ModTime()
 		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Generation > out[j].Generation })
 	return out, nil
 }
 

@@ -15,7 +15,9 @@
 //   - A block, magic + u64 length + payload + u64 CRC, is the models
 //     envelope and the checkpoint manifest header (AppendBlock,
 //     ParseBlock).
-//   - Sweep removes the temp files an interrupted write left behind.
+//   - Sweep removes the temp files an interrupted write left behind,
+//     and ListNumbered lists a directory's numbered series (checkpoint
+//     generations, WAL segments) in counter order.
 //
 // Every integer is big-endian and every CRC covers the payload alone.
 // What stays with each format is its magic, its length limits and what
@@ -34,6 +36,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 
 	"repro/internal/faults"
 )
@@ -197,4 +202,39 @@ func Sweep(dir, pattern string) ([]string, error) {
 		removed = append(removed, p)
 	}
 	return removed, firstErr
+}
+
+// Numbered is one file of a numbered series: a name whose pattern
+// captures a decimal counter, such as gen-{20 digits}.ckpt.
+type Numbered struct {
+	N     uint64
+	Path  string
+	Entry fs.DirEntry
+}
+
+// ListNumbered returns the files of dir whose names match re, in
+// ascending order of the counter re's first submatch captures. Names
+// that do not match, directories with matching names and counters that
+// overflow uint64 are skipped. A missing directory is os.ReadDir's
+// error (fs.ErrNotExist), for the caller to treat as empty or as a
+// failure.
+func ListNumbered(dir string, re *regexp.Regexp) ([]Numbered, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []Numbered
+	for _, e := range entries {
+		m := re.FindStringSubmatch(e.Name())
+		if m == nil || e.IsDir() {
+			continue
+		}
+		n, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		out = append(out, Numbered{N: n, Path: filepath.Join(dir, e.Name()), Entry: e})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].N < out[j].N })
+	return out, nil
 }

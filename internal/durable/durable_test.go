@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"testing"
 
@@ -320,6 +322,48 @@ func TestDurableSweep(t *testing.T) {
 		if removed, err := Sweep(d, testPattern); err != nil || len(removed) != 0 {
 			t.Fatalf("Sweep(%q) = %v, %v", d, removed, err)
 		}
+	}
+}
+
+// TestDurableListNumbered: ListNumbered returns the matching files in
+// counter order and skips names that do not match, directories with
+// matching names and counters that overflow uint64; a missing directory
+// is fs.ErrNotExist.
+func TestDurableListNumbered(t *testing.T) {
+	re := regexp.MustCompile(`^seq-(\d{20})\.dat$`)
+	dir := t.TempDir()
+	for _, name := range []string{
+		"seq-00000000000000000010.dat",
+		"seq-00000000000000000002.dat",
+		"seq-18446744073709551615.dat", // max uint64
+		"seq-99999999999999999999.dat", // overflows uint64
+		"seq-2.dat",                    // not 20 digits
+		"seq-00000000000000000003.dat.tmp",
+		"other-00000000000000000004.dat",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "seq-00000000000000000005.dat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := ListNumbered(dir, re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, f := range files {
+		got = append(got, f.N)
+		if want := filepath.Join(dir, f.Entry.Name()); f.Path != want || f.Entry.IsDir() {
+			t.Errorf("file %d: path %q entry %q dir=%v", f.N, f.Path, f.Entry.Name(), f.Entry.IsDir())
+		}
+	}
+	if want := []uint64{2, 10, 18446744073709551615}; !slices.Equal(got, want) {
+		t.Fatalf("counters %v, want %v", got, want)
+	}
+	if _, err := ListNumbered(filepath.Join(dir, "missing"), re); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing directory: %v, want fs.ErrNotExist", err)
 	}
 }
 

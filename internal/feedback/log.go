@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -136,7 +134,7 @@ func segPath(dir string, id uint64) string {
 
 // listSegments returns the segment files of dir in ID order.
 func listSegments(dir string) ([]segment, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := durable.ListNumbered(dir, segRE)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -144,18 +142,9 @@ func listSegments(dir string) ([]segment, error) {
 		return nil, fmt.Errorf("feedback: listing segments: %w", err)
 	}
 	var segs []segment
-	for _, e := range entries {
-		m := segRE.FindStringSubmatch(e.Name())
-		if m == nil || e.IsDir() {
-			continue
-		}
-		id, perr := strconv.ParseUint(m[1], 10, 64)
-		if perr != nil {
-			continue
-		}
-		segs = append(segs, segment{id: id, path: filepath.Join(dir, e.Name())})
+	for _, f := range files {
+		segs = append(segs, segment{id: f.N, path: f.Path})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].id < segs[j].id })
 	return segs, nil
 }
 

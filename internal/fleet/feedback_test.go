@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -170,4 +171,46 @@ func TestFleetFeedbackInert(t *testing.T) {
 			MaxActive: 2, Feedback: true,
 		}))
 	})
+}
+
+// TestFleetFlatState pins the single-database layout: a FlatState
+// registry holds one tenant, whose checkpoints, feedback WAL and spill
+// runs live directly in StateDir, StateDir/feedback and StateDir/spill
+// — never in a StateDir/{tenant} subdirectory.
+func TestFleetFlatState(t *testing.T) {
+	stateDir := t.TempDir()
+	src := newTestSource(t)
+	src.opts.SpillBufferBytes = 512 // forces the pool build to spill
+	reg := fleet.New(&feedbackSource{src}, fleet.Config{
+		StateDir: stateDir, FlatState: true, Feedback: true, MemLimit: 64 << 20,
+	})
+	if err := reg.Register("solo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("other"); err == nil {
+		t.Fatal("a flat state directory accepted a second tenant")
+	}
+	ctx := context.Background()
+	if _, err := translateVia(ctx, reg, "solo", "how many items are there"); err != nil {
+		t.Fatal(err)
+	}
+	// The roll-up totals the tenant's checkpoint counters.
+	waitFor(t, "the cold build's checkpoint in the roll-up", func() bool {
+		ck := reg.Health().Checkpoint
+		return ck != nil && ck.Writes >= 1 && !ck.Pending
+	})
+	if err := reg.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := filepath.Glob(filepath.Join(stateDir, "gen-*.ckpt")); len(got) == 0 {
+		t.Error("no checkpoint in the state directory")
+	}
+	for _, sub := range []string{"feedback", "spill"} {
+		if st, err := os.Stat(filepath.Join(stateDir, sub)); err != nil || !st.IsDir() {
+			t.Errorf("%s directory not in the state directory: %v", sub, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, "solo")); !os.IsNotExist(err) {
+		t.Errorf("flat layout created a tenant subdirectory (err=%v)", err)
+	}
 }

@@ -1,10 +1,16 @@
-// Package fleet serves many databases from one process. A Registry
-// maps tenant (database) name → an isolated serving System, keeping a
+// Package fleet serves databases from one process. A Registry maps
+// tenant (database) name → an isolated serving System, keeping a
 // bounded working set resident: cold tenants are activated on first
 // use — warm-started from their per-tenant checkpoint directory when
 // one exists, cold-built through the caller's Source otherwise — and
 // the least-recently-used idle tenant is evicted when the set is full,
-// but only after its state has been flushed to a checkpoint.
+// but only after its state has been flushed to a checkpoint. One
+// database is a registry of one tenant (Config.FlatState keeps its
+// state directly in the state directory).
+//
+// The registry is the only serving code that wires a tenant's memory
+// budget and spill directory, checkpoint store and checkpointer,
+// feedback WAL and trainer, and the only health renderer.
 //
 // Isolation is the point. Every tenant owns its admission controller
 // and circuit breaker, sized from fleet-wide limits, so one saturated
@@ -23,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -125,11 +132,19 @@ type Config struct {
 	// the process root.
 	TenantMemLimit int64
 
-	// StateDir is the root of the multi-tenant checkpoint tree
-	// ({StateDir}/{tenant}/...); empty disables durability — evicting a
-	// tenant then drops state that a re-activation must rebuild.
-	// Memory-governed pool builds spill under {StateDir}/{tenant}/spill.
+	// StateDir is the root of the multi-tenant state tree: a tenant's
+	// checkpoints live in {StateDir}/{tenant}, its feedback WAL in
+	// {StateDir}/{tenant}/feedback and its spill runs in
+	// {StateDir}/{tenant}/spill. Empty disables durability — evicting a
+	// tenant then drops state that a re-activation must rebuild — and
+	// memory-governed builds spill under a process-private temp
+	// directory ({tmp}/{tenant}) that Shutdown removes.
 	StateDir string
+	// FlatState lays the registry's one tenant out directly in StateDir
+	// (checkpoints in StateDir, WAL in StateDir/feedback, spill runs in
+	// StateDir/spill): the single-database layout of `gar serve -spec`.
+	// Register refuses a second tenant.
+	FlatState bool
 	// Keep is the per-tenant checkpoint retention (default 3).
 	Keep int
 
@@ -140,7 +155,7 @@ type Config struct {
 	EvictFlushTimeout time.Duration
 
 	// Feedback enables the per-tenant online learning loop: a durable
-	// feedback WAL at {StateDir}/{tenant}/feedback plus a background
+	// feedback WAL in the tenant's state directory plus a background
 	// trainer per resident tenant. Requires StateDir and a Source that
 	// implements FeedbackSource; otherwise it is silently inert.
 	Feedback bool
@@ -289,6 +304,13 @@ type Registry struct {
 	tenants map[string]*tenant
 	closed  bool
 
+	// tmpSpill is the process-private spill root of a registry without
+	// a StateDir: the first spillRoot creates it under spillOnce (or
+	// records tmpErr), and Shutdown removes it.
+	spillOnce sync.Once
+	tmpSpill  string
+	tmpErr    error
+
 	capMu  sync.Mutex // serializes working-set accounting
 	active int        // tenants in activating|active|evicting
 
@@ -344,6 +366,9 @@ func (r *Registry) Register(name string) error {
 	}
 	if _, ok := r.tenants[name]; ok {
 		return fmt.Errorf("fleet: tenant %q already registered", name)
+	}
+	if r.cfg.FlatState && len(r.tenants) > 0 {
+		return fmt.Errorf("fleet: tenant %q: a flat state directory holds one tenant", name)
 	}
 	t := &tenant{
 		name:  name,
@@ -462,12 +487,12 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		t.mu.Lock()
 		switch t.state {
 		case stateActive:
+			// Returned even past ctx's deadline: the deadline bounds
+			// waiting for a transition, and the caller's own next step
+			// (admission, translation) reports it.
 			t.refs++
 			t.lastUsed = r.cfg.Clock()
 			h := &Handle{r: r, t: t, sys: t.sys, flog: t.flog, trainer: t.trainer}
@@ -494,6 +519,9 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 			}
 		case stateCold:
 			t.mu.Unlock()
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			if err := r.beginActivation(t); err != nil {
 				return nil, err
 			}
@@ -648,35 +676,67 @@ type builtTenant struct {
 	trainer *gar.Trainer
 }
 
+// tenantDir is the one place a tenant's on-disk layout is decided: its
+// checkpoints live in the returned directory, its feedback WAL in
+// {dir}/feedback and its spill runs in {dir}/spill. Empty when the
+// registry has no StateDir.
+func (r *Registry) tenantDir(name string) string {
+	if r.cfg.StateDir == "" || r.cfg.FlatState {
+		return r.cfg.StateDir
+	}
+	return filepath.Join(r.cfg.StateDir, name)
+}
+
+// spillRoot returns the process-private spill root of a registry
+// without a StateDir, creating it on first use.
+func (r *Registry) spillRoot() (string, error) {
+	r.spillOnce.Do(func() {
+		if r.tmpSpill, r.tmpErr = os.MkdirTemp("", "gar-spill-"); r.tmpErr != nil {
+			r.tmpErr = fmt.Errorf("fleet: creating spill directory: %w", r.tmpErr)
+		}
+	})
+	if r.tmpSpill == "" && r.tmpErr == nil {
+		return "", ErrClosed // Shutdown claimed the root first
+	}
+	return r.tmpSpill, r.tmpErr
+}
+
 // buildTenant assembles a tenant's serving system: schema shell from
-// the source, then a checkpoint warm start when the state tree has one,
-// a source Deploy otherwise, and finally the tenant's breaker, a
-// running background checkpointer and (when the feedback loop is on)
-// the tenant's feedback WAL and background trainer.
+// the source, then a checkpoint warm start when the tenant's state
+// directory has one, a source Deploy otherwise, and finally the
+// tenant's breaker, a running background checkpointer and (when the
+// feedback loop is on) the tenant's feedback WAL and background
+// trainer.
 func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, error) {
 	sys, err := r.src.Cold(t.name)
 	if err != nil {
 		return builtTenant{}, err
 	}
+	dir := r.tenantDir(t.name)
 	if t.budget != nil {
 		// Pool builds charge this tenant's share of the fleet budget and
-		// spill under the tenant's own state directory. Orphaned spill
-		// files from a crashed previous run are scratch: sweep them now.
-		spillDir := ""
-		if r.cfg.StateDir != "" {
-			spillDir = filepath.Join(r.cfg.StateDir, t.name, "spill")
-			if removed, serr := spill.Sweep(spillDir); serr != nil {
-				r.cfg.Logf("fleet: tenant %s: sweeping spill dir: %v", t.name, serr)
-			} else if len(removed) > 0 {
-				r.cfg.Logf("fleet: tenant %s: removed %d orphaned spill file(s)", t.name, len(removed))
+		// spill beside its state, or under the process's private spill
+		// root without one. Orphaned spill files from a crashed previous
+		// run are scratch: sweep them now.
+		spillDir := filepath.Join(dir, "spill")
+		if dir == "" {
+			root, rerr := r.spillRoot()
+			if rerr != nil {
+				return builtTenant{}, rerr
 			}
+			spillDir = filepath.Join(root, t.name)
+		}
+		if removed, serr := spill.Sweep(spillDir); serr != nil {
+			r.cfg.Logf("fleet: tenant %s: sweeping spill dir: %v", t.name, serr)
+		} else if len(removed) > 0 {
+			r.cfg.Logf("fleet: tenant %s: removed %d orphaned spill file(s)", t.name, len(removed))
 		}
 		sys.SetResources(t.budget, spillDir)
 	}
 	b := builtTenant{sys: sys}
 	var store *checkpoint.Store
-	if r.cfg.StateDir != "" {
-		store, err = checkpoint.OpenTenant(r.cfg.StateDir, t.name)
+	if dir != "" {
+		store, err = checkpoint.Open(dir)
 		if err != nil {
 			return builtTenant{}, err
 		}
@@ -692,7 +752,10 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 		for _, sk := range skipped {
 			r.cfg.Logf("fleet: tenant %s: skipping checkpoint %s: %v", t.name, sk.Path, sk.Err)
 		}
-		b.warm = ck != nil
+		if b.warm = ck != nil; b.warm {
+			r.cfg.Logf("fleet: tenant %s: warm start from checkpoint generation %d (%d candidates)",
+				t.name, ck.Manifest.Generation, sys.PoolSize())
+		}
 	}
 	if !b.warm {
 		if _, err = r.src.Deploy(ctx, t.name, sys); err != nil {
@@ -718,7 +781,7 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 	if fsrc, ok := r.src.(FeedbackSource); ok && r.cfg.Feedback && store != nil {
 		// The WAL lives inside the tenant's own state directory, so an
 		// eviction+reactivation (or a restart) replays the same records.
-		flog, ferr := feedback.Open(filepath.Join(store.Dir(), "feedback"), feedback.Config{})
+		flog, ferr := feedback.Open(filepath.Join(dir, "feedback"), feedback.Config{})
 		if ferr != nil {
 			return builtTenant{}, fmt.Errorf("fleet: tenant %s feedback log: %w", t.name, ferr)
 		}
@@ -861,7 +924,9 @@ func (r *Registry) Reload(ctx context.Context, name string) (uint64, error) {
 	h.t.mu.Lock()
 	h.t.counters.Reloads++
 	h.t.mu.Unlock()
-	return h.Sys().Generation(), nil
+	gen := h.Sys().Generation()
+	r.cfg.Logf("fleet: tenant %s reloaded (generation %d, pool %d)", name, gen, h.Sys().PoolSize())
+	return gen, nil
 }
 
 // AnyReady reports whether at least one tenant currently serves a
@@ -881,8 +946,9 @@ func (r *Registry) AnyReady() bool {
 // Shutdown drains and flushes the whole fleet: new Acquires fail with
 // ErrClosed, every tenant's in-flight work drains, then each tenant's
 // final checkpoint is flushed — all bounded by ctx and run in parallel
-// across tenants. The first error is returned after every tenant
-// settles; a second Shutdown is a no-op.
+// across tenants — and the private spill root, if any, is removed. The
+// first error is returned after every tenant settles; a second
+// Shutdown is a no-op.
 func (r *Registry) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.closed {
@@ -904,6 +970,12 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	}
 	wg.Wait()
 	close(errs)
+	r.spillOnce.Do(func() {}) // no root is created from here on
+	if r.tmpSpill != "" {
+		if err := os.RemoveAll(r.tmpSpill); err != nil {
+			r.cfg.Logf("fleet: removing spill directory: %v", err)
+		}
+	}
 	for err := range errs {
 		if err != nil {
 			return err

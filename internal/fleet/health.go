@@ -10,12 +10,27 @@ import (
 // FeedbackHealth is the online-learning block of a health row: the
 // accept/reject tallies of the feedback endpoint, the WAL's footprint,
 // and the trainer's counters (state, promotions, shadow verdicts,
-// rollbacks). The single-tenant server reuses it for /healthz.
+// rollbacks).
 type FeedbackHealth struct {
 	Accepted uint64           `json:"accepted"`
 	Rejected uint64           `json:"rejected"`
 	WAL      feedback.Stats   `json:"wal"`
 	Trainer  gar.TrainerStats `json:"trainer"`
+}
+
+// ExecGuideSource is the optional Source extension that reports
+// whether the systems the source builds run the execution-guided
+// stage; when they do, every resident tenant's health row carries the
+// stage's counters.
+type ExecGuideSource interface {
+	ExecGuided() bool
+}
+
+// ExecGuideHealth is the execution-guided stage's block of a health
+// row: its candidates executed, demoted, errored and timed out.
+type ExecGuideHealth struct {
+	Enabled bool `json:"enabled"`
+	gar.ExecGuideStats
 }
 
 // TenantHealth is one tenant's row in the fleet health roll-up.
@@ -37,9 +52,15 @@ type TenantHealth struct {
 	Admission  admit.Stats          `json:"admission"`
 	Breaker    *breaker.Snapshot    `json:"breaker,omitempty"`
 	Checkpoint *gar.CheckpointStats `json:"checkpoint,omitempty"`
+	// Caches are the translation-path cache counters (embeddings,
+	// translations), absent while the tenant is not resident.
+	Caches *gar.CacheStats `json:"caches,omitempty"`
+	// ExecGuide is the execution-guided stage's block, absent while the
+	// tenant is not resident or the stage is off.
+	ExecGuide *ExecGuideHealth `json:"execguide,omitempty"`
 	// Memory is the tenant's resource-governance block (budget usage,
 	// snapshot bytes, spill gauges, degradation record), absent while
-	// the tenant is not resident.
+	// the tenant is not resident or has no memory budget.
 	Memory *gar.MemStats `json:"memory,omitempty"`
 	// Feedback is the online-learning block, absent while the tenant is
 	// not resident or the feedback loop is disabled.
@@ -67,8 +88,21 @@ type Health struct {
 	// Memory is the process-wide memory budget's gauges, absent when
 	// memory governance is disabled.
 	Memory *gar.MemBudgetStats `json:"memory,omitempty"`
+	// Checkpoint totals the resident tenants' checkpoint counters,
+	// absent without a StateDir.
+	Checkpoint *CheckpointTotals `json:"checkpoint,omitempty"`
 	// Tenants holds the per-tenant rows, keyed by name.
 	Tenants map[string]TenantHealth `json:"tenants"`
+}
+
+// CheckpointTotals is the fleet roll-up of the resident tenants'
+// checkpointers: writes, failures and pruned files summed, and pending
+// while any of them has a publication not yet written.
+type CheckpointTotals struct {
+	Writes   uint64 `json:"writes"`
+	Failures uint64 `json:"failures"`
+	Pruned   uint64 `json:"pruned"`
+	Pending  bool   `json:"pending"`
 }
 
 // tenantHealth assembles one tenant's row.
@@ -91,8 +125,14 @@ func (r *Registry) tenantHealth(t *tenant) TenantHealth {
 		h.Ready = sys.Ready()
 		h.Generation = sys.Generation()
 		h.Pool = sys.PoolSize()
-		ms := sys.MemStats()
-		h.Memory = &ms
+		cs := sys.CacheStats()
+		h.Caches = &cs
+		if eg, ok := r.src.(ExecGuideSource); ok && eg.ExecGuided() {
+			h.ExecGuide = &ExecGuideHealth{Enabled: true, ExecGuideStats: sys.ExecGuideStats()}
+		}
+		if ms := sys.MemStats(); ms.Budget != nil {
+			h.Memory = &ms
+		}
 	}
 	if ckptr != nil {
 		cs := ckptr.Stats()
@@ -154,10 +194,19 @@ func (r *Registry) Health() Health {
 		Memory:        r.memRoot.Stats(),
 		Tenants:       make(map[string]TenantHealth, len(tenants)),
 	}
+	if r.cfg.StateDir != "" {
+		h.Checkpoint = &CheckpointTotals{}
+	}
 	anyReady, degraded := false, false
 	for _, t := range tenants {
 		row := r.tenantHealth(t)
 		h.Tenants[t.name] = row
+		if ck := row.Checkpoint; ck != nil && h.Checkpoint != nil {
+			h.Checkpoint.Writes += ck.Writes
+			h.Checkpoint.Failures += ck.Failures
+			h.Checkpoint.Pruned += ck.Pruned
+			h.Checkpoint.Pending = h.Checkpoint.Pending || ck.Pending
+		}
 		if row.Status == "ok" || row.Status == "degraded" {
 			anyReady = true
 		}

@@ -2,6 +2,8 @@ package fleet_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fleet"
@@ -138,3 +140,73 @@ func TestFleetTenantBudgetPressure(t *testing.T) {
 // footprint (~15KB snapshot), so activation must shed candidates to
 // fit instead of failing outright.
 const tenantPressureLimit = 10 << 10
+
+// TestFleetSpillWithoutStateDir: a memory-governed registry without a
+// StateDir spills pool builds under a process-private temp root instead
+// of truncating them: the pool builds spilled and undegraded, answers
+// like an unbudgeted build, and Shutdown removes the root.
+func TestFleetSpillWithoutStateDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // the spill root goes here, where the test can see it
+	opts := fleetOpts()
+	opts.SpillBufferBytes = 512 // far below the fixture pool: forces spill runs
+	src := newTestSource(t)
+	src.opts = opts
+	reg := fleet.New(src, fleet.Config{MaxActive: 2, MemLimit: 64 << 20})
+	plain := fleet.New(newTestSource(t), fleet.Config{MaxActive: 2})
+	for _, r := range []*fleet.Registry{reg, plain} {
+		if err := r.Register("alpha"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	t.Cleanup(func() { _ = plain.Shutdown(ctx) })
+	for _, q := range []string{"how many items are there", "which item has the largest quantity", "list the item labels"} {
+		got, err := translateVia(ctx, reg, "alpha", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := translateVia(ctx, plain, "alpha", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SQL != want.SQL || got.Generation != want.Generation || len(got.Candidates) != len(want.Candidates) {
+			t.Fatalf("%q: spilled build answered %q gen %d (%d candidates), unbudgeted %q gen %d (%d)", q,
+				got.SQL, got.Generation, len(got.Candidates), want.SQL, want.Generation, len(want.Candidates))
+		}
+		for i := range got.Candidates {
+			if got.Candidates[i] != want.Candidates[i] {
+				t.Fatalf("%q candidate %d: spilled %+v, unbudgeted %+v", q, i, got.Candidates[i], want.Candidates[i])
+			}
+		}
+	}
+	row, err := reg.TenantHealth("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Memory == nil || row.Memory.SpillFiles == 0 || row.Memory.Degraded {
+		t.Fatalf("memory row = %+v, want a spilled, undegraded build", row.Memory)
+	}
+	if row.Pool != mustPool(t, plain, "alpha") {
+		t.Fatalf("spilled pool %d, unbudgeted pool %d", row.Pool, mustPool(t, plain, "alpha"))
+	}
+
+	if roots, _ := filepath.Glob(filepath.Join(tmp, "gar-spill-*", "alpha")); len(roots) != 1 {
+		t.Fatalf("tenant spill directories under the temp root: %v, want one", roots)
+	}
+	if err := reg.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("Shutdown left %d entries in the temp directory", len(left))
+	}
+}
+
+func mustPool(t *testing.T, reg *fleet.Registry, name string) int {
+	t.Helper()
+	row, err := reg.TenantHealth(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row.Pool
+}
