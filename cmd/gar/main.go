@@ -235,6 +235,23 @@ func newSystem(s *spec, opts gar.Options) (*gar.System, *gar.Content, error) {
 	if err := validateSpecSchema(s); err != nil {
 		return nil, nil, err
 	}
+	db := garDatabase(s)
+	sys, err := gar.New(db, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	content, err := specContent(s, db)
+	if err != nil {
+		return nil, nil, err
+	}
+	if content != nil {
+		sys.SetContent(content)
+	}
+	return sys, content, nil
+}
+
+// garDatabase builds the spec's database through the public API.
+func garDatabase(s *spec) *gar.Database {
 	db := gar.NewDatabase(s.Database.Name)
 	for _, t := range s.Database.Tables {
 		tableOpts := []any{gar.Key(t.PrimaryKey...)}
@@ -267,24 +284,24 @@ func newSystem(s *spec, opts gar.Options) (*gar.System, *gar.Content, error) {
 		}
 		db.AddJoinAnnotation(conv)
 	}
+	return db
+}
 
-	sys, err := gar.New(db, opts)
-	if err != nil {
-		return nil, nil, err
+// specContent loads the spec's content rows into db; nil when the spec
+// has none.
+func specContent(s *spec, db *gar.Database) (*gar.Content, error) {
+	if len(s.Content) == 0 {
+		return nil, nil
 	}
-	var content *gar.Content
-	if len(s.Content) > 0 {
-		content = gar.NewContent(db)
-		for table, rows := range s.Content {
-			for _, row := range rows {
-				if err := content.Insert(table, row...); err != nil {
-					return nil, nil, err
-				}
+	content := gar.NewContent(db)
+	for table, rows := range s.Content {
+		for _, row := range rows {
+			if err := content.Insert(table, row...); err != nil {
+				return nil, err
 			}
 		}
-		sys.SetContent(content)
 	}
-	return sys, content, nil
+	return content, nil
 }
 
 // deploySystem runs the expensive back half of a cold build on an
@@ -314,31 +331,6 @@ func specModels(sys *gar.System, s *spec, opts gar.Options, loadModels string) (
 		return gar.LoadModelsFile(loadModels)
 	}
 	return gar.TrainModels([]gar.TrainingSet{{System: sys, Examples: specExamples(s)}}, opts)
-}
-
-// reloadModels builds what a hot reload swaps into a live system: the
-// spec's content and its ranking models. Training runs on a prepared
-// throwaway system that is never deployed — Swap builds the serving
-// pool, index and feature table itself — and loaded models need no
-// throwaway pool at all.
-func reloadModels(s *spec, opts gar.Options, loadModels string) (*gar.Content, *gar.Models, error) {
-	if err := validateSpec(s); err != nil {
-		return nil, nil, err
-	}
-	sys, content, err := newSystem(s, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if loadModels == "" {
-		if err := sys.Prepare(s.Samples); err != nil {
-			return nil, nil, err
-		}
-	}
-	models, err := specModels(sys, s, opts, loadModels)
-	if err != nil {
-		return nil, nil, err
-	}
-	return content, models, nil
 }
 
 // specExamples converts the spec's training examples.

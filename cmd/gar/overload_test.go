@@ -1,15 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/gar"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 )
@@ -35,6 +43,175 @@ func getJSON(t *testing.T, h http.Handler, path string) (int, map[string]any) {
 
 func postReload(h http.Handler) *httptest.ResponseRecorder {
 	return serveRequest(h, http.MethodPost, "/reload", "")
+}
+
+var (
+	demoModelsOnce sync.Once
+	demoModels     *gar.Models
+	demoModelsErr  error
+)
+
+// demoModelsFile saves models trained once per test binary on the demo
+// spec (few epochs: the reload tests do not judge quality) into the
+// test's directory, so a server with -loadmodels reloads with a Prepare
+// and a deploy and no training.
+func demoModelsFile(t *testing.T) string {
+	t.Helper()
+	demoModelsOnce.Do(func() {
+		opts := testServeOpts()
+		opts.EncoderEpochs, opts.RerankEpochs = 4, 5
+		_, _, demoModels, demoModelsErr = buildSystemModels(demoSpec(), opts, "")
+	})
+	if demoModelsErr != nil {
+		t.Fatal(demoModelsErr)
+	}
+	path := filepath.Join(t.TempDir(), "models.gob")
+	if err := demoModels.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeSpec writes sp to path as JSON.
+func writeSpec(t *testing.T, path string, sp *spec) {
+	t.Helper()
+	data, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// servedPool returns the generation and the dialect set of the pool the
+// system serves, read from its checkpoint export.
+func servedPool(t *testing.T, sys *gar.System) (uint64, map[string]bool) {
+	t.Helper()
+	m, sections, err := sys.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sections {
+		if s.Name != core.SectionPool {
+			continue
+		}
+		var entries []struct{ SQL, Dialect string }
+		if err := gob.NewDecoder(bytes.NewReader(s.Data)).Decode(&entries); err != nil {
+			t.Fatal(err)
+		}
+		pool := make(map[string]bool, len(entries))
+		for _, e := range entries {
+			pool[e.Dialect] = true
+		}
+		return m.Generation, pool
+	}
+	t.Fatal("checkpoint export has no pool section")
+	return 0, nil
+}
+
+// TestServeReloadUnderTraffic: translations keep answering while POST
+// /reload repeats, the spec alternating between two sample sets. No
+// translation fails or degrades, and every reply's candidates belong to
+// the pool of the generation it reports: a reply never mixes the
+// outgoing and the incoming snapshot.
+func TestServeReloadUnderTraffic(t *testing.T) {
+	setA, setB := demoSpec(), demoSpec()
+	setA.Samples, setB.Samples = setA.Samples[:4], setB.Samples[4:]
+	path := writeSpecFile(t, setA)
+	reg, h := newTestServer(t, &specSource{file: path, opts: testServeOpts(), loadModels: demoModelsFile(t)},
+		fleet.Config{}, serveConfig{})
+	reload := func(sp *spec) error {
+		writeSpec(t, path, sp)
+		if rec := postReload(h); rec.Code != http.StatusOK {
+			return fmt.Errorf("reload: status %d: %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
+
+	// Generalization is seeded, so each sample set maps to one pool and
+	// the generation's parity names it.
+	gen0, poolA := servedPool(t, defaultSys(t, reg))
+	if err := reload(setB); err != nil {
+		t.Fatal(err)
+	}
+	_, poolB := servedPool(t, defaultSys(t, reg))
+	if err := reload(setA); err != nil {
+		t.Fatal(err)
+	}
+	if _, again := servedPool(t, defaultSys(t, reg)); !maps.Equal(again, poolA) {
+		t.Fatal("generalization not deterministic: reloading set A built another pool")
+	}
+	if maps.Equal(poolA, poolB) {
+		t.Fatal("the two sample sets build the same pool; the test cannot tell them apart")
+	}
+
+	const reloads = 8
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < reloads; i++ {
+			set := setB
+			if i%2 == 1 {
+				set = setA
+			}
+			if err := reload(set); err != nil {
+				t.Errorf("reload %d under traffic: %v", i, err)
+				return
+			}
+		}
+	}()
+	questions := []string{"how many employees are there", "who is the oldest employee",
+		"which employees are older than 30", "what is the average bonus"}
+	var served sync.Map
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := questions[(r+i)%len(questions)]
+				rec := postTranslate(h, fmt.Sprintf(`{"question": %q}`, q))
+				var resp translateResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+					t.Errorf("translate %q during reload: status %d: %s", q, rec.Code, rec.Body)
+					return
+				}
+				if resp.Degraded {
+					t.Errorf("translate %q during reload degraded: %v", q, resp.Warnings)
+					return
+				}
+				served.Store(resp.Generation, true)
+				pool, label := poolA, "A"
+				if (resp.Generation-gen0)%2 == 1 {
+					pool, label = poolB, "B"
+				}
+				for _, c := range resp.Candidates {
+					if !pool[c.Dialect] {
+						t.Errorf("generation %d (set %s) reply holds a candidate of another pool: %q",
+							resp.Generation, label, c.Dialect)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got, want := defaultSys(t, reg).Generation(), gen0+2+reloads; got != want {
+		t.Errorf("generation after %d reloads: %d, want %d", 2+reloads, got, want)
+	}
+	n := 0
+	served.Range(func(any, any) bool { n++; return true })
+	if n < 2 {
+		t.Errorf("replies came from %d generation(s); the traffic never straddled a reload", n)
+	}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -226,12 +403,11 @@ func TestServeBurstSheds(t *testing.T) {
 	}
 }
 
-// TestServeReload: POST /reload swaps in a new generation with zero
-// downtime, concurrent reloads are refused with 409, and a failing
-// reload reports honestly.
+// TestServeReload: POST /reload publishes a new generation, a failing
+// reload answers 422 and leaves the tenant as it was, and concurrent
+// reloads are refused with 409.
 func TestServeReload(t *testing.T) {
-	path := writeSpecFile(t, demoSpec())
-	reg, h := newTestServer(t, &specSource{file: path, opts: testServeOpts()}, fleet.Config{}, serveConfig{})
+	reg, h := newTestServer(t, &specSource{file: writeSpecFile(t, demoSpec()), opts: testServeOpts()}, fleet.Config{}, serveConfig{})
 
 	before := defaultSys(t, reg).Generation()
 	rec := postReload(h)
@@ -252,15 +428,86 @@ func TestServeReload(t *testing.T) {
 		t.Errorf("translate after reload: status %d", rec.Code)
 	}
 
-	// Method and spec errors.
 	if rec := serveRequest(h, http.MethodGet, "/reload", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /reload: status %d", rec.Code)
 	}
-	if err := os.WriteFile(path, []byte("spec unreadable"), 0o644); err != nil {
-		t.Fatal(err)
+
+	// A failing reload answers 422 and changes nothing: not the tenant's
+	// generation, pool or memory charge, and it leaves no spill run.
+	// alpha serves a small pool and beta the full demo pool, under a
+	// process budget too small for two full pools: growing alpha to the
+	// full spec builds on its fork, but adopt's Grow is denied. Every
+	// build spills, and the tenants activate through a reload so that
+	// alpha has no cached translations for adopt to purge.
+	fopts := testServeOpts()
+	fopts.SpillBufferBytes = 1024
+	small := demoSpec()
+	small.Samples = small.Samples[:3]
+	models := demoModelsFile(t)
+	dir := writeSpecDir(t, "beta")
+	writeSpec(t, filepath.Join(dir, "alpha.json"), small)
+	activate := func(fcfg fleet.Config) (http.Handler, map[string]fleet.TenantHealth) {
+		reg, h := newTestFleet(t, &specSource{dir: dir, opts: fopts, loadModels: models}, fcfg, serveConfig{}, "alpha", "beta")
+		out := map[string]fleet.TenantHealth{}
+		for _, name := range []string{"alpha", "beta"} {
+			if rec := postFleetReload(h, name); rec.Code != http.StatusOK {
+				t.Fatalf("activate %s: status %d: %s", name, rec.Code, rec.Body)
+			}
+			row, err := reg.TenantHealth(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = row
+		}
+		return h, out
 	}
-	if rec := postReload(h); rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("failing reload: status %d", rec.Code)
+	_, probe := activate(fleet.Config{MemLimit: 64 << 20, TenantMemLimit: 64 << 20})
+	sa, sb := probe["alpha"].Memory.SnapshotBytes, probe["beta"].Memory.SnapshotBytes
+	if sa >= sb {
+		t.Fatalf("small spec charges %d, not below the full spec's %d", sa, sb)
+	}
+	limit := (sa + 3*sb) / 2
+	stateDir := t.TempDir()
+	fh, live := activate(fleet.Config{MemLimit: limit, TenantMemLimit: limit, StateDir: stateDir})
+	alpha := live["alpha"]
+	if alpha.Memory.SpillFiles == 0 {
+		t.Fatalf("builds do not spill: %+v", alpha.Memory)
+	}
+	spillDir := filepath.Join(stateDir, "alpha", "spill")
+	noSamples := demoSpec()
+	noSamples.Samples = nil
+	failures := []struct {
+		name  string
+		write func(path string)
+		want  string
+	}{
+		{"unreadable spec", func(path string) {
+			if err := os.WriteFile(path, []byte("spec unreadable"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "parsing"},
+		{"spec without samples", func(path string) { writeSpec(t, path, noSamples) }, "no sample queries"},
+		{"denied grow", func(path string) { writeSpec(t, path, demoSpec()) }, "memory budget"},
+	}
+	for _, f := range failures {
+		f.write(filepath.Join(dir, "alpha.json"))
+		rec := postFleetReload(fh, "alpha")
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), f.want) {
+			t.Errorf("%s: status %d: %s", f.name, rec.Code, rec.Body)
+		}
+		code, row := getJSON(t, fh, "/db/alpha/healthz")
+		used := row["memory"].(map[string]any)["budget"].(map[string]any)["used"].(float64)
+		if code != http.StatusOK || uint64(row["generation"].(float64)) != alpha.Generation ||
+			int(row["pool"].(float64)) != alpha.Pool || int64(used) != alpha.Memory.Budget.Used {
+			t.Errorf("%s changed the tenant: generation %v pool %v used %v; before %d %d %d", f.name,
+				row["generation"], row["pool"], used, alpha.Generation, alpha.Pool, alpha.Memory.Budget.Used)
+		}
+		if runs, _ := filepath.Glob(filepath.Join(spillDir, "*")); len(runs) != 0 {
+			t.Errorf("%s left spill files: %v", f.name, runs)
+		}
+	}
+	if rec := postFleetTranslate(fh, "alpha", "how many employees are there"); rec.Code != http.StatusOK {
+		t.Errorf("translate after failed reloads: status %d", rec.Code)
 	}
 
 	// A reload in progress makes a second one bounce with 409 instead

@@ -239,9 +239,10 @@ func (s *handler) handleTranslate(w http.ResponseWriter, r *http.Request) {
 const reloadTimeout = 5 * time.Minute
 
 // handleReload rebuilds the tenant's pool, models and content from its
-// re-read spec off to the side and swaps them in atomically;
-// translations keep serving the old snapshot throughout. A concurrent
-// reload of the same tenant answers 409.
+// re-read spec and publishes them in one step; translations keep
+// serving the old snapshot throughout. A failed reload answers 422 and
+// leaves the tenant as it was; a concurrent reload of the same tenant
+// answers 409.
 func (s *handler) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ctx, cancel := context.WithTimeout(r.Context(), reloadTimeout)
@@ -448,8 +449,10 @@ func (s *specSource) Deploy(ctx context.Context, name string, sys *gar.System) (
 	return true, nil
 }
 
-// Reload re-reads the tenant's spec, rebuilds pool/models/content off
-// to the side, and swaps them into the live system atomically.
+// Reload re-reads the tenant's spec and runs what a cold activation
+// runs, deploySystem, once, on a fork of the live system with the
+// spec's content (a spec without content keeps the live content). The
+// tenant keeps the schema it serves.
 func (s *specSource) Reload(ctx context.Context, name string, sys *gar.System) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -458,14 +461,20 @@ func (s *specSource) Reload(ctx context.Context, name string, sys *gar.System) e
 	if err != nil {
 		return err
 	}
-	content, models, err := reloadModels(sp, s.opts, s.loadModels)
+	if err := validateSpec(sp); err != nil {
+		return err
+	}
+	content, err := specContent(sp, garDatabase(sp))
 	if err != nil {
 		return err
 	}
-	if content != nil {
-		sys.SetContent(content)
-	}
-	_, err = sys.Swap(sp.Samples, models)
+	_, err = sys.Rebuild(func(fork *gar.System) error {
+		if content != nil {
+			fork.SetContent(content)
+		}
+		_, err := deploySystem(fork, sp, s.opts, s.loadModels)
+		return err
+	})
 	return err
 }
 

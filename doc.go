@@ -21,9 +21,11 @@
 //
 // The serving state is copy-on-write: pool, index and models live in
 // one immutable snapshot behind an atomic pointer, so a translation
-// always observes a single consistent generation while System.Swap
+// always observes a single consistent generation while System.Rebuild
 // (surfaced as POST /reload) publishes a complete replacement with
-// zero downtime. The server is overload-protected — internal/admit
+// zero downtime. Rebuild builds once, on a fork of the live system,
+// and publishes through one adopt step that also moves the memory
+// charge; a trainer promotion publishes through the same step. The server is overload-protected — internal/admit
 // bounds each tenant's in-flight work with a deadline-aware queue and
 // sheds the excess with 429 + Retry-After, internal/breaker trips a
 // failing re-ranker into retrieval-only degraded mode, and /readyz vs

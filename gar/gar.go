@@ -163,7 +163,7 @@ type Result struct {
 	Candidates []Candidate
 	// Generation is the pool generation of the snapshot that served
 	// this translation: every candidate comes from that one snapshot,
-	// even when a Prepare or Swap rebuild ran concurrently.
+	// even when a Prepare or Rebuild ran concurrently.
 	Generation uint64
 	// Degraded reports that a non-fatal pipeline stage (re-ranking or
 	// value post-processing) failed or timed out and a fallback was
@@ -190,7 +190,9 @@ func New(db *Database, opts Options) (*System, error) {
 
 // Prepare runs the offline data-preparation process on the sample SQL
 // queries: compositional generalization followed by dialect building.
-// It must be called before Train.
+// It must be called before Train. On a serving system it un-deploys the
+// models until Train or UseModels completes; to replace pool and models
+// with no untrained window, Prepare the fork Rebuild hands out instead.
 func (s *System) Prepare(sampleSQL []string) error {
 	queries, err := parseAll(sampleSQL)
 	if err != nil {
@@ -221,31 +223,32 @@ func (s *System) SetContent(content *Content) {
 	s.inner.SetContent(content.inner)
 }
 
-// Swap atomically replaces the system's candidate pool and deployed
-// models: the new pool is generalized, rendered and indexed entirely
-// off to the side, then published with a single atomic snapshot swap.
-// Translations in flight finish against the old snapshot; unlike the
-// Prepare+Train/UseModels sequence there is no intermediate window in
-// which the system is unprepared or untrained, which is what `gar
-// serve`'s zero-downtime POST /reload is built on. It returns the new
-// pool generation.
-func (s *System) Swap(sampleSQL []string, m *Models) (uint64, error) {
-	queries, err := parseAll(sampleSQL)
-	if err != nil {
-		return 0, err
-	}
-	return s.inner.Swap(queries, m.inner)
+// Rebuild replaces the system's candidate pool, models and content in
+// one publication, with no window in which it is unprepared or
+// untrained: build runs on a fork of the system (the same database,
+// options, content and spill directory, with a memory budget of its
+// own at the system's limit), typically calling SetContent, Prepare
+// and Train or UseModels; Rebuild then publishes the fork's snapshot
+// as the next pool generation and moves its memory charge onto the
+// system. Translations in flight finish against the old snapshot;
+// `gar serve`'s zero-downtime POST /reload is built on it. A failing
+// build, an untrained fork, or a snapshot the system's budget cannot
+// hold leaves the system as it was. It returns the new generation.
+func (s *System) Rebuild(build func(fork *System) error) (uint64, error) {
+	return s.inner.Rebuild(func(f *core.System) error {
+		return build(&System{inner: f, db: s.db})
+	})
 }
 
 // Generation reports the current pool generation: 0 before the first
-// Prepare, bumped by every Prepare or Swap. Result.Generation records
+// Prepare, bumped by every Prepare or Rebuild. Result.Generation records
 // which generation served a translation.
 func (s *System) Generation() uint64 { return s.inner.Generation() }
 
 // Ready reports whether a complete translatable snapshot (prepared
 // pool + deployed models) is published. Serving layers use it for
 // readiness probing: false between process start (or a bare Prepare)
-// and the completing Train/UseModels/Swap.
+// and the completing Train/UseModels/Rebuild.
 func (s *System) Ready() bool { return s.inner.Ready() }
 
 // CacheStats reports hit/miss/size counters for the translation-path
@@ -540,7 +543,7 @@ func LoadModelsFile(path string) (*Models, error) {
 
 // ErrNotReady is returned by ExportCheckpoint while the system has no
 // translatable snapshot: nothing durable exists before the first
-// completed Train/UseModels/Swap.
+// completed Train/UseModels/Rebuild.
 var ErrNotReady = core.ErrNotReady
 
 // CheckpointStats reports the background checkpointer's counters (last
@@ -554,7 +557,7 @@ type CheckpointStats = core.CheckpointStats
 type CheckpointerConfig = core.CheckpointerConfig
 
 // Checkpointer persists the serving snapshot in the background after
-// every Prepare/Train/Swap, coalescing bursts and retrying failures
+// every Prepare/Train/Rebuild, coalescing bursts and retrying failures
 // with jittered exponential backoff; see NewCheckpointer.
 type Checkpointer = core.Checkpointer
 
@@ -604,7 +607,7 @@ func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint
 
 // NewCheckpointer couples this system with a checkpoint store. Start
 // registers it on the system's publish hook so every Prepare, Train,
-// UseModels and Swap schedules a durable checkpoint; Flush writes one
+// UseModels and Rebuild schedules a durable checkpoint; Flush writes one
 // synchronously (the graceful-shutdown path).
 func (s *System) NewCheckpointer(st *checkpoint.Store, cfg CheckpointerConfig) *Checkpointer {
 	return core.NewCheckpointer(s.inner, st, cfg)

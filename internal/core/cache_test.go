@@ -76,7 +76,7 @@ func TestCacheInvalidatedBySwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := sys.Swap(employeeSamples()[:5], models)
+	gen, err := rebuild(sys, employeeSamples()[:5], models)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -548,10 +548,10 @@ func TestCheckpointerFlushAndRetention(t *testing.T) {
 		t.Fatalf("after flush: %d entries (%v)", len(entries), err)
 	}
 
-	// Swap a few generations through the synchronous path and verify
+	// Rebuild a few generations through the synchronous path and verify
 	// retention holds at Keep.
 	for i := 0; i < 3; i++ {
-		if _, err := sys.Swap(employeeSamples(), models); err != nil {
+		if _, err := rebuild(sys, employeeSamples(), models); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Flush(context.Background()); err != nil {
@@ -602,7 +602,7 @@ func TestCheckpointRestoredSystemKeepsEvolving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := fresh.Swap(employeeSamples(), models)
+	gen, err := rebuild(fresh, employeeSamples(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +681,7 @@ func TestCheckpointGenerationsOutnumberSkippedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := sys.Swap(employeeSamples(), models); err != nil || gen != 10 {
+	if gen, err := rebuild(sys, employeeSamples(), models); err != nil || gen != 10 {
 		t.Fatalf("swap after skipping generation 9: generation %d (%v), want 10", gen, err)
 	}
 	if err := core.NewCheckpointer(sys, st, core.CheckpointerConfig{Keep: 1}).Flush(ctx); err != nil {
@@ -747,7 +747,7 @@ func TestCheckpointerSkipsCleanRecoveredState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := sys.Swap(employeeSamples(), models)
+	gen, err := rebuild(sys, employeeSamples(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +802,7 @@ func TestCheckpointerFlushesPublishDuringWrite(t *testing.T) {
 	c.Start()
 	c.Notify()
 	waitFor(t, "background write to park at fsync", func() bool { return inj.Fired(faults.FSSync) == 1 })
-	gen, err := sys.Swap(employeeSamples(), models)
+	gen, err := rebuild(sys, employeeSamples(), models)
 	if err != nil {
 		t.Fatal(err)
 	}

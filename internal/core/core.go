@@ -151,7 +151,7 @@ func (o *Options) fill() {
 // translation that loaded a state once sees a consistent
 // {pool, index, models} triple for its whole lifetime.
 type state struct {
-	// gen is the pool generation, bumped by every Prepare/Swap that
+	// gen is the pool generation, bumped by every Prepare/Rebuild that
 	// replaces the candidate pool.
 	gen uint64
 	// pub numbers the publication that made this state current (0 for
@@ -178,7 +178,7 @@ type state struct {
 // System is a GAR instance bound to one database.
 //
 // A System is safe for concurrent Translate/TranslateContext calls.
-// State mutations (Prepare, Train, UseModels, Swap, SetContent) build
+// State mutations (Prepare, Train, UseModels, Rebuild, SetContent) build
 // a complete new snapshot off to the side and publish it with one
 // atomic pointer swap: translations never block on a rebuild — they
 // keep running against the snapshot they loaded — and never observe a
@@ -239,7 +239,7 @@ type System struct {
 
 	// embedCache memoizes question embeddings and transCache whole
 	// translation results, both keyed by (pool generation, NL question).
-	// The generation key makes every Prepare/Swap an implicit flush: an
+	// The generation key makes every Prepare/Rebuild an implicit flush: an
 	// entry from an older snapshot can never be served after a hot
 	// reload. Nil when Options.NoCache is set (a nil cache never hits).
 	embedCache *transcache.Cache[vector.Vec]
@@ -357,7 +357,7 @@ func (s *System) SetRerankBreaker(b *breaker.Breaker) {
 }
 
 // SetPublishHook registers fn to run after every snapshot publication
-// (Prepare, UseModels, Swap, SetContent, RestoreCheckpoint, …). The
+// (Prepare, UseModels, Rebuild, SetContent, RestoreCheckpoint, …). The
 // hook runs on the mutator's goroutine with the write lock held, so it
 // must be fast, must not block, and must not call back into System
 // mutators — a non-blocking channel send is the intended shape. At most
@@ -412,13 +412,13 @@ func (s *System) mutate(fn func(st *state)) {
 // generalizes the sample queries and renders each generalized query as a
 // dialect expression, building the candidate pool. The new pool starts
 // a new generation and un-deploys any trained pipeline (it indexes the
-// old pool); use Swap to replace pool and models in one step with no
-// untrained window.
+// old pool). To replace pool and models in one step with no untrained
+// window, Prepare and train the fork Rebuild hands out instead.
 func (s *System) Prepare(samples []*sqlast.Query) {
 	// Generalization is the expensive part; with copy-on-write
 	// snapshots it runs off to the side and in-flight translations keep
 	// serving the old snapshot untouched.
-	build := s.buildPoolGoverned(samples, nil)
+	build := s.buildPoolGoverned(samples)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	next := *s.state.Load()
@@ -459,7 +459,7 @@ func (s *System) PoolSize() int {
 }
 
 // Generation reports the current pool generation: 0 before the first
-// Prepare, bumped by every Prepare or Swap. Translation results record
+// Prepare, bumped by every Prepare or Rebuild. Translation results record
 // the generation they were served from.
 func (s *System) Generation() uint64 {
 	return s.state.Load().gen
@@ -467,7 +467,7 @@ func (s *System) Generation() uint64 {
 
 // Ready reports whether a translatable snapshot is published: a
 // prepared pool with deployed models. False during the window between
-// process start (or a Prepare) and the completing UseModels/Train/Swap.
+// process start (or a Prepare) and the completing UseModels/Train/Rebuild.
 func (s *System) Ready() bool {
 	return s.state.Load().trained
 }
@@ -692,81 +692,96 @@ func (s *System) UseModels(m *Models) error {
 	return nil
 }
 
-// Swap builds a complete new snapshot — candidate pool, dialect
-// expressions, vector index and deployed models — off to the side and
-// publishes it with one atomic pointer swap. Unlike the
-// Prepare+UseModels sequence there is no intermediate untrained
-// window: translations serve the old snapshot until the instant the
-// new one is complete, which is what makes zero-downtime hot reload
-// possible. When the samples regenerate exactly the published pool — a
-// reload of an unchanged spec — the published candidates are kept
-// rather than materialized a second time, so the memory budget never
-// holds one pool twice. It returns the new pool generation.
-func (s *System) Swap(samples []*sqlast.Query, m *Models) (uint64, error) {
-	if m == nil || m.Encoder == nil {
-		return 0, fmt.Errorf("core: Swap without models")
-	}
-	build := s.buildPoolGoverned(samples, s.Pool())
-	if len(build.pool) == 0 {
-		build.mem.Release()
-		return 0, fmt.Errorf("core: Swap produced an empty candidate pool for %s", s.DB.Name)
-	}
-
-	// Like UseModels, the lock is held across the index build so the
-	// reservation a kept pool shares cannot change underneath it.
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	cur := s.state.Load()
-	poolMem := build.mem
-	if build.kept {
-		if len(cur.pool) == len(build.pool) && &cur.pool[0] == &build.pool[0] {
-			build.mem.Release()
-			poolMem, build.idx = s.snapMem, cur.poolIdx
-		} else {
-			// A concurrent Prepare or Swap replaced the kept pool, and
-			// with it the reservation that accounted for it.
-			var n int64
-			for _, c := range build.pool {
-				n += candBytesOf(c)
-			}
-			if err := poolMem.Grow(n); err != nil {
-				poolMem.Release()
-				return 0, fmt.Errorf("core: memory budget cannot hold the swapped pool: %w", err)
-			}
-			build.idx = ltr.NewPoolIndex(build.pool)
-		}
-	}
-	pipeline, pool, idx, vecMem, truncated, err := newPipelineGoverned(
-		build.pool, build.idx, m, s.Opts, s.resources.Load().budget, poolMem)
-	if err != nil {
-		if poolMem != s.snapMem {
-			poolMem.Release()
-		}
+// Rebuild builds a complete new snapshot off to the side and publishes
+// it as the next generation, with no untrained window: build runs on a
+// fork of s (see fork), typically setting content, Preparing and
+// training, and adopt then publishes the fork's snapshot with one
+// pointer store and moves its memory charge onto s. Translations serve
+// the old snapshot until then. A failing build, an untrained fork, or
+// a snapshot s's budget cannot hold (an error wrapping
+// memgov.ErrBudgetExceeded) leaves s's snapshot, generation and charge
+// as they were. It returns the new pool generation.
+func (s *System) Rebuild(build func(fork *System) error) (uint64, error) {
+	f := s.fork()
+	if err := build(f); err != nil {
 		return 0, err
 	}
-	if truncated {
-		build.info.degrade(fmt.Sprintf("snapshot truncated to %d of %d candidates under memory budget",
-			len(pool), len(build.pool)))
-		s.memDegradedBuilds.Add(1)
-	}
+	return s.adopt(f)
+}
 
-	next := *cur
-	s.bumpGen(&next)
-	next.pool = pool
-	next.poolIdx = idx
-	next.prepStats = build.stats
-	next.info = build.info
-	next.encoder = m.Encoder
-	next.pipeline = pipeline
-	next.trained = true
-	s.samples = samples
-	if guide := s.buildGuide(); guide != nil {
-		next.guide = guide
+// fork makes the system a snapshot is built on off to the side: s's
+// database, options, content, fault injector, linker, exec guide and
+// spill directory, and a budget of its own at the effective limit of
+// s's (none when s has none). The build's spill and truncation
+// decisions are therefore a cold build's at that share, and nothing
+// charges s's budget until adopt moves the finished snapshot's bytes.
+func (s *System) fork() *System {
+	f := New(s.DB, s.Opts)
+	res := s.resources.Load()
+	budget := res.budget
+	if budget != nil {
+		budget = memgov.New(budget.Name(), budget.EffectiveLimit())
 	}
+	f.SetResources(budget, res.spillDir)
+	cur := s.state.Load()
+	f.state.Store(&state{linker: cur.linker, guide: cur.guide, inj: cur.inj})
+	s.writeMu.Lock()
+	f.content = s.content
+	s.writeMu.Unlock()
+	return f
+}
+
+// adopt publishes fork f's complete snapshot (pool, index, prep stats,
+// build record, models, linker and exec guide, with f's content and
+// samples) as s's next generation in one pointer store. First it
+// purges the caches and resizes s's pool and embedding reservations to
+// f's accounted bytes, growing both before shrinking either, so s holds
+// one snapshot's charge and a denial changes nothing. It refuses a
+// system on another database and an untrained one. The caller owns f,
+// so f's fields are read without its lock.
+func (s *System) adopt(f *System) (uint64, error) {
+	if f == s || f.DB != s.DB {
+		return 0, fmt.Errorf("core: adopt of a system that is not a fork of %s", s.DB.Name)
+	}
+	src := f.state.Load()
+	if !src.trained {
+		return 0, ErrNotReady
+	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	// The cached results belong to the outgoing snapshot; dropping them
+	// first returns their bytes before the resize asks for room.
+	s.purgeCaches()
+	budget := s.resources.Load().budget
+	poolMem, vecMem := s.snapMem, s.vecMem
+	if poolMem == nil {
+		poolMem = budget.Hold()
+	}
+	if vecMem == nil {
+		vecMem = budget.Hold()
+	}
+	dPool, dVec := f.snapMem.Bytes()-poolMem.Bytes(), f.vecMem.Bytes()-vecMem.Bytes()
+	err := poolMem.Grow(dPool)
+	if err == nil {
+		if err = vecMem.Grow(dVec); err != nil {
+			poolMem.Shrink(dPool)
+		}
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: memory budget cannot hold the rebuilt snapshot: %w", err)
+	}
+	poolMem.Shrink(-dPool)
+	vecMem.Shrink(-dVec)
+	s.memDegradedBuilds.Add(f.memDegradedBuilds.Load())
+
+	cur := s.state.Load()
+	next := *src
+	next.gen, next.inj = cur.gen, cur.inj
+	s.bumpGen(&next)
+	s.content, s.samples = f.content, f.samples
 	s.adoptSnapMem(poolMem, vecMem)
 	s.publish(&next)
-	// The generation bump already invalidates every cached entry; the
-	// purge just releases their memory eagerly.
+	// Translations still on the outgoing snapshot may have cached since.
 	s.purgeCaches()
 	return next.gen, nil
 }
@@ -864,7 +879,7 @@ func stageCtx(ctx context.Context, frac float64) (context.Context, context.Cance
 //
 // TranslateContext is safe to call concurrently, loads the published
 // snapshot exactly once, and therefore always sees one consistent
-// {pool, index, models} generation even while Prepare/Swap rebuilds
+// {pool, index, models} generation even while Prepare/Rebuild
 // run concurrently.
 func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation, error) {
 	st := s.state.Load()

@@ -41,8 +41,8 @@ import (
 
 // resources carries the budget and spill directory a build reads.
 // They live behind one atomic pointer because builds run outside
-// writeMu (Prepare and Swap construct off to the side) while the fleet
-// installs per-tenant budgets after New.
+// writeMu (Prepare constructs off to the side) while the fleet installs
+// per-tenant budgets after New.
 type resources struct {
 	budget   *memgov.Budget
 	spillDir string
@@ -52,7 +52,7 @@ type resources struct {
 // SetResources installs the memory budget and spill directory used by
 // every subsequent pool build, overriding the Options the system was
 // created with. The fleet calls it right after constructing a tenant's
-// system, before any Prepare/Swap/Restore can run.
+// system, before any Prepare/Rebuild/Restore can run.
 func (s *System) SetResources(budget *memgov.Budget, spillDir string) {
 	cur := s.resources.Load()
 	bufBytes := int64(0)
@@ -136,9 +136,6 @@ type poolBuild struct {
 	// against the tenant budget; the snapshot that publishes this pool
 	// adopts it, and it is released when that pool is replaced.
 	mem *memgov.Reservation
-	// kept reports that the build reproduced the pool it was asked to
-	// keep, so pool is that pool, idx is nil and mem holds nothing.
-	kept bool
 }
 
 // poolRec is the serialized form of one streamed candidate: exactly
@@ -412,21 +409,6 @@ func materialize(db *schema.Database, rec poolRec, snap *memgov.Reservation) (lt
 	return ltr.Candidate{SQL: q, Dialect: rec.dialect}, nil
 }
 
-// reproduces reports whether the buffered records are exactly pool, in
-// order, with nothing spilled or dropped — materializing them would
-// build a second copy of pool.
-func (ps *poolSink) reproduces(pool []ltr.Candidate) bool {
-	if len(pool) == 0 || ps.spilling || ps.info.Degraded || len(ps.recs) != len(pool) {
-		return false
-	}
-	for i, rec := range ps.recs {
-		if rec.dialect != pool[i].Dialect || rec.sql != pool[i].SQL.String() {
-			return false
-		}
-	}
-	return true
-}
-
 // cleanup removes this build's finished spill runs; they are scratch
 // and fully replayed (or abandoned) by now.
 //
@@ -449,11 +431,8 @@ func closeSpill(r *spill.Reader) {
 // generalize.Stream feeds the sink, the sink buffers or spills, and
 // replay materializes the pool under the snapshot reservation. It
 // subsumes the old materialize-everything buildPool — an unbudgeted
-// system takes the same path with every governor inert. keep, when
-// non-nil, is a pool the caller already holds: a build that
-// reproduces it exactly returns it (kept) instead of materializing it
-// again.
-func (s *System) buildPoolGoverned(samples []*sqlast.Query, keep []ltr.Candidate) *poolBuild {
+// system takes the same path with every governor inert.
+func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
 	res := s.resources.Load()
 	inj := s.state.Load().inj
 	sink := newPoolSink(res, inj, s.expression)
@@ -470,11 +449,6 @@ func (s *System) buildPoolGoverned(samples []*sqlast.Query, keep []ltr.Candidate
 	}
 
 	build := &poolBuild{stats: gres.Stats, mem: res.budget.Hold()}
-	if !gres.Degraded && sink.reproduces(keep) {
-		sink.bufRes.Release()
-		build.pool, build.info, build.kept = keep, sink.info, true
-		return build
-	}
 	build.pool, build.info = sink.finish(s.DB, build.mem)
 	if gres.Degraded {
 		build.info.Degraded = true

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -294,6 +295,25 @@ func TestTightBudgetShedsPool(t *testing.T) {
 	if err != nil || len(tr.Ranked) == 0 {
 		t.Fatalf("shed system cannot translate: %v", err)
 	}
+
+	// A reload of the same samples builds on a fork at the same share:
+	// it sheds exactly as the cold build did, and the live system counts
+	// the fork's degraded build.
+	cold, builds := sys.PoolDialects(), sys.MemStats().DegradedBuilds
+	if _, err := sys.Rebuild(func(f *core.System) error {
+		f.Prepare(employeeSamples())
+		return f.Train(employeeExamples())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ms = sys.MemStats()
+	if !ms.Degraded || ms.DegradedBuilds <= builds || !slices.Equal(sys.PoolDialects(), cold) {
+		t.Errorf("shed reload: degraded %v, degraded builds %d -> %d, pool %d vs cold %d",
+			ms.Degraded, builds, ms.DegradedBuilds, sys.PoolSize(), len(cold))
+	}
+	if ms.Budget.Used > ms.Budget.Limit {
+		t.Errorf("budget overrun after the reload: %+v", ms.Budget)
+	}
 }
 
 // TestBudgetPressureDegrades pins rung 2 of the degradation ladder: a
@@ -333,24 +353,23 @@ func TestBudgetPressureDegrades(t *testing.T) {
 	}
 }
 
-// TestSwapKeepsReproducedPool: a Swap whose samples regenerate the
-// published pool — a reload of an unchanged spec — keeps the published
-// candidates instead of materializing a second copy. A budget with room
-// for one snapshot plus a second set of embeddings and feature table,
-// but not for two whole snapshots, then reloads without degrading;
-// the generation still advances and the answers are unchanged.
-func TestSwapKeepsReproducedPool(t *testing.T) {
+// TestSwapHoldsOneSnapshotCharge: a reload of an unchanged spec builds
+// on a fork under a budget of its own at the live limit, and adopt moves
+// a difference of zero onto the live budget. A budget with room for one
+// snapshot and ~15 % more therefore reloads without degrading: the
+// generation advances, pool and answers are byte-identical, and the
+// budget holds exactly one snapshot's charge.
+func TestSwapHoldsOneSnapshotCharge(t *testing.T) {
 	opts := core.Options{GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 12, RerankEpochs: 40, Seed: 42, NoCache: true,
 		MemBudget: 256 << 20}
 	probe := core.New(schematest.Employee(), opts)
 	probe.Prepare(employeeSamples())
-	poolBytes := probe.MemStats().SnapshotBytes
 	if err := probe.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
 	}
 	snapBytes := probe.MemStats().SnapshotBytes
 
-	opts.MemBudget = 2*snapBytes - poolBytes/2
+	opts.MemBudget = snapBytes + snapBytes*15/100
 	sys := core.New(schematest.Employee(), opts)
 	sys.Prepare(employeeSamples())
 	if err := sys.Train(employeeExamples()); err != nil {
@@ -370,28 +389,107 @@ func TestSwapKeepsReproducedPool(t *testing.T) {
 	}
 	before, dialects, gen := answers(), sys.PoolDialects(), sys.Generation()
 
-	models, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, sys.Opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sys.Swap(employeeSamples(), models)
+	got, err := sys.Rebuild(func(f *core.System) error {
+		f.Prepare(employeeSamples())
+		return f.Train(employeeExamples())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != gen+1 {
-		t.Fatalf("swap published generation %d, want %d", got, gen+1)
+		t.Fatalf("rebuild published generation %d, want %d", got, gen+1)
 	}
 	ms := sys.MemStats()
 	if ms.Degraded || ms.DegradedBuilds != 0 {
 		t.Fatalf("reload of the same samples degraded: %+v", ms)
 	}
-	if ms.SnapshotBytes != snapBytes || ms.Budget.Used != snapBytes {
-		t.Errorf("after swap: snapshot %d, used %d; want both %d", ms.SnapshotBytes, ms.Budget.Used, snapBytes)
+	if ms.SnapshotBytes != snapBytes || ms.Budget.Used != ms.SnapshotBytes {
+		t.Errorf("after rebuild: snapshot %d, used %d; want both %d", ms.SnapshotBytes, ms.Budget.Used, snapBytes)
+	}
+	if ms.Budget.Peak > ms.Budget.Limit {
+		t.Errorf("budget peak %d over its limit %d", ms.Budget.Peak, ms.Budget.Limit)
 	}
 	if !slices.Equal(sys.PoolDialects(), dialects) {
-		t.Error("swap changed the reproduced pool")
+		t.Error("rebuild changed the pool of the same samples")
 	}
 	if after := answers(); !slices.Equal(after, before) {
-		t.Errorf("answers changed across the swap:\n%v\nvs\n%v", after, before)
+		t.Errorf("answers changed across the rebuild:\n%v\nvs\n%v", after, before)
+	}
+}
+
+// TestSwapDeniedGrowLeavesLiveState: a rebuilt snapshot larger than the
+// live one fits the tenant's own share, but the process budget above it
+// is held by another tenant. adopt's Grow is denied: Rebuild fails with
+// memgov.ErrBudgetExceeded and the live snapshot, generation and charge
+// stay as they were, while a rebuild that shrinks the pool moves the
+// charge down.
+func TestSwapDeniedGrowLeavesLiveState(t *testing.T) {
+	opts := governedOpts(t.TempDir())
+	opts.MemBudget = 0
+	small := employeeSamples()[:4]
+	probe := core.New(schematest.Employee(), opts)
+	probe.SetResources(memgov.New("probe", 0), t.TempDir())
+	probe.Prepare(employeeSamples())
+	if err := probe.Train(employeeExamples()); err != nil {
+		t.Fatal(err)
+	}
+	full := probe.MemStats().SnapshotBytes
+
+	process := memgov.New("process", 2*full)
+	sys := core.New(schematest.Employee(), opts)
+	spillDir := t.TempDir()
+	sys.SetResources(process.Child("tenant", 0), spillDir)
+	sys.Prepare(small)
+	if err := sys.Train(employeeExamples()); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.MemStats()
+	if before.SnapshotBytes >= full {
+		t.Fatalf("small pool charges %d, not below the full pool's %d", before.SnapshotBytes, full)
+	}
+	other := process.Hold()
+	if err := other.Grow(2*full - full/2 - before.SnapshotBytes); err != nil {
+		t.Fatal(err)
+	}
+	gen, pool := sys.Generation(), sys.PoolDialects()
+	fullBuild := func(f *core.System) error {
+		f.Prepare(employeeSamples())
+		return f.Train(employeeExamples())
+	}
+	if _, err := sys.Rebuild(fullBuild); !errors.Is(err, memgov.ErrBudgetExceeded) {
+		t.Fatalf("rebuild past the process budget: %v, want ErrBudgetExceeded", err)
+	}
+	after := sys.MemStats()
+	if sys.Generation() != gen || !slices.Equal(sys.PoolDialects(), pool) {
+		t.Errorf("denied rebuild changed the live snapshot: generation %d -> %d", gen, sys.Generation())
+	}
+	if after.SnapshotBytes != before.SnapshotBytes || after.Budget.Used != before.Budget.Used {
+		t.Errorf("denied rebuild moved the charge: %+v -> %+v", before, after)
+	}
+	if after.SpillFrames != before.SpillFrames {
+		t.Errorf("denied rebuild replaced the build record: %+v -> %+v", before, after)
+	}
+	if n := spillScratch(t, spillDir); n != 0 {
+		t.Errorf("denied rebuild left %d spill files", n)
+	}
+
+	// With the other tenant gone the same rebuild fits, and the charge
+	// follows the pool up; a rebuild back to the small pool moves it down.
+	other.Release()
+	if _, err := sys.Rebuild(fullBuild); err != nil {
+		t.Fatal(err)
+	}
+	if ms := sys.MemStats(); ms.SnapshotBytes != full || ms.Budget.Used != full || process.Used() != full {
+		t.Errorf("grown rebuild: snapshot %d, tenant %d, process %d; want all %d",
+			ms.SnapshotBytes, ms.Budget.Used, process.Used(), full)
+	}
+	if _, err := sys.Rebuild(func(f *core.System) error {
+		f.Prepare(small)
+		return f.Train(employeeExamples())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ms := sys.MemStats(); ms.SnapshotBytes != before.SnapshotBytes || process.Used() != before.SnapshotBytes {
+		t.Errorf("shrunk rebuild: snapshot %d, process %d; want both %d", ms.SnapshotBytes, process.Used(), before.SnapshotBytes)
 	}
 }

@@ -38,7 +38,7 @@ const (
 
 // ErrNotReady is returned by ExportCheckpoint while no translatable
 // snapshot is published: there is nothing worth persisting before the
-// first completed Train/UseModels/Swap.
+// first completed Train/UseModels/Rebuild.
 var ErrNotReady = errors.New("core: no translatable snapshot to checkpoint")
 
 // poolEntry is the serialized form of one candidate: the SQL text

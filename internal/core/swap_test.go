@@ -11,10 +11,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/schema/schematest"
+	"repro/internal/sqlast"
+	"repro/internal/sqlparse"
 )
 
 // swapSystem builds a trained system plus the deployed models, so tests
-// can Swap fresh snapshots in.
+// can rebuild fresh snapshots in.
 func swapSystem(t *testing.T, opts core.Options) (*core.System, *core.Models) {
 	t.Helper()
 	if opts.GeneralizeSize == 0 {
@@ -39,6 +41,15 @@ func swapSystem(t *testing.T, opts core.Options) (*core.System, *core.Models) {
 	return sys, models
 }
 
+// rebuild publishes a snapshot prepared from samples with models
+// deployed, built on a fork of sys through Rebuild.
+func rebuild(sys *core.System, samples []*sqlast.Query, models *core.Models) (uint64, error) {
+	return sys.Rebuild(func(f *core.System) error {
+		f.Prepare(samples)
+		return f.UseModels(models)
+	})
+}
+
 func dialectSet(dialects []string) map[string]bool {
 	set := make(map[string]bool, len(dialects))
 	for _, d := range dialects {
@@ -48,7 +59,7 @@ func dialectSet(dialects []string) map[string]bool {
 }
 
 // TestSwapTranslateRace is the zero-downtime contract under -race:
-// translations running concurrently with repeated pool+model swaps must
+// translations running concurrently with repeated pool+model rebuilds must
 // never fail, never block, and every result must be served from exactly
 // one snapshot — all its candidates belong to a single generation's
 // pool, never a mix of old pool and new models.
@@ -59,12 +70,12 @@ func TestSwapTranslateRace(t *testing.T) {
 
 	// Generalization is seeded, so each sample set maps to one fixed
 	// dialect set; generation parity then identifies the serving pool.
-	dialA := dialectSet(sys.PoolDialects())               // generation 1 = set A
-	if _, err := sys.Swap(samplesB, models); err != nil { // generation 2
+	dialA := dialectSet(sys.PoolDialects())                   // generation 1 = set A
+	if _, err := rebuild(sys, samplesB, models); err != nil { // generation 2
 		t.Fatal(err)
 	}
 	dialB := dialectSet(sys.PoolDialects())
-	if _, err := sys.Swap(samplesA, models); err != nil { // generation 3
+	if _, err := rebuild(sys, samplesA, models); err != nil { // generation 3
 		t.Fatal(err)
 	}
 	for _, d := range sys.PoolDialects() {
@@ -86,7 +97,7 @@ func TestSwapTranslateRace(t *testing.T) {
 			if i%2 == 1 {
 				set = samplesA
 			}
-			if _, err := sys.Swap(set, models); err != nil {
+			if _, err := rebuild(sys, set, models); err != nil {
 				t.Errorf("swap %d during traffic: %v", i, err)
 				return
 			}
@@ -137,22 +148,40 @@ func TestSwapTranslateRace(t *testing.T) {
 	}
 }
 
-// TestSwapValidation: a rejected swap must leave the serving snapshot
-// untouched.
+// TestSwapValidation: a rejected rebuild — the build fails, the fork
+// is left untrained, or its pool is empty — must leave the serving
+// snapshot untouched.
 func TestSwapValidation(t *testing.T) {
 	sys, _ := swapSystem(t, core.Options{})
 	gen := sys.Generation()
-	if _, err := sys.Swap(employeeSamples(), nil); err == nil {
-		t.Error("Swap accepted nil models")
+	boom := errors.New("build failed")
+	builds := map[string]func(*core.System) error{
+		"failing build": func(*core.System) error { return boom },
+		"untrained fork": func(f *core.System) error {
+			f.Prepare(employeeSamples())
+			return nil
+		},
+		"empty pool": func(f *core.System) error {
+			f.Prepare([]*sqlast.Query{sqlparse.MustParse("SELECT nope FROM nowhere")})
+			return f.Train(employeeExamples())
+		},
 	}
-	if sys.Generation() != gen {
-		t.Errorf("failed swap bumped generation: %d -> %d", gen, sys.Generation())
+	for name, build := range builds {
+		if _, err := sys.Rebuild(build); err == nil {
+			t.Errorf("%s: Rebuild succeeded", name)
+		}
+		if sys.Generation() != gen {
+			t.Errorf("%s: failed rebuild bumped generation: %d -> %d", name, gen, sys.Generation())
+		}
+		if !sys.Ready() {
+			t.Errorf("%s: failed rebuild un-deployed the system", name)
+		}
+		if _, err := sys.Translate("how many employees are there"); err != nil {
+			t.Errorf("%s: translation after failed rebuild: %v", name, err)
+		}
 	}
-	if !sys.Ready() {
-		t.Error("failed swap un-deployed the system")
-	}
-	if _, err := sys.Translate("how many employees are there"); err != nil {
-		t.Errorf("translation after failed swap: %v", err)
+	if _, err := sys.Rebuild(func(*core.System) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("Rebuild error %v does not wrap the build's", err)
 	}
 }
 

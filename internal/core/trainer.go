@@ -160,10 +160,12 @@ type regressState struct {
 // Trainer is the background retraining loop of the online feedback
 // system: it replays the feedback WAL, folds accepted pairs into the
 // base corpus, trains a candidate ranker entirely off the serving path
-// on a scratch system, shadow-scores it against the live ranker, and
-// promotes it only if it is no worse beyond the configured threshold —
-// after making sure the pre-promotion state is checkpointed so the
-// post-promotion regression detector can roll back. Cycles are
+// on a fork of the live system, shadow-scores it against the live
+// ranker, and promotes it only if it is no worse beyond the configured
+// threshold — after making sure the pre-promotion state is
+// checkpointed so the post-promotion regression detector can roll
+// back. A promotion publishes the fork's whole snapshot: pool, models,
+// build record, samples, exec guide and memory charge. Cycles are
 // panic-isolated: a crashing retrain degrades to "keep serving the old
 // ranker", never to a dead process.
 type Trainer struct {
@@ -294,10 +296,10 @@ func (t *Trainer) retrainOnce(ctx context.Context) error {
 }
 
 // cycle is one complete retraining attempt: gate, fold, train on a
-// scratch system, shadow-score, and promote or reject. Any panic in
-// here — a training crash on hostile feedback, a bug in the fold — is
-// converted to an error: the serving snapshot is untouched until the
-// final promotion step, which publishes atomically.
+// fork of the live system, shadow-score, and promote or reject. Any
+// panic in here — a training crash on hostile feedback, a bug in the
+// fold — is converted to an error: the serving snapshot is untouched
+// until the final promotion step, which publishes atomically.
 func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,10 +326,11 @@ func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err err
 		return fmt.Errorf("core: retraining with no samples")
 	}
 
-	// Train the candidate entirely off the serving path: a scratch
-	// system over the same database builds its own pool and models.
-	// The live snapshot keeps serving untouched throughout.
-	scratch := New(t.sys.DB, t.sys.Opts)
+	// Train the candidate entirely off the serving path: a fork of the
+	// live system (same database, content and budget limit) builds its
+	// own pool and models. The live snapshot keeps serving untouched
+	// throughout.
+	scratch := t.sys.fork()
 	scratch.Prepare(samples)
 	models, terr := TrainModels([]TrainingSet{{Sys: scratch, Examples: examples}}, t.sys.Opts)
 	if terr != nil {
@@ -383,7 +386,7 @@ func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err err
 		}
 	}
 
-	gen, aerr := t.sys.adoptSnapshot(scratch)
+	gen, aerr := t.sys.adopt(scratch)
 	if aerr != nil {
 		return aerr
 	}
@@ -472,32 +475,6 @@ func scoreTop1(ctx context.Context, sys *System, examples []ltr.Example) float64
 		}
 	}
 	return float64(hits) / float64(len(examples))
-}
-
-// adoptSnapshot publishes the donor system's trained snapshot — pool,
-// index, models, pipeline, prep stats — into s under a new generation,
-// keeping s's own value linker and fault injector. The candidate was
-// built and indexed on the donor, so promotion costs one pointer swap
-// instead of a second pool build; like Swap, there is no intermediate
-// untrained window. Returns the new generation.
-func (s *System) adoptSnapshot(donor *System) (uint64, error) {
-	src := donor.state.Load()
-	if !src.trained || src.pipeline == nil || len(src.pool) == 0 {
-		return 0, ErrNotReady
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	next := *s.state.Load()
-	s.bumpGen(&next)
-	next.pool = src.pool
-	next.poolIdx = src.poolIdx
-	next.prepStats = src.prepStats
-	next.encoder = src.encoder
-	next.pipeline = src.pipeline
-	next.trained = true
-	s.publish(&next)
-	s.purgeCaches()
-	return next.gen, nil
 }
 
 // ObserveFeedback feeds one accepted record to the post-promotion

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +16,10 @@ import (
 	"repro/internal/embed"
 	"repro/internal/faults"
 	"repro/internal/feedback"
+	"repro/internal/memgov"
 	"repro/internal/norm"
+	"repro/internal/schema/schematest"
+	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 )
 
@@ -105,6 +110,89 @@ func TestTrainerPromotesAndRetrains(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Retrains != 1 {
 		t.Fatalf("empty flush retrained: %+v", st)
+	}
+}
+
+// TestTrainerPromotionPublishesWholeSnapshot: a promotion that grows
+// the pool under a tenant budget publishes the fork's whole snapshot.
+// The memory charge, the exec guide's sample instance and the build
+// record all equal a cold build of the folded samples; none is left at
+// the pre-feedback build's.
+func TestTrainerPromotionPublishesWholeSnapshot(t *testing.T) {
+	opts := trainerOpts()
+	opts.EncoderEpochs, opts.RerankEpochs, opts.Seed = 12, 40, 42
+	opts.NoCache, opts.ExecGuide, opts.SpillBufferBytes = true, true, 2048
+	base := employeeSamples()[:4]
+	db := schematest.Employee()
+	governed := func(samples []*sqlast.Query) *core.System {
+		sys := core.New(db, opts)
+		sys.SetResources(memgov.New("process", 0).Child("tenant", 64<<20), t.TempDir())
+		sys.Prepare(samples)
+		if err := sys.Train(employeeExamples()); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := governed(base)
+	pairs := [][2]string{
+		{"which employees live in Lisbon", "SELECT name FROM employee WHERE city = 'Lisbon'"},
+		{"how many employees are older than 45", "SELECT COUNT(*) FROM employee WHERE age > 45"},
+		{"what is the average bonus", "SELECT AVG(bonus) FROM evaluation"},
+		{"how many employees are there", "SELECT COUNT(*) FROM employee"},
+		{"who is the oldest employee", "SELECT name FROM employee ORDER BY age DESC LIMIT 1"},
+		{"list the cities of employees", "SELECT city FROM employee"},
+	}
+	folded := append([]*sqlast.Query(nil), base...)
+	for _, p := range pairs {
+		q := sqlparse.MustParse(p[1])
+		if err := db.Bind(q); err != nil {
+			t.Fatal(err)
+		}
+		folded = append(folded, q)
+	}
+	cold := governed(folded)
+	before := sys.MemStats()
+	if before.SnapshotBytes >= cold.MemStats().SnapshotBytes {
+		t.Fatalf("folded samples do not grow the snapshot: %d -> %d", before.SnapshotBytes, cold.MemStats().SnapshotBytes)
+	}
+
+	tr := core.NewTrainer(sys, feedbackLog(t, pairs), nil, func() (core.TrainingData, error) {
+		return core.TrainingData{Samples: base, Examples: employeeExamples()}, nil
+	}, core.TrainerConfig{ShadowThreshold: 1})
+	if err := tr.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Promotions != 1 {
+		t.Fatalf("no promotion: %+v", st)
+	}
+	if !slices.Equal(sys.PoolDialects(), cold.PoolDialects()) {
+		t.Fatalf("promoted pool of %d differs from the cold build's %d", sys.PoolSize(), cold.PoolSize())
+	}
+	got, want := sys.MemStats(), cold.MemStats()
+	if got.SnapshotBytes != want.SnapshotBytes || got.Budget.Used != want.Budget.Used {
+		t.Errorf("promoted charge: snapshot %d, used %d; cold build of the folded samples: %d, %d",
+			got.SnapshotBytes, got.Budget.Used, want.SnapshotBytes, want.Budget.Used)
+	}
+	if got.Degraded != want.Degraded || got.SpillFiles != want.SpillFiles ||
+		got.SpillFrames != want.SpillFrames || got.SpillBytes != want.SpillBytes || sys.PrepStats() != cold.PrepStats() {
+		t.Errorf("promoted build record %+v (prep %+v), cold build's %+v (prep %+v)",
+			got, sys.PrepStats(), want, cold.PrepStats())
+	}
+	if got.SpillFrames == before.SpillFrames {
+		t.Errorf("build record still the pre-feedback build's: %+v", got)
+	}
+	guide := core.ExecGuide(sys).Instance().Tables
+	if !reflect.DeepEqual(guide, core.ExecGuide(cold).Instance().Tables) {
+		t.Error("promoted exec guide is not seeded from the folded samples")
+	}
+	if reflect.DeepEqual(guide, core.ExecGuide(governed(base)).Instance().Tables) {
+		t.Error("promoted exec guide still holds the pre-feedback seeds")
+	}
+	// A later content change reseeds the guide from the adopted samples.
+	sys.SetContent(nil)
+	cold.SetContent(nil)
+	if !reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, core.ExecGuide(cold).Instance().Tables) {
+		t.Error("a content change after the promotion reseeded the guide from other samples")
 	}
 }
 

@@ -129,13 +129,20 @@ func (s *testSource) Deploy(ctx context.Context, name string, sys *gar.System) (
 	if err != nil {
 		return false, err
 	}
-	if err := sys.Prepare(itemSamples()); err != nil {
-		return false, err
-	}
-	if err := sys.UseModels(s.models); err != nil {
+	if err := s.deploy(sys); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// deploy prepares the fixture's pool on sys and deploys the shared
+// models: a cold build, and the build a reload runs on the live
+// system's fork.
+func (s *testSource) deploy(sys *gar.System) error {
+	if err := sys.Prepare(itemSamples()); err != nil {
+		return err
+	}
+	return sys.UseModels(s.models)
 }
 
 func (s *testSource) Reload(ctx context.Context, name string, sys *gar.System) error {
@@ -150,7 +157,7 @@ func (s *testSource) Reload(ctx context.Context, name string, sys *gar.System) e
 		case <-gate:
 		}
 	}
-	if _, err := sys.Swap(itemSamples(), s.models); err != nil {
+	if _, err := sys.Rebuild(s.deploy); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -2,8 +2,10 @@ package fleet_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
@@ -209,4 +211,81 @@ func mustPool(t *testing.T, reg *fleet.Registry, name string) int {
 		t.Fatal(err)
 	}
 	return row.Pool
+}
+
+// TestFleetReloadHoldsOneSnapshot is the fleet twin of core's
+// TestSwapHoldsOneSnapshotCharge: a budgeted tenant whose share holds
+// one snapshot and ~15 % more reloads through Registry.Reload without
+// degrading. The reload builds on a fork under its own budget, so the
+// tenant's share never holds two snapshots: the generation advances by
+// one, the pool and every answer are unchanged, and the tenant's
+// budget holds exactly the snapshot's charge.
+func TestFleetReloadHoldsOneSnapshot(t *testing.T) {
+	src := newTestSource(t)
+	ctx := context.Background()
+	questions := []string{"which item has the largest quantity", "how many items are there", "what is the quantity of pens"}
+	probe := fleet.New(src, fleet.Config{MaxActive: 1, MemLimit: 64 << 20, TenantMemLimit: 16 << 20})
+	if err := probe.Register("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := translateVia(ctx, probe, "alpha", questions[0]); err != nil {
+		t.Fatal(err)
+	}
+	row, err := probe.TenantHealth("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := row.Memory.SnapshotBytes
+	if err := probe.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := fleet.New(src, fleet.Config{MaxActive: 1, MemLimit: 64 << 20, TenantMemLimit: snap + snap*15/100})
+	if err := reg.Register("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Shutdown(context.Background()) })
+	answers := func() []string {
+		var out []string
+		for _, q := range questions {
+			res, err := translateVia(ctx, reg, "alpha", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%s %v %t", res.SQL, res.Candidates, res.Degraded))
+		}
+		return out
+	}
+	before := answers()
+	row, err = reg.TenantHealth("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := reg.Reload(ctx, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != row.Generation+1 {
+		t.Fatalf("reload published generation %d, want %d", gen, row.Generation+1)
+	}
+	after, err := reg.TenantHealth("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := after.Memory
+	if ms.Degraded || ms.DegradedBuilds != 0 {
+		t.Fatalf("reload of an unchanged spec degraded: %+v", ms)
+	}
+	if ms.SnapshotBytes != snap || ms.Budget.Used != ms.SnapshotBytes {
+		t.Errorf("after reload: snapshot %d, used %d; want both %d", ms.SnapshotBytes, ms.Budget.Used, snap)
+	}
+	if ms.Budget.Peak > ms.Budget.Limit {
+		t.Errorf("tenant peak %d over its limit %d", ms.Budget.Peak, ms.Budget.Limit)
+	}
+	if after.Pool != row.Pool {
+		t.Errorf("reload changed the pool: %d -> %d candidates", row.Pool, after.Pool)
+	}
+	if got := answers(); !slices.Equal(got, before) {
+		t.Errorf("answers changed across the reload:\n%v\nvs\n%v", got, before)
+	}
 }

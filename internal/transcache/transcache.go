@@ -1,6 +1,6 @@
 // Package transcache is a generation-keyed LRU cache for the
 // translation hot path. Every entry is stamped with the pool generation
-// (internal/core bumps it on Prepare and Swap) that produced it, and a
+// (internal/core bumps it on Prepare and Rebuild) that produced it, and a
 // lookup only hits when the caller's current generation matches — so a
 // hot reload invalidates the whole cache implicitly, with no
 // flush-coordination between the swap and in-flight readers, and a
