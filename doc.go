@@ -25,7 +25,9 @@
 // (surfaced as POST /reload) publishes a complete replacement with
 // zero downtime. Rebuild builds once, on a fork of the live system,
 // and publishes through one adopt step that also moves the memory
-// charge; a trainer promotion publishes through the same step. The server is overload-protected — internal/admit
+// charge; a trainer promotion, a checkpoint restore and a trainer
+// rollback publish through the same step. The server is
+// overload-protected — internal/admit
 // bounds each tenant's in-flight work with a deadline-aware queue and
 // sheds the excess with 429 + Retry-After, internal/breaker trips a
 // failing re-ranker into retrieval-only degraded mode, and /readyz vs

@@ -583,10 +583,18 @@ func (s *System) WriteCheckpoint(st *checkpoint.Store) (uint64, error) {
 
 // RestoreCheckpoint rebuilds and atomically publishes the complete
 // serving snapshot from a decoded checkpoint: after it returns the
-// system is Ready and translates without running Prepare or Train. A
-// checkpoint for another database fails with checkpoint.ErrIncompatible
-// and an internally inconsistent one with checkpoint.ErrCorrupt; on any
-// failure the system is left untouched.
+// system is Ready and translates without running Prepare or Train. The
+// snapshot is built on a fork and published as Rebuild publishes. It
+// keeps the checkpoint's generation unless this system or a file
+// RecoverCheckpoint skipped has reached it; then it takes the next
+// generation past both. It keeps the live samples, content and exec
+// guide, which a checkpoint does not store. A restore over a serving
+// snapshot needs budget headroom only for the difference between the
+// two. A checkpoint for another database fails with
+// checkpoint.ErrIncompatible, an internally inconsistent one with
+// checkpoint.ErrCorrupt, and one the budget cannot hold with an error
+// wrapping memgov.ErrBudgetExceeded; on any failure the system is left
+// untouched.
 func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	return s.inner.RestoreCheckpoint(ck)
 }

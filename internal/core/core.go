@@ -196,7 +196,7 @@ type System struct {
 	pubs uint64
 	// skippedGen is the highest generation RecoverCheckpoint found in a
 	// store but could not restore; writeMu-guarded. Every new
-	// generation numbers above it (see bumpGen).
+	// generation numbers above it (see nextGen).
 	skippedGen uint64
 	// samples and content feed the exec-guide's seeded sample instance
 	// (literal harvesting and cell values); both are writeMu-guarded and
@@ -383,15 +383,15 @@ func (s *System) publish(next *state) {
 	}
 }
 
-// bumpGen moves next to a new pool generation, past its own and past
-// every generation RecoverCheckpoint had to skip. A store ranks its
-// files by generation — recovery reads the newest first, retention
-// keeps the newest — so a snapshot built after skipping files this
-// build cannot restore (an older layout version, corruption) must
-// outnumber them, or its checkpoints would be pruned as older than
-// the files they replace. Callers hold writeMu.
-func (s *System) bumpGen(next *state) {
-	next.gen = max(next.gen, s.skippedGen) + 1
+// nextGen is the pool generation after gen and after every generation
+// RecoverCheckpoint had to skip. A store ranks its files by generation
+// — recovery reads the newest first, retention keeps the newest — so a
+// snapshot built after skipping files this build cannot restore (an
+// older layout version, corruption) must outnumber them, or its
+// checkpoints would be pruned as older than the files they replace.
+// Callers hold writeMu.
+func (s *System) nextGen(gen uint64) uint64 {
+	return max(gen, s.skippedGen) + 1
 }
 
 // mutate publishes a new snapshot derived from the current one: fn
@@ -422,7 +422,7 @@ func (s *System) Prepare(samples []*sqlast.Query) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	next := *s.state.Load()
-	s.bumpGen(&next)
+	next.gen = s.nextGen(next.gen)
 	next.prepStats = build.stats
 	next.pool = build.pool
 	next.poolIdx = build.idx
@@ -593,16 +593,9 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 		if err != nil {
 			return nil, err
 		}
-		pipe := &ltr.Pipeline{
-			Encoder:  encoder,
-			Index:    indexFromVecs(vecs, opts),
-			Pool:     pools[i],
-			PoolIdx:  poolIdxs[i],
-			K:        opts.RetrievalK,
-			DialVecs: vecs,
-			Costs:    poolCosts(pools[i]),
-			Workers:  opts.Workers,
-		}
+		// m has no re-ranker yet, so the pipeline has no feature table:
+		// the lists are retrieval's top k.
+		pipe := servingPipeline(pools[i], poolIdxs[i], m, vecs, opts)
 		lists = append(lists, pipe.BuildLists(sets[i].Examples, opts.RerankTrainK)...)
 	}
 	model.Train(lists, nn.TrainConfig{Epochs: opts.RerankEpochs, Seed: opts.Seed + 4})
@@ -706,13 +699,14 @@ func (s *System) Rebuild(build func(fork *System) error) (uint64, error) {
 	if err := build(f); err != nil {
 		return 0, err
 	}
-	return s.adopt(f)
+	gen, _, err := s.adopt(f)
+	return gen, err
 }
 
 // fork makes the system a snapshot is built on off to the side: s's
-// database, options, content, fault injector, linker, exec guide and
-// spill directory, and a budget of its own at the effective limit of
-// s's (none when s has none). The build's spill and truncation
+// database, options, content, samples, fault injector, linker, exec
+// guide and spill directory, and a budget of its own at the effective
+// limit of s's (none when s has none). The build's spill and truncation
 // decisions are therefore a cold build's at that share, and nothing
 // charges s's budget until adopt moves the finished snapshot's bytes.
 func (s *System) fork() *System {
@@ -723,29 +717,37 @@ func (s *System) fork() *System {
 		budget = memgov.New(budget.Name(), budget.EffectiveLimit())
 	}
 	f.SetResources(budget, res.spillDir)
+	s.writeMu.Lock()
 	cur := s.state.Load()
 	f.state.Store(&state{linker: cur.linker, guide: cur.guide, inj: cur.inj})
-	s.writeMu.Lock()
-	f.content = s.content
+	f.content, f.samples = s.content, s.samples
 	s.writeMu.Unlock()
 	return f
 }
 
 // adopt publishes fork f's complete snapshot (pool, index, prep stats,
 // build record, models, linker and exec guide, with f's content and
-// samples) as s's next generation in one pointer store. First it
-// purges the caches and resizes s's pool and embedding reservations to
-// f's accounted bytes, growing both before shrinking either, so s holds
-// one snapshot's charge and a denial changes nothing. It refuses a
-// system on another database and an untrained one. The caller owns f,
-// so f's fields are read without its lock.
-func (s *System) adopt(f *System) (uint64, error) {
+// samples) as s's next snapshot in one pointer store, and returns its
+// generation and publication. First it purges the caches and resizes
+// s's pool and embedding reservations to f's accounted bytes, growing
+// both before shrinking either, so s holds one snapshot's charge and a
+// denial changes nothing. It refuses a system on another database and
+// an untrained one. The caller owns f, so f's fields are read without
+// its lock.
+//
+// The generation is f's or, when s or a skipped file has reached it,
+// the next past them (see nextGen): a warm start keeps its checkpoint's
+// generation, so health endpoints, Result.Generation and the caches
+// line up across the restart, and a generation never names two
+// snapshots, or a translation on the outgoing one could repopulate the
+// caches under it after the purge.
+func (s *System) adopt(f *System) (gen, pub uint64, err error) {
 	if f == s || f.DB != s.DB {
-		return 0, fmt.Errorf("core: adopt of a system that is not a fork of %s", s.DB.Name)
+		return 0, 0, fmt.Errorf("core: adopt of a system that is not a fork of %s", s.DB.Name)
 	}
 	src := f.state.Load()
 	if !src.trained {
-		return 0, ErrNotReady
+		return 0, 0, ErrNotReady
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -761,14 +763,14 @@ func (s *System) adopt(f *System) (uint64, error) {
 		vecMem = budget.Hold()
 	}
 	dPool, dVec := f.snapMem.Bytes()-poolMem.Bytes(), f.vecMem.Bytes()-vecMem.Bytes()
-	err := poolMem.Grow(dPool)
+	err = poolMem.Grow(dPool)
 	if err == nil {
 		if err = vecMem.Grow(dVec); err != nil {
 			poolMem.Shrink(dPool)
 		}
 	}
 	if err != nil {
-		return 0, fmt.Errorf("core: memory budget cannot hold the rebuilt snapshot: %w", err)
+		return 0, 0, fmt.Errorf("core: memory budget cannot hold the rebuilt snapshot: %w", err)
 	}
 	poolMem.Shrink(-dPool)
 	vecMem.Shrink(-dVec)
@@ -776,14 +778,14 @@ func (s *System) adopt(f *System) (uint64, error) {
 
 	cur := s.state.Load()
 	next := *src
-	next.gen, next.inj = cur.gen, cur.inj
-	s.bumpGen(&next)
+	next.gen = max(src.gen, s.nextGen(cur.gen))
+	next.inj = cur.inj
 	s.content, s.samples = f.content, f.samples
 	s.adoptSnapMem(poolMem, vecMem)
 	s.publish(&next)
 	// Translations still on the outgoing snapshot may have cached since.
 	s.purgeCaches()
-	return next.gen, nil
+	return next.gen, next.pub, nil
 }
 
 // Train is the single-database convenience path (used for GEO, whose

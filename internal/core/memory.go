@@ -506,7 +506,7 @@ func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Optio
 // candidate — the same value materialize charged for its record, since
 // printing the bound AST reproduces the record's SQL text.
 func candBytesOf(c ltr.Candidate) int64 {
-	return int64(len(c.SQL.String())+len(c.Dialect))*8 + 256
+	return candBytes(poolRec{sql: c.SQL.String(), dialect: c.Dialect})
 }
 
 // newPipelineGoverned assembles the online pipeline with the embedding

@@ -2,14 +2,22 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
+	"encoding/hex"
+	"fmt"
 	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/embed"
+	"repro/internal/schema/schematest"
 )
 
 // The format pin: testdata/models-v2.gob is fixtureModels as Save wrote
@@ -107,5 +115,122 @@ func TestModelsFormatWriterMatchesReference(t *testing.T) {
 	sameModels(t, got, want)
 	if des, _ := os.ReadDir(dir); len(des) != 1 {
 		t.Fatalf("SaveFile left %d entries, want just the models file", len(des))
+	}
+}
+
+// employeeModelsDigest is modelsDigest of the models TrainModels fits
+// on the employee suite (TestTrainModelsEmployeeDigest), as the build that
+// still assembled TrainModels' list pipeline by hand wrote them.
+const employeeModelsDigest = "44a4f2e19aaca1be01c01a1ca82e3031f7787d4019cf82005bf65e1225fd41f6"
+
+// gobRaw captures a GobEncoder field's bytes undecoded.
+type gobRaw []byte
+
+func (r *gobRaw) GobDecode(data []byte) error {
+	*r = append((*r)[:0], data...)
+	return nil
+}
+
+// gobDecode decodes data into out or fails the test.
+func gobDecode(t *testing.T, data []byte, out any) {
+	t.Helper()
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// modelsDigest hashes every value a saved models stream carries, field
+// by field in a fixed order: maps by sorted key, floats by their bits,
+// the encoder's embedding table as its flat block. Gob numbers types
+// per process and writes maps in iteration order, so two saves of the
+// same models differ as raw bytes; their digests do not.
+func modelsDigest(t *testing.T, m *core.Models) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	refModelsEnvelope(t, data)
+	var saved struct {
+		Encoder   gobRaw
+		HasRerank bool
+		RerankNet gobRaw
+		RerankIDF gobRaw
+	}
+	gobDecode(t, data[16:len(data)-8], &saved)
+	var enc struct {
+		Cfg   embed.Config
+		Table []byte
+		IDF   gobRaw
+	}
+	gobDecode(t, saved.Encoder, &enc)
+	var net struct {
+		Sizes           []int
+		Weights, MW, VW [][][]float64
+		Biases, MB, VB  [][]float64
+		Step            int
+	}
+	gobDecode(t, saved.RerankNet, &net)
+
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v rerank=%v sizes=%v step=%d\n", enc.Cfg, saved.HasRerank, net.Sizes, net.Step)
+	h.Write(enc.Table)
+	for _, idf := range []gobRaw{enc.IDF, saved.RerankIDF} {
+		var st struct {
+			Docs   int
+			Counts map[string]int
+		}
+		gobDecode(t, idf, &st)
+		fmt.Fprintf(h, "docs=%d\n", st.Docs)
+		keys := make([]string, 0, len(st.Counts))
+		for k := range st.Counts {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%q=%d\n", k, st.Counts[k])
+		}
+	}
+	floats := func(xs []float64) {
+		for _, x := range xs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+	for _, layers := range [][][][]float64{net.Weights, net.MW, net.VW} {
+		for _, rows := range layers {
+			for _, row := range rows {
+				floats(row)
+			}
+		}
+	}
+	for _, layers := range [][][]float64{net.Biases, net.MB, net.VB} {
+		for _, row := range layers {
+			floats(row)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainModelsEmployeeDigest: the models TrainModels fits on the
+// employee suite save the same values, bit for bit, as the committed
+// digest records — the encoder's table and IDF statistics, and the
+// re-ranker's network and optimizer state, which only the training
+// lists shape. The digest pins amd64 float arithmetic: an architecture
+// that fuses multiply-adds trains other bits.
+func TestTrainModelsEmployeeDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest was taken on amd64, not %s", runtime.GOARCH)
+	}
+	sys := core.New(schematest.Employee(), core.Options{
+		GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 12, RerankEpochs: 40, Seed: 42,
+	})
+	sys.Prepare(employeeSamples())
+	m, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, sys.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := modelsDigest(t, m); got != employeeModelsDigest {
+		t.Fatalf("employee models digest %s, want %s", got, employeeModelsDigest)
 	}
 }

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/execguide"
 	"repro/internal/generalize"
 	"repro/internal/ltr"
 	"repro/internal/parallel"
 	"repro/internal/rerank"
+	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 	"repro/internal/vector"
 )
@@ -77,21 +79,11 @@ func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Secti
 	for i, c := range st.pool {
 		entries[i] = poolEntry{SQL: c.SQL.String(), Dialect: c.Dialect}
 	}
-	vecs := st.pipeline.DialVecs
-	if vecs == nil {
-		// Defensive: every pipeline built by this package carries its
-		// dialect vectors, but re-encoding is always a valid fallback.
-		vecs = make([]vector.Vec, len(st.pool))
-		for i, c := range st.pool {
-			vecs[i] = st.encoder.Encode(c.Dialect)
-		}
-	}
-
 	var poolBuf, statsBuf bytes.Buffer
 	if err := gob.NewEncoder(&poolBuf).Encode(entries); err != nil {
 		return checkpoint.Manifest{}, nil, fmt.Errorf("core: encoding pool section: %w", err)
 	}
-	vecsBlock, err := vector.EncodeRows(vecs)
+	vecsBlock, err := vector.EncodeRows(st.pipeline.DialVecs)
 	if err != nil {
 		return checkpoint.Manifest{}, nil, fmt.Errorf("core: encoding vecs section: %w", err)
 	}
@@ -155,19 +147,22 @@ func decodeVecs(ck *checkpoint.Checkpoint) ([]vector.Vec, error) {
 // atomically: candidate pool re-parsed and re-bound against this
 // system's database, vector index rebuilt from the persisted dialect
 // embeddings (no re-encoding), re-rank feature table derived from the
-// dialects, models deployed, pool generation restored. The derivations
-// run side by side on up to Options.Workers goroutines, and every
-// worker count publishes the same snapshot. After it returns the
-// system is Ready and translates without ever running Prepare or
-// Train.
+// dialects, models deployed. The derivations run side by side on up to
+// Options.Workers goroutines, and every worker count publishes the same
+// snapshot. After it returns the system is Ready and translates without
+// ever running Prepare or Train. The snapshot is built on a fork and
+// published as Rebuild publishes (see adopt), with the live samples,
+// content and exec guide, which a checkpoint does not store; a restore
+// over a serving snapshot needs headroom only for the difference.
 //
 // A checkpoint for a different database fails with
 // checkpoint.ErrIncompatible; undecodable or internally inconsistent
-// sections fail with checkpoint.ErrCorrupt. On any failure the system
-// is left exactly as it was — the new state is published only after
-// every section has validated.
+// sections fail with checkpoint.ErrCorrupt; a snapshot the budget
+// cannot hold fails with an error wrapping memgov.ErrBudgetExceeded. On
+// any failure the system is left exactly as it was — the new state is
+// published only after every section has validated.
 func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
-	_, err := s.restoreCheckpoint(ck)
+	_, err := s.restoreCheckpoint(ck, nil)
 	return err
 }
 
@@ -185,14 +180,14 @@ type recovery struct {
 // with nil error means nothing recoverable exists and the system is
 // unchanged but for its generation numbering: either way, every new
 // generation numbers above the skipped files, so its checkpoints
-// supersede them (see bumpGen). The restored state is already durable
+// supersede them (see nextGen). The restored state is already durable
 // in st, so a Checkpointer on st counts it as written: a tenant evicted
 // without changing since its warm start is not checkpointed again.
 func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint, []checkpoint.Skipped, error) {
 	var pub uint64
 	ck, skipped, err := st.Recover(func(ck *checkpoint.Checkpoint) error {
 		var rerr error
-		pub, rerr = s.restoreCheckpoint(ck)
+		pub, rerr = s.restoreCheckpoint(ck, nil)
 		return rerr
 	})
 	if err == nil && ck != nil {
@@ -208,9 +203,17 @@ func (s *System) RecoverCheckpoint(st *checkpoint.Store) (*checkpoint.Checkpoint
 	return ck, skipped, err
 }
 
+// guideState is the part of a serving state a checkpoint does not
+// store: the sample queries and the exec guide seeded from them.
+type guideState struct {
+	samples []*sqlast.Query
+	guide   *execguide.Guide
+}
+
 // restoreCheckpoint is RestoreCheckpoint, also returning the number of
-// the publication that made the restored state current.
-func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint) (uint64, error) {
+// the publication that made the restored state current. A non-nil prior
+// replaces the live samples and exec guide the fork starts from.
+func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint, prior *guideState) (uint64, error) {
 	if ck == nil {
 		return 0, fmt.Errorf("core: restoring a nil checkpoint")
 	}
@@ -242,69 +245,53 @@ func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint) (uint64, error) {
 		return 0, snapshotCorrupt("section %q missing", SectionModels)
 	}
 
-	// Account the restored snapshot against the memory budget before
-	// anything is derived. The stored text is exactly what the parsed
-	// candidates print, so this charges what materializing the pool
-	// charges. A budget too small for the checkpoint is a plain error
-	// (not corruption): falling back a generation would not help —
-	// older checkpoints are the same size — so the caller should fall
-	// through to a cold build, which streams and spills under the same
-	// budget instead of materializing the checkpoint whole.
-	budget := s.resources.Load().budget
-	poolMem, vecMem := budget.Hold(), budget.Hold()
+	// Charge the restored snapshot to the fork's budget before anything
+	// is derived. The stored text is exactly what the parsed candidates
+	// print, so this charges what materializing the pool charges. A
+	// budget too small for the checkpoint is a plain error (not
+	// corruption): falling back a generation would not help — older
+	// checkpoints are the same size — so the caller should fall through
+	// to a cold build, which streams and spills under the same budget
+	// instead of materializing the checkpoint whole.
+	f := s.fork()
+	budget := f.resources.Load().budget
+	f.snapMem, f.vecMem = budget.Hold(), budget.Hold()
 	var poolBytes, vecsBytes int64
 	for i, e := range entries {
 		poolBytes += candBytes(poolRec{sql: e.SQL, dialect: e.Dialect})
 		vecsBytes += vecBytes(vecs[i]) + tableBytes(e.Dialect)
 	}
-	if err := poolMem.Grow(poolBytes); err != nil {
+	if err := f.snapMem.Grow(poolBytes); err != nil {
 		return 0, fmt.Errorf("core: memory budget cannot hold the checkpointed pool: %w", err)
 	}
-	if err := vecMem.Grow(vecsBytes); err != nil {
-		poolMem.Release()
+	if err := f.vecMem.Grow(vecsBytes); err != nil {
 		return 0, fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings: %w", err)
 	}
-	pipeline, err := s.deriveSnapshot(entries, vecs, modelsData)
+	pipeline, err := f.deriveSnapshot(entries, vecs, modelsData)
 	if err == nil && len(vecs[0]) != pipeline.Encoder.Dim() {
 		err = snapshotCorrupt("vectors of dimension %d for an encoder of dimension %d",
 			len(vecs[0]), pipeline.Encoder.Dim())
 	}
 	if err != nil {
-		poolMem.Release()
-		vecMem.Release()
 		return 0, err
 	}
 
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	next := *s.state.Load()
-	// Generation continuity: on recovery into a fresh system the
-	// restored snapshot keeps the generation it was checkpointed at, so
-	// health endpoints, Result.Generation and the generation-keyed
-	// caches line up across the restart. A system that has already
-	// moved past the checkpoint (a rollback) instead advances to a
-	// fresh generation: a generation number must never name two
-	// different snapshots, or a translation in flight on the outgoing
-	// snapshot could repopulate the caches under the restored
-	// generation after the purge below.
-	if ck.Manifest.Generation > next.gen {
-		next.gen = ck.Manifest.Generation
-	} else if ck.Manifest.Generation < next.gen {
-		s.bumpGen(&next)
-	}
+	// The fork's state starts with no build record: a restored snapshot
+	// was complete when checkpointed, and its budget accepted it whole.
+	next := *f.state.Load()
+	next.gen = ck.Manifest.Generation
 	next.pool = pipeline.Pool
 	next.poolIdx = pipeline.PoolIdx
 	next.prepStats = stats
-	// A restored snapshot carries no build degradation: it was complete
-	// when checkpointed, and the budget above accepted it whole.
-	next.info = buildInfo{}
 	next.encoder = pipeline.Encoder
 	next.pipeline = pipeline
 	next.trained = true
-	s.adoptSnapMem(poolMem, vecMem)
-	s.publish(&next)
-	s.purgeCaches()
-	return next.pub, nil
+	if prior != nil {
+		f.samples, next.guide = prior.samples, prior.guide
+	}
+	f.state.Store(&next)
+	_, pub, err := s.adopt(f)
+	return pub, err
 }
 
 // deriveSnapshot computes every part of a restored snapshot that the

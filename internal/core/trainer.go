@@ -149,10 +149,12 @@ type TrainerStats struct {
 
 // regressState is the armed post-promotion regression detector: a
 // sliding window of live top-1 hits over subsequent feedback, plus the
-// checkpointed generation to roll back to.
+// checkpointed generation to roll back to and the samples and exec
+// guide it served with.
 type regressState struct {
 	armed   bool
 	baseGen uint64
+	prior   guideState
 	window  []bool
 	hits    int
 }
@@ -165,7 +167,9 @@ type regressState struct {
 // threshold — after making sure the pre-promotion state is
 // checkpointed so the post-promotion regression detector can roll
 // back. A promotion publishes the fork's whole snapshot: pool, models,
-// build record, samples, exec guide and memory charge. Cycles are
+// build record, samples, exec guide and memory charge; a rollback
+// publishes the checkpointed pool and models with the pre-promotion
+// samples and exec guide. Cycles are
 // panic-isolated: a crashing retrain degrades to "keep serving the old
 // ranker", never to a dead process.
 type Trainer struct {
@@ -331,6 +335,9 @@ func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err err
 	// own pool and models. The live snapshot keeps serving untouched
 	// throughout.
 	scratch := t.sys.fork()
+	// A checkpoint stores neither the live samples nor the (immutable)
+	// exec guide, so the rollback point keeps the ones the fork starts on.
+	prior := guideState{samples: scratch.samples, guide: scratch.state.Load().guide}
 	scratch.Prepare(samples)
 	models, terr := TrainModels([]TrainingSet{{Sys: scratch, Examples: examples}}, t.sys.Opts)
 	if terr != nil {
@@ -386,7 +393,7 @@ func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err err
 		}
 	}
 
-	gen, aerr := t.sys.adopt(scratch)
+	gen, _, aerr := t.sys.adopt(scratch)
 	if aerr != nil {
 		return aerr
 	}
@@ -395,7 +402,7 @@ func (t *Trainer) cycle(ctx context.Context, records []feedback.Record) (err err
 	t.mu.Lock()
 	t.stats.Promotions++
 	t.stats.LastShadow = &verdict
-	t.reg = regressState{armed: canRollback, baseGen: baseGen}
+	t.reg = regressState{armed: canRollback, baseGen: baseGen, prior: prior}
 	t.mu.Unlock()
 	t.cfg.Logf("trainer: promoted generation %d (candidate top-1 %.3f vs live %.3f over %d queries, %d feedback pairs)",
 		gen, verdict.Candidate, verdict.Live, verdict.Evaluated, len(pairs))
@@ -520,7 +527,7 @@ func (t *Trainer) ObserveFeedback(ctx context.Context, rec feedback.Record) {
 	}
 	full := len(t.reg.window) >= t.cfg.RegressWindow
 	rate := float64(t.reg.hits) / float64(len(t.reg.window))
-	baseGen := t.reg.baseGen
+	baseGen, prior := t.reg.baseGen, t.reg.prior
 	trigger := full && rate < t.cfg.RegressThreshold
 	if trigger {
 		t.reg = regressState{} // disarm before the rollback runs
@@ -528,17 +535,18 @@ func (t *Trainer) ObserveFeedback(ctx context.Context, rec feedback.Record) {
 	t.mu.Unlock()
 
 	if trigger {
-		go t.rollback(baseGen, rate)
+		go t.rollback(baseGen, prior, rate)
 	}
 }
 
-// rollback restores the checkpointed pre-promotion generation via the
-// standard recovery machinery. Serving is uninterrupted: translations
-// keep reading the demoted snapshot until the restore publishes.
-func (t *Trainer) rollback(gen uint64, rate float64) {
+// rollback restores the checkpointed pre-promotion generation with the
+// samples and exec guide it served with. Serving is uninterrupted:
+// translations keep reading the demoted snapshot until the restore
+// publishes.
+func (t *Trainer) rollback(gen uint64, prior guideState, rate float64) {
 	t.trainMu.Lock()
 	defer t.trainMu.Unlock()
-	err := t.restore(gen)
+	err := t.restore(gen, &prior)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err != nil {
@@ -550,9 +558,10 @@ func (t *Trainer) rollback(gen uint64, rate float64) {
 	t.cfg.Logf("trainer: post-promotion regression (window top-1 %.2f): rolled back to generation %d", rate, gen)
 }
 
-// restore reads and re-publishes one checkpointed generation,
-// panic-isolated like every other background path of the trainer.
-func (t *Trainer) restore(gen uint64) (err error) {
+// restore reads and re-publishes one checkpointed generation with
+// prior's samples and exec guide, panic-isolated like every other
+// background path of the trainer.
+func (t *Trainer) restore(gen uint64, prior *guideState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: rollback panic: %v", r)
@@ -562,5 +571,6 @@ func (t *Trainer) restore(gen uint64) (err error) {
 	if err != nil {
 		return err
 	}
-	return t.sys.RestoreCheckpoint(ck)
+	_, err = t.sys.restoreCheckpoint(ck, prior)
+	return err
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/feedback"
 	"repro/internal/memgov"
@@ -477,6 +478,161 @@ func TestTrainerRollbackUnderTraffic(t *testing.T) {
 	tr.ObserveFeedback(ctx, feedback.Record{Question: "x", SQL: "SELECT city FROM employee", Source: feedback.SourceCorrected})
 	if st := tr.Stats(); st.Rollbacks != 1 {
 		t.Fatalf("detector fired while disarmed: %+v", st)
+	}
+}
+
+// promoteDegenerate runs one cycle of tr, which must promote the
+// degenerate candidate through the open gate.
+func promoteDegenerate(t *testing.T, tr *core.Trainer) {
+	t.Helper()
+	if err := tr.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Promotions != 1 {
+		t.Fatalf("degenerate candidate was not promoted through the open gate: %+v", st)
+	}
+}
+
+// rollBack feeds the degenerate live ranker's misses to tr's armed
+// regression detector until it rolls back, failing on a rollback error.
+func rollBack(t *testing.T, tr *core.Trainer, log *feedback.Log) {
+	t.Helper()
+	seq := log.LastSeq()
+	deadline := time.Now().Add(30 * time.Second)
+	for tr.Stats().Rollbacks == 0 {
+		if st := tr.Stats(); st.LastError != "" {
+			t.Fatalf("rollback failed: %s", st.LastError)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("regression detector never fired: %+v", tr.Stats())
+		}
+		for _, ex := range employeeExamples()[:4] {
+			seq++
+			tr.ObserveFeedback(context.Background(), feedback.Record{
+				Seq: seq, Question: ex.NL, SQL: ex.Gold.String(), Source: feedback.SourceCorrected,
+			})
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// rollbackTrainer is a trainer on sys that promotes the degenerate
+// candidate with a rollback point in a fresh store, and rolls back
+// after four missed feedback records.
+func rollbackTrainer(t *testing.T, sys *core.System, log *feedback.Log) *core.Trainer {
+	t.Helper()
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewTrainer(sys, log, store, trainerBase(), core.TrainerConfig{
+		ShadowThreshold:  10,
+		MutateCandidate:  degenerate,
+		RegressWindow:    4,
+		RegressThreshold: 0.9,
+	})
+}
+
+// TestTrainerRollbackHoldsOneSnapshot: a restore over a serving
+// snapshot builds on a fork and adopt moves only the difference onto
+// the live budget. Under a budget of one snapshot and ~15 % more, the
+// trainer's rollback therefore succeeds with byte-identical answers,
+// and so does a restore of the live generation's own checkpoint, which
+// advances the generation; after each the budget holds exactly the
+// snapshot's charge and never went over its limit.
+func TestTrainerRollbackHoldsOneSnapshot(t *testing.T) {
+	opts := trainerOpts()
+	opts.NoCache, opts.MemBudget = true, 256<<20
+	snapBytes := trainedSystem(t, opts).MemStats().SnapshotBytes
+	opts.MemBudget = snapBytes + snapBytes*15/100
+	sys := trainedSystem(t, opts)
+	oneSnapshot := func(what string) {
+		t.Helper()
+		ms := sys.MemStats()
+		if ms.Degraded || ms.SnapshotBytes != snapBytes || ms.Budget.Used != ms.SnapshotBytes {
+			t.Errorf("after %s: snapshot %d (degraded %v), used %d; want both %d",
+				what, ms.SnapshotBytes, ms.Degraded, ms.Budget.Used, snapBytes)
+		}
+		if ms.Budget.Peak > ms.Budget.Limit {
+			t.Errorf("after %s: budget peak %d over its limit %d", what, ms.Budget.Peak, ms.Budget.Limit)
+		}
+	}
+	baseline := answers(t, sys)
+
+	log := feedbackLog(t, trainerFeedback)
+	tr := rollbackTrainer(t, sys, log)
+	promoteDegenerate(t, tr)
+	rollBack(t, tr, log)
+	if got := answers(t, sys); !sameAnswers(baseline, got) {
+		t.Error("rollback did not restore byte-identical answers")
+	}
+	oneSnapshot("the rollback")
+
+	m, sections, err := sys.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sys.Generation()
+	if err := sys.RestoreCheckpoint(decodeExport(t, m, sections)); err != nil {
+		t.Fatalf("restoring the live generation's checkpoint: %v", err)
+	}
+	if got := sys.Generation(); got != gen+1 {
+		t.Errorf("restore of the live generation %d published generation %d, want %d", gen, got, gen+1)
+	}
+	if got := answers(t, sys); !sameAnswers(baseline, got) {
+		t.Error("restore of the live checkpoint changed the answers")
+	}
+	oneSnapshot("the restore")
+}
+
+// TestTrainerRollbackRestoresSamplesAndGuide: a rollback republishes
+// the samples and exec guide the pre-promotion snapshot served with,
+// not the promotion's. The promotion folds a city = 'Lisbon' record,
+// which seeds the promoted guide; after the rollback the guide is the
+// pre-promotion one again, and a later content change reseeds it from
+// the pre-promotion samples. A plain restore then keeps both.
+func TestTrainerRollbackRestoresSamplesAndGuide(t *testing.T) {
+	opts := trainerOpts()
+	opts.ExecGuide = true
+	sys := trainedSystem(t, opts)
+	content := engine.NewInstance(sys.DB)
+	n, s := engine.Num, engine.Str
+	content.MustInsert("employee", n(1), s("George"), n(45), s("Madrid"))
+	content.MustInsert("employee", n(2), s("John"), n(32), s("Austin"))
+	sys.SetContent(content)
+	before := core.ExecGuide(sys).Instance().Tables
+
+	log := feedbackLog(t, append([][2]string{
+		{"which employees live in Lisbon", "SELECT name FROM employee WHERE city = 'Lisbon'"},
+	}, trainerFeedback...))
+	tr := rollbackTrainer(t, sys, log)
+	promoteDegenerate(t, tr)
+	if reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, before) {
+		t.Fatal("the promoted exec guide is not seeded from the folded Lisbon record")
+	}
+	rollBack(t, tr, log)
+	if !reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, before) {
+		t.Error("rolled-back tenant serves an exec guide other than the pre-promotion one")
+	}
+	sys.SetContent(content)
+	if !reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, before) {
+		t.Error("a content change after the rollback reseeded the guide from other samples than the pre-promotion ones")
+	}
+
+	// A plain restore keeps the live samples and exec guide.
+	m, sections, err := sys.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestoreCheckpoint(decodeExport(t, m, sections)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, before) {
+		t.Error("a restore replaced the live exec guide")
+	}
+	sys.SetContent(content)
+	if !reflect.DeepEqual(core.ExecGuide(sys).Instance().Tables, before) {
+		t.Error("a content change after a restore reseeded the guide from other samples than the live ones")
 	}
 }
 
