@@ -1,5 +1,5 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-smoke cover qualgate stress perfbench
+.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-build bench-smoke cover qualgate stress perfbench
 
 build:
 	go build ./...
@@ -65,14 +65,24 @@ bench-generalize:
 bench-restore:
 	go run ./cmd/garbench -bench restore -iters 20 -benchout BENCH_restore.json
 
+# bench-build regenerates the committed BENCH_build.json: a SPIDER-like
+# tenant's cold build (Prepare, TrainModels, UseModels) stage by stage
+# at pool caps 2,000 and 6,000, GOMAXPROCS 1 and N (ms, allocs and
+# bytes per stage), with every build's models digest asserted equal to
+# the committed one and to its parent block's (on amd64).
+bench-build:
+	go run ./cmd/garbench -bench build -scale full -iters 5 -benchout BENCH_build.json
+
 # bench-smoke is the CI smoke run: one short iteration proving each
 # benchmark harness still builds, runs, and passes its equality
 # assertions; the JSON goes to a scratch path so CI never dirties the
-# committed numbers.
+# committed numbers. The build harness runs the pool-2,000 tenant once
+# per GOMAXPROCS setting and asserts the committed models digest.
 bench-smoke:
 	go run ./cmd/garbench -bench translate -iters 1 -benchout /tmp/BENCH_translate.json
 	go run ./cmd/garbench -bench generalize -iters 1 -benchout /tmp/BENCH_generalize.json
 	go run ./cmd/garbench -bench restore -iters 3 -benchout /tmp/BENCH_restore.json
+	go run ./cmd/garbench -bench build -iters 1 -benchout /tmp/BENCH_build.json
 
 # cover is the coverage gate: per-package floors live in
 # coverage_floors.json and a package may not fall more than one point

@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-
-	"repro/internal/core"
-	"repro/internal/datasets"
-	"repro/internal/ltr"
 )
 
 // The paper-scale section of the translate benchmark times a translation
@@ -55,24 +51,11 @@ type paperReport struct {
 // runPaperScale builds the paper-scale tenant and measures iters passes
 // over its questions at GOMAXPROCS 1 and at the process's GOMAXPROCS.
 func runPaperScale(iters int) (*paperReport, error) {
-	bench := datasets.SpiderLike(datasets.SpiderConfig{
-		TrainDBs: 1, TrainPerDB: paperTrain + 1 + paperHeld, ValDBs: 1, ValPerDB: 1, Seed: 1,
-	})
-	db := datasets.DBNames(bench.Train)[0]
-	bundle := bench.Bundle(db)
-	var examples []ltr.Example
-	for _, it := range bench.Train {
-		if it.DB == db {
-			examples = append(examples, ltr.Example{NL: it.NL, Gold: it.Gold})
-		}
-	}
-	opts := core.Options{
-		GeneralizeSize: paperPoolCap, RetrievalK: 100, Seed: 1, EncoderEpochs: 14, RerankEpochs: 40, NoCache: true,
-	}
+	tn := newSpiderTenant(paperTrain+1+paperHeld, paperPoolCap)
+	examples, opts := tn.examples, tn.opts
 	fmt.Fprintln(os.Stderr, "bench: building the paper-scale tenant...")
-	sys := core.New(bundle.Schema, opts)
-	sys.SetContent(bundle.Content)
-	sys.Prepare(datasets.GoldQueries(bench.Train, db))
+	sys := tn.system()
+	sys.Prepare(tn.samples)
 	if err := sys.Train(examples[:paperTrain]); err != nil {
 		return nil, err
 	}
@@ -82,7 +65,7 @@ func runPaperScale(iters int) (*paperReport, error) {
 	}
 
 	report := &paperReport{
-		Database: db, PoolSize: sys.PoolSize(), RetrievalK: opts.RetrievalK,
+		Database: tn.db, PoolSize: sys.PoolSize(), RetrievalK: opts.RetrievalK,
 		Questions: len(questions), Iters: iters, EqualOutput: true,
 	}
 	ctx := context.Background()

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/ltr"
+	"repro/internal/sqlast"
 )
 
 // The restore benchmark measures a tenant's warm start: one SPIDER-like
@@ -30,8 +31,49 @@ import (
 const (
 	restorePoolCap   = 2000
 	restoreTrain     = 60
+	restoreHeld      = 1100 // items generated past the training pairs (they enlarge the sample set)
 	restoreQuestions = 30
 )
+
+// spiderTenant is the tenant the restore, paper-scale and build
+// benchmarks run: the first SPIDER-like training database at dataset
+// seed 1, generated with a given number of items, which are its
+// examples in generation order; every gold query of the database is a
+// sample, and the options are the serve defaults (14 encoder and 40
+// re-ranker epochs, k = 100) at a pool cap, with no caches.
+type spiderTenant struct {
+	db       string
+	bundle   *datasets.DBBundle
+	examples []ltr.Example
+	samples  []*sqlast.Query
+	opts     core.Options
+}
+
+func newSpiderTenant(items, poolCap int) *spiderTenant {
+	bench := datasets.SpiderLike(datasets.SpiderConfig{
+		TrainDBs: 1, TrainPerDB: items, ValDBs: 1, ValPerDB: 1, Seed: 1,
+	})
+	db := datasets.DBNames(bench.Train)[0]
+	tn := &spiderTenant{
+		db: db, bundle: bench.Bundle(db), samples: datasets.GoldQueries(bench.Train, db),
+		opts: core.Options{
+			GeneralizeSize: poolCap, RetrievalK: 100, Seed: 1, EncoderEpochs: 14, RerankEpochs: 40, NoCache: true,
+		},
+	}
+	for _, it := range bench.Train {
+		if it.DB == db {
+			tn.examples = append(tn.examples, ltr.Example{NL: it.NL, Gold: it.Gold})
+		}
+	}
+	return tn
+}
+
+// system returns a fresh system on the tenant's schema and content.
+func (tn *spiderTenant) system() *core.System {
+	sys := core.New(tn.bundle.Schema, tn.opts)
+	sys.SetContent(tn.bundle.Content)
+	return sys
+}
 
 // restoreRun is one GOMAXPROCS setting's row in BENCH_restore.json.
 type restoreRun struct {
@@ -66,29 +108,12 @@ func runRestoreBench(iters int, outPath string) error {
 	if iters < 3 {
 		iters = 3
 	}
-	bench := datasets.SpiderLike(datasets.SpiderConfig{
-		TrainDBs: 1, TrainPerDB: 1 + restoreTrain + 1100, ValDBs: 1, ValPerDB: 1, Seed: 1,
-	})
-	db := datasets.DBNames(bench.Train)[0]
-	bundle := bench.Bundle(db)
-	var examples []ltr.Example
-	for _, it := range bench.Train {
-		if it.DB == db {
-			examples = append(examples, ltr.Example{NL: it.NL, Gold: it.Gold})
-		}
-	}
-	opts := core.Options{
-		GeneralizeSize: restorePoolCap, Seed: 1, EncoderEpochs: 14, RerankEpochs: 40, NoCache: true,
-	}
-	newSystem := func() *core.System {
-		sys := core.New(bundle.Schema, opts)
-		sys.SetContent(bundle.Content)
-		return sys
-	}
+	tn := newSpiderTenant(1+restoreTrain+restoreHeld, restorePoolCap)
+	examples, newSystem := tn.examples, tn.system
 
 	fmt.Fprintln(os.Stderr, "bench: building and training the tenant...")
 	src := newSystem()
-	src.Prepare(datasets.GoldQueries(bench.Train, db))
+	src.Prepare(tn.samples)
 	if err := src.Train(examples[:restoreTrain]); err != nil {
 		return err
 	}
@@ -109,7 +134,7 @@ func runRestoreBench(iters int, outPath string) error {
 		}
 	}
 
-	report := restoreReport{Database: db, PoolSize: src.PoolSize(), CheckpointBytes: len(data), EqualAnswers: true}
+	report := restoreReport{Database: tn.db, PoolSize: src.PoolSize(), CheckpointBytes: len(data), EqualAnswers: true}
 	decodes := make([]float64, 0, iters)
 	var ck *checkpoint.Checkpoint
 	for i := 0; i < iters; i++ {

@@ -10,7 +10,11 @@
 // Usage:
 //
 //	garbench [-scale small|full] [-exp id[,id...]] [-seed n]
+//	garbench -bench translate|generalize|restore|build [-iters n] [-benchout file]
 //	garbench -baseline [-write]    # translation-quality gate / ratchet
+//
+// -bench build times a tenant's cold build stage by stage at pool cap
+// 2,000, and also at 6,000 with -scale full.
 package main
 
 import (
@@ -25,11 +29,11 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "small", "experiment scale: small or full")
+	scale := flag.String("scale", "small", "experiment scale: small or full (-bench build: full adds the 6,000-candidate pool)")
 	exp := flag.String("exp", "all", "comma-separated experiment ids (or 'all')")
 	seed := flag.Int64("seed", 0, "override the benchmark seed (0 keeps the default)")
-	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize, restore)")
-	iters := flag.Int("iters", 5, "benchmark iterations over the question set (restore: restores per GOMAXPROCS setting)")
+	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize, restore, build)")
+	iters := flag.Int("iters", 5, "benchmark iterations over the question set (restore: restores, build: builds per GOMAXPROCS setting)")
 	benchOut := flag.String("benchout", "", "benchmark JSON output path (default BENCH_<id>.json)")
 	baseline := flag.Bool("baseline", false, "run the translation-quality gate against the committed baseline")
 	baselineFile := flag.String("baselinefile", "BASELINE_quality.json", "committed quality-baseline path")
@@ -58,8 +62,10 @@ func main() {
 			err = runGeneralizeBench(*iters, out)
 		case "restore":
 			err = runRestoreBench(*iters, out)
+		case "build":
+			err = runBuildBench(*iters, *scale == "full", out)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize, restore)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize, restore, build)\n", *bench)
 			os.Exit(1)
 		}
 		if err != nil {

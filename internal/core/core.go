@@ -530,6 +530,30 @@ func (s *System) bindExamples(examples []ltr.Example) []ltr.Example {
 type Models struct {
 	Encoder  *embed.Encoder
 	Reranker *rerank.Model // nil under the w/o-Re-ranking ablation
+
+	// trained is the pool embeddings TrainModels computed to build its
+	// lists, kept when it trained on one set, so that UseModels on the
+	// same pool deploys them instead of encoding the pool again.
+	trained trainedVecs
+}
+
+// trainedVecs is one pool's dialect embeddings under one encoder.
+type trainedVecs struct {
+	pool    []ltr.Candidate
+	encoder *embed.Encoder
+	vecs    []vector.Vec
+}
+
+// poolVecs returns the embeddings TrainModels computed for pool, or
+// nil when it trained on another pool or m.Encoder is no longer the
+// encoder it trained (a candidate mutation may replace it). Pools are
+// immutable once published, so the same slice is the same candidates.
+func (m *Models) poolVecs(pool []ltr.Candidate) []vector.Vec {
+	t := m.trained
+	if len(pool) == 0 || len(t.pool) != len(pool) || &t.pool[0] != &pool[0] || t.encoder != m.Encoder {
+		return nil
+	}
+	return t.vecs
 }
 
 // TrainingSet couples a prepared per-database System with its (NL, gold)
@@ -543,8 +567,15 @@ type TrainingSet struct {
 // following the paper's training phase (Fig. 3): triplets for the
 // retrieval encoder over each database's candidate pool, then top-k
 // listwise groups for the re-ranker. Every set's System must be
-// Prepared.
+// Prepared. The lists are built over the pool embeddings under the
+// trained encoder; with one set, the models keep them for UseModels.
 func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
+	return trainModels(sets, opts, nil)
+}
+
+// trainModels is TrainModels, closing each stage on clock (nil for
+// every build but a profiled one; see ProfileBuild).
+func trainModels(sets []TrainingSet, opts Options, clock *stageClock) (*Models, error) {
 	opts.fill()
 	// Snapshot each system's pool once up front: training then proceeds
 	// lock-free even if a concurrent Prepare swaps a pool underneath.
@@ -573,7 +604,9 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 		triplets = append(triplets,
 			ltr.BuildTriplets(set.Examples, pools[i], poolIdxs[i], 4, opts.Seed+int64(i)+1)...)
 	}
+	clock.mark(stageEncoderFit)
 	encoder.Train(triplets, embed.TrainConfig{Epochs: opts.EncoderEpochs})
+	clock.mark(stageEncoderTrain)
 
 	m := &Models{Encoder: encoder}
 	if opts.NoRerank {
@@ -589,16 +622,24 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	var lists []rerank.TrainingList
 	for i := range sets {
 		// Unbudgeted: nothing can truncate the pool or deny the build.
-		_, vecs, err := buildIndexGoverned(pools[i], encoder, opts, nil)
+		_, vecs, err := buildIndexGoverned(pools[i], encoder, nil, opts, nil)
 		if err != nil {
 			return nil, err
 		}
+		if len(sets) == 1 {
+			m.trained = trainedVecs{pool: pools[i], encoder: encoder, vecs: vecs}
+		}
+		clock.mark(stagePoolEncode)
 		// m has no re-ranker yet, so the pipeline has no feature table:
 		// the lists are retrieval's top k.
 		pipe := servingPipeline(pools[i], poolIdxs[i], m, vecs, opts)
 		lists = append(lists, pipe.BuildLists(sets[i].Examples, opts.RerankTrainK)...)
+		clock.mark(stageListsBuild)
 	}
-	model.Train(lists, nn.TrainConfig{Epochs: opts.RerankEpochs, Seed: opts.Seed + 4})
+	features := model.TrainingFeatures(lists)
+	clock.mark(stageRerankFeatures)
+	model.Net.TrainListwise(features, nn.TrainConfig{Epochs: opts.RerankEpochs, Seed: opts.Seed + 4})
+	clock.mark(stageListNet)
 	m.Reranker = model
 	return m, nil
 }
@@ -648,7 +689,9 @@ func fillSQL(p *ltr.Pipeline, linker *values.Linker, id int, q *sqlast.Query, va
 // UseModels deploys pre-trained models on this (prepared) system:
 // the candidate pool is embedded and indexed with the trained encoder
 // and the pipeline is assembled. This is how a system for an unseen
-// validation database comes online.
+// validation database comes online. Models that TrainModels fitted on
+// this same pool bring its embeddings, and the pool is not encoded
+// again.
 func (s *System) UseModels(m *Models) error {
 	// The write lock is held across the (slow) index build so the pool
 	// cannot be swapped between reading it and publishing the pipeline
@@ -663,7 +706,7 @@ func (s *System) UseModels(m *Models) error {
 	// The embeddings get their own account against the budget; the pool
 	// keeps the reservation Prepare adopted (shrunk on truncation).
 	pipeline, pool, poolIdx, vecMem, truncated, err := newPipelineGoverned(
-		cur.pool, cur.poolIdx, m, s.Opts, s.resources.Load().budget, s.snapMem)
+		cur.pool, cur.poolIdx, m, m.poolVecs(cur.pool), s.Opts, s.resources.Load().budget, s.snapMem)
 	if err != nil {
 		return err
 	}

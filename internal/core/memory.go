@@ -472,7 +472,10 @@ const encodeBatch = 256
 // growing the snapshot reservation per batch by the embeddings and the
 // candidates' share of the re-rank feature table. The embeddings land
 // in one row-major block (vector.Rows), the layout a checkpoint
-// restore decodes, so the scan reads them in memory order. A denial
+// restore decodes, so the scan reads them in memory order. pre, when
+// non-nil, holds the pool's embeddings under encoder already (aligned
+// with pool) and is used instead of encoding; the reservation grows
+// batch by batch all the same, so a budget truncates it alike. A denial
 // truncates the pool at the last complete batch: retrieval quality
 // degrades (fewer candidates) but the system stays up. A budget too
 // small for even the first batch is an error — that snapshot cannot
@@ -480,14 +483,19 @@ const encodeBatch = 256
 // A nil reservation builds unbudgeted.
 //
 //garlint:allow ctxpass errlost -- snapshot build: no caller context to thread, and the ForEach body never returns an error
-func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Options, snap *memgov.Reservation) ([]ltr.Candidate, []vector.Vec, error) {
-	vecs := vector.Rows(len(pool), encoder.Dim())
+func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, pre []vector.Vec, opts Options, snap *memgov.Reservation) ([]ltr.Candidate, []vector.Vec, error) {
+	vecs := pre
+	if pre == nil {
+		vecs = vector.Rows(len(pool), encoder.Dim())
+	}
 	for start := 0; start < len(pool); start += encodeBatch {
 		end := min(start+encodeBatch, len(pool))
-		_ = parallel.ForEach(context.Background(), end-start, opts.Workers, func(i int) error {
-			copy(vecs[start+i], encoder.Encode(pool[start+i].Dialect))
-			return nil
-		})
+		if pre == nil {
+			_ = parallel.ForEach(context.Background(), end-start, opts.Workers, func(i int) error {
+				copy(vecs[start+i], encoder.Encode(pool[start+i].Dialect))
+				return nil
+			})
+		}
 		var batchBytes int64
 		for i := start; i < end; i++ {
 			batchBytes += vecBytes(vecs[i]) + tableBytes(pool[i].Dialect)
@@ -510,7 +518,9 @@ func candBytesOf(c ltr.Candidate) int64 {
 }
 
 // newPipelineGoverned assembles the online pipeline with the embedding
-// vectors accounted in a fresh reservation against budget. Budget
+// vectors accounted in a fresh reservation against budget; pre, when
+// non-nil, is the pool's embeddings under m.Encoder (see
+// buildIndexGoverned). Budget
 // pressure truncates the pool to the candidates whose embeddings fit:
 // the survivors get a rebuilt lookup index and the dropped candidates'
 // bytes return from poolRes to the budget. When the pool itself has
@@ -519,19 +529,22 @@ func candBytesOf(c ltr.Candidate) int64 {
 // retries, so a tight-but-viable budget yields a small serving
 // snapshot instead of no snapshot. Only a budget that cannot hold one
 // candidate with its embedding is an error.
-func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, opts Options,
+func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, pre []vector.Vec, opts Options,
 	budget *memgov.Budget, poolRes *memgov.Reservation,
 ) (*ltr.Pipeline, []ltr.Candidate, *ltr.PoolIndex, *memgov.Reservation, bool, error) {
 	vecRes := budget.Hold()
 	full := len(pool)
-	kept, vecs, err := buildIndexGoverned(pool, m.Encoder, opts, vecRes)
+	kept, vecs, err := buildIndexGoverned(pool, m.Encoder, pre, opts, vecRes)
 	for err != nil && errors.Is(err, memgov.ErrBudgetExceeded) && len(pool) > 1 {
 		cut := len(pool) / 2
 		for _, c := range pool[cut:] {
 			poolRes.Shrink(candBytesOf(c))
 		}
 		pool = pool[:cut]
-		kept, vecs, err = buildIndexGoverned(pool, m.Encoder, opts, vecRes)
+		if pre != nil {
+			pre = pre[:cut]
+		}
+		kept, vecs, err = buildIndexGoverned(pool, m.Encoder, pre, opts, vecRes)
 	}
 	if err != nil {
 		vecRes.Release()

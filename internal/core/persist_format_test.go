@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/embed"
+	"repro/internal/ltr"
 	"repro/internal/schema/schematest"
 )
 
@@ -232,5 +234,78 @@ func TestTrainModelsEmployeeDigest(t *testing.T) {
 	}
 	if got := modelsDigest(t, m); got != employeeModelsDigest {
 		t.Fatalf("employee models digest %s, want %s", got, employeeModelsDigest)
+	}
+}
+
+// spiderModelsDigest is modelsDigest of the models TrainModels fits on
+// the SPIDER-like tenant of TestTrainModelsSpiderDigest, as the build
+// that still allocated per list step, featurized every triplet in
+// every epoch and re-encoded each list entry for its cosine wrote them.
+const spiderModelsDigest = "dfa28f7e17a039b621f0077331e254e1c5fd6db5ff25eb6029b5524e377b53d1"
+
+// TestTrainModelsSpiderDigest is TestTrainModelsEmployeeDigest on a
+// tenant the size of a serving one: the first SPIDER-like training
+// database at dataset seed 1, its pool capped at 600 candidates, 60
+// training pairs, and the serve defaults of 14 encoder and 40
+// re-ranker epochs. Its lists hold retrieval's top 100 with their
+// costs, which the employee suite's ten-entry lists do not exercise.
+// It takes about a second.
+func TestTrainModelsSpiderDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest was taken on amd64, not %s", runtime.GOARCH)
+	}
+	bench := datasets.SpiderLike(datasets.SpiderConfig{TrainDBs: 1, TrainPerDB: 61, ValDBs: 1, ValPerDB: 1, Seed: 1})
+	db := datasets.DBNames(bench.Train)[0]
+	var examples []ltr.Example
+	for _, it := range bench.Train {
+		if it.DB == db && len(examples) < 60 {
+			examples = append(examples, ltr.Example{NL: it.NL, Gold: it.Gold})
+		}
+	}
+	sys := core.New(bench.Bundle(db).Schema, core.Options{
+		GeneralizeSize: 600, EncoderEpochs: 14, RerankEpochs: 40, Seed: 1,
+	})
+	sys.Prepare(datasets.GoldQueries(bench.Train, db))
+	m, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: examples}}, sys.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := modelsDigest(t, m); got != spiderModelsDigest {
+		t.Fatalf("SPIDER-like models digest %s (pool %d), want %s", got, sys.PoolSize(), spiderModelsDigest)
+	}
+}
+
+// TestProfileBuildTrainsTheSameModels: a profiled build trains the
+// models TrainModels trains — the employee digest — deploys them, and
+// attributes itself to every stage once, in order.
+func TestProfileBuildTrainsTheSameModels(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest was taken on amd64, not %s", runtime.GOARCH)
+	}
+	sys := core.New(schematest.Employee(), core.Options{
+		GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 12, RerankEpochs: 40, Seed: 42,
+	})
+	m, stages, err := core.ProfileBuild(sys, employeeSamples(), employeeExamples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := modelsDigest(t, m); got != employeeModelsDigest {
+		t.Fatalf("profiled build's models digest %s, want %s", got, employeeModelsDigest)
+	}
+	if !sys.Ready() {
+		t.Fatal("profiled build did not deploy its models")
+	}
+	want := []string{"prepare", "encoder.fit", "encoder.train", "pool.encode", "lists.build", "rerank.features", "listnet.train", "deploy"}
+	var names []string
+	var allocs uint64
+	for _, s := range stages {
+		names = append(names, s.Name)
+		allocs += s.Allocs
+		if s.Dur < 0 {
+			t.Fatalf("stage %s took %v", s.Name, s.Dur)
+		}
+	}
+	if !slices.Equal(names, want) || allocs == 0 {
+		t.Fatalf("stages %v with %d allocations, want %v", names, allocs, want)
 	}
 }

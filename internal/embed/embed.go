@@ -159,6 +159,10 @@ type TrainConfig struct {
 // constant (stop-gradient through normalization), the standard cheap
 // approximation for shallow Siamese encoders. It returns the mean loss
 // per epoch.
+//
+// Each triplet's features are computed once, before the first epoch:
+// they depend on the text, the fitted IDF and the bucket count, never
+// on the embedding table the epochs update.
 func (e *Encoder) Train(triplets []Triplet, cfg TrainConfig) []float64 {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
@@ -166,6 +170,8 @@ func (e *Encoder) Train(triplets []Triplet, cfg TrainConfig) []float64 {
 	if cfg.LR == 0 {
 		cfg.LR = 0.05
 	}
+	feats := e.tripletFeatures(triplets)
+	sc := newStepScratch(e.cfg.Dim)
 	losses := make([]float64, 0, cfg.Epochs)
 	order := make([]int, len(triplets))
 	for i := range order {
@@ -176,7 +182,7 @@ func (e *Encoder) Train(triplets []Triplet, cfg TrainConfig) []float64 {
 		lr := cfg.LR / float32(1+ep)
 		var sum float64
 		for _, idx := range order {
-			sum += float64(e.step(triplets[idx], lr))
+			sum += float64(e.step(&feats[idx], lr, sc))
 		}
 		if len(triplets) > 0 {
 			sum /= float64(len(triplets))
@@ -186,17 +192,53 @@ func (e *Encoder) Train(triplets []Triplet, cfg TrainConfig) []float64 {
 	return losses
 }
 
+// tripletFeats is one triplet's anchor, positive and negative
+// features.
+type tripletFeats struct {
+	a, p, n []feature
+}
+
+// tripletFeatures computes every triplet's features, once per
+// distinct text: a question anchors several triplets, and its gold
+// dialect is their shared positive.
+func (e *Encoder) tripletFeatures(triplets []Triplet) []tripletFeats {
+	seen := make(map[string][]feature)
+	of := func(s string) []feature {
+		fs, ok := seen[s]
+		if !ok {
+			fs = e.features(s)
+			seen[s] = fs
+		}
+		return fs
+	}
+	out := make([]tripletFeats, len(triplets))
+	for i, t := range triplets {
+		out[i] = tripletFeats{a: of(t.Anchor), p: of(t.Positive), n: of(t.Negative)}
+	}
+	return out
+}
+
+// stepScratch holds the vectors of one SGD step, reused by every step
+// of a Train call.
+type stepScratch struct {
+	va, vp, vn, ua, up, un, ga, gp vector.Vec
+}
+
+func newStepScratch(dim int) *stepScratch {
+	rows := vector.Rows(8, dim)
+	return &stepScratch{va: rows[0], vp: rows[1], vn: rows[2], ua: rows[3], up: rows[4], un: rows[5], ga: rows[6], gp: rows[7]}
+}
+
 // step applies one SGD update and returns the triplet loss.
-func (e *Encoder) step(t Triplet, lr float32) float32 {
-	fa, fp, fn := e.features(t.Anchor), e.features(t.Positive), e.features(t.Negative)
-	va, wa := e.pool(fa)
-	vp, wp := e.pool(fp)
-	vn, wn := e.pool(fn)
-	na, np, nn := vector.Norm(va), vector.Norm(vp), vector.Norm(vn)
+func (e *Encoder) step(t *tripletFeats, lr float32, sc *stepScratch) float32 {
+	wa := e.pool(sc.va, t.a)
+	wp := e.pool(sc.vp, t.p)
+	wn := e.pool(sc.vn, t.n)
+	na, np, nn := vector.Norm(sc.va), vector.Norm(sc.vp), vector.Norm(sc.vn)
 	if na == 0 || np == 0 || nn == 0 {
 		return 0
 	}
-	ua, up, un := unit(va, na), unit(vp, np), unit(vn, nn)
+	ua, up, un := unit(sc.ua, sc.va, na), unit(sc.up, sc.vp, np), unit(sc.un, sc.vn, nn)
 	sp := vector.Dot(ua, up)
 	sn := vector.Dot(ua, un)
 	loss := e.cfg.Margin - sp + sn
@@ -204,19 +246,22 @@ func (e *Encoder) step(t Triplet, lr float32) float32 {
 		return 0
 	}
 	// dL/dua = -up + un ; dL/dup = -ua ; dL/dun = +ua.
-	ga := vector.Clone(un)
+	ga := sc.ga
+	copy(ga, un)
 	vector.Axpy(ga, -1, up)
-	e.backprop(fa, ga, wa*na, lr)
-	gp := vector.Clone(ua)
+	e.backprop(t.a, ga, wa*na, lr)
+	gp := sc.gp
+	copy(gp, ua)
 	vector.Scale(gp, -1)
-	e.backprop(fp, gp, wp*np, lr)
-	e.backprop(fn, vector.Clone(ua), wn*nn, lr)
+	e.backprop(t.p, gp, wp*np, lr)
+	e.backprop(t.n, ua, wn*nn, lr)
 	return loss
 }
 
-// pool returns the weighted sum embedding and the total pooling weight.
-func (e *Encoder) pool(fs []feature) (vector.Vec, float32) {
-	v := vector.New(e.cfg.Dim)
+// pool writes the weighted mean embedding of the features into v and
+// returns the total pooling weight.
+func (e *Encoder) pool(v vector.Vec, fs []feature) float32 {
+	clear(v)
 	var total float32
 	for _, f := range fs {
 		vector.Axpy(v, f.weight, e.emb[f.bucket])
@@ -225,11 +270,12 @@ func (e *Encoder) pool(fs []feature) (vector.Vec, float32) {
 	if total > 0 {
 		vector.Scale(v, 1/total)
 	}
-	return v, total
+	return total
 }
 
-func unit(v vector.Vec, n float32) vector.Vec {
-	out := vector.Clone(v)
+// unit writes v scaled by 1/n into out and returns it.
+func unit(out, v vector.Vec, n float32) vector.Vec {
+	copy(out, v)
 	vector.Scale(out, 1/n)
 	return out
 }

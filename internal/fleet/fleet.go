@@ -522,8 +522,23 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := r.beginActivation(t); err != nil {
+			result, err := r.beginActivation(t)
+			if err != nil {
 				return nil, err
+			}
+			if result == nil {
+				continue // another acquirer launched the round; wait on it
+			}
+			// Wait on the round this call launched and return its
+			// outcome: a round that already failed must not be read as
+			// a cold tenant to activate again.
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case err := <-result:
+				if err != nil {
+					return nil, fmt.Errorf("fleet: activating tenant %s: %w", name, err)
+				}
 			}
 		}
 	}
@@ -531,17 +546,20 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 
 // beginActivation moves a cold tenant into activating: it reserves a
 // working-set slot (marking the LRU idle tenant for eviction when the
-// set is full) and launches the single-flight activation goroutine. A
-// full set with no evictable tenant sheds with *SaturatedError.
+// set is full) and launches the single-flight activation goroutine. It
+// returns a channel that receives the round's outcome (nil on success)
+// once the round has settled, or a nil channel when the tenant was no
+// longer cold. A full set with no evictable tenant sheds with
+// *SaturatedError.
 //
 //garlint:allow goexit -- deliberately detached single-flight activation: waiters join via t.done, the work is bounded by ActivateTimeout, and activate closes the channel on every path
-func (r *Registry) beginActivation(t *tenant) error {
+func (r *Registry) beginActivation(t *tenant) (<-chan error, error) {
 	r.capMu.Lock()
 	t.mu.Lock()
 	if t.state != stateCold { // lost the race; the caller's loop waits
 		t.mu.Unlock()
 		r.capMu.Unlock()
-		return nil
+		return nil, nil
 	}
 	t.mu.Unlock()
 
@@ -551,7 +569,7 @@ func (r *Registry) beginActivation(t *tenant) error {
 		if victim == nil {
 			r.capMu.Unlock()
 			r.shedSaturated.Add(1)
-			return &SaturatedError{RetryAfter: r.cfg.RetryAfter}
+			return nil, &SaturatedError{RetryAfter: r.cfg.RetryAfter}
 		}
 	}
 
@@ -563,8 +581,9 @@ func (r *Registry) beginActivation(t *tenant) error {
 	r.active++
 	r.capMu.Unlock()
 
-	go r.activate(t, victim)
-	return nil
+	result := make(chan error, 1)
+	go func() { result <- r.activate(t, victim) }()
+	return result, nil
 }
 
 // markVictimLocked picks the least-recently-used idle active tenant and
@@ -609,10 +628,11 @@ func (r *Registry) markVictimLocked(exclude *tenant) *tenant {
 // snapshot exists, so residency never exceeds MaxActive), then builds
 // the tenant. It runs detached from whichever request arrived first:
 // the build must survive that request's deadline, because every waiter
-// of the round — present and future — shares its result.
+// of the round — present and future — shares its result. It returns
+// the round's failure, nil once the tenant is active.
 //
 //garlint:allow ctxpass -- the activation's lifetime belongs to the registry, not to the request that happened to trigger it; its bound is ActivateTimeout
-func (r *Registry) activate(t *tenant, victim *tenant) {
+func (r *Registry) activate(t *tenant, victim *tenant) error {
 	if victim != nil {
 		if err := r.finishEvict(victim); err != nil {
 			// The victim's state could not be made durable; it stays
@@ -620,16 +640,14 @@ func (r *Registry) activate(t *tenant, victim *tenant) {
 			// recoverable, losing a dirty tenant's last generation is
 			// not.
 			r.shedSaturated.Add(1)
-			r.failActivation(t, &SaturatedError{RetryAfter: r.cfg.RetryAfter})
-			return
+			return r.failActivation(t, &SaturatedError{RetryAfter: r.cfg.RetryAfter})
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ActivateTimeout)
 	defer cancel()
 	b, err := r.buildTenant(ctx, t)
 	if err != nil {
-		r.failActivation(t, err)
-		return
+		return r.failActivation(t, err)
 	}
 	t.mu.Lock()
 	t.sys = b.sys
@@ -648,11 +666,13 @@ func (r *Registry) activate(t *tenant, victim *tenant) {
 	t.mu.Unlock()
 	r.cfg.Logf("fleet: tenant %s activated (warm=%v, generation %d, pool %d)",
 		t.name, b.warm, b.sys.Generation(), b.sys.PoolSize())
+	return nil
 }
 
 // failActivation returns a tenant to cold, releasing its working-set
-// slot and waking the round's waiters with the error.
-func (r *Registry) failActivation(t *tenant, err error) {
+// slot and waking the round's waiters with the error, which it
+// returns.
+func (r *Registry) failActivation(t *tenant, err error) error {
 	r.capMu.Lock()
 	t.mu.Lock()
 	t.state = stateCold
@@ -665,6 +685,7 @@ func (r *Registry) failActivation(t *tenant, err error) {
 	r.active--
 	r.capMu.Unlock()
 	r.cfg.Logf("fleet: tenant %s activation failed: %v", t.name, err)
+	return err
 }
 
 // builtTenant is the product of one activation build.

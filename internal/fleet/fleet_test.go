@@ -457,6 +457,69 @@ func TestFleetActivationFailure(t *testing.T) {
 	}
 }
 
+// TestFleetActivationFailureRunsOnce: an acquirer whose activation
+// fails at once gets that round's error after exactly one build, not a
+// second activation of the tenant the failed round left cold, and a
+// later Acquire retries. Many tenants give the round many chances to
+// settle before the acquirer looks again, and health readers
+// contending for the tenants' locks widen that window.
+func TestFleetActivationFailureRunsOnce(t *testing.T) {
+	src := newTestSource(t)
+	reg := fleet.New(src, fleet.Config{MaxActive: 2})
+	const tenants = 24
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("bad%d", i)
+		src.deployErr[name] = errors.New("deploy refused")
+		if err := reg.Register(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer func() { close(stop); readers.Wait() }()
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					reg.Health()
+				}
+			}
+		}()
+	}
+	acquireFails := func(name string, want uint64) {
+		t.Helper()
+		if _, err := reg.Acquire(ctx, name); err == nil || !strings.Contains(err.Error(), "deploy refused") {
+			t.Fatalf("Acquire(%s) = %v, want the deploy error", name, err)
+		}
+		row := reg.Health().Tenants[name]
+		if row.Counters.ActivationFailures != want || src.deployCount(name) != int(want) || row.State != "cold" {
+			t.Fatalf("%s after failed Acquire: %d deploys, tenant %+v, want %d activation(s)",
+				name, src.deployCount(name), row, want)
+		}
+	}
+	for i := 0; i < tenants; i++ {
+		acquireFails(fmt.Sprintf("bad%d", i), 1)
+	}
+	acquireFails("bad0", 2)
+	src.mu.Lock()
+	delete(src.deployErr, "bad1")
+	src.mu.Unlock()
+	h, err := reg.Acquire(ctx, "bad1")
+	if err != nil {
+		t.Fatalf("retry after clearing the fault: %v", err)
+	}
+	h.Release()
+	if n := src.deployCount("bad1"); n != 2 {
+		t.Fatalf("bad1 deployed %d times, want 2", n)
+	}
+}
+
 func TestFleetReloadScopedPerTenant(t *testing.T) {
 	src := newTestSource(t)
 	gate := make(chan struct{})

@@ -110,9 +110,12 @@ func (pi *PoolIndex) Find(q *sqlast.Query) int {
 
 // BuildTriplets constructs the retrieval model's training triples
 // {(q_i, d_i, s_i)} in triplet form: for each example, the dialect of
-// its gold query is the positive and negPerExample sampled low-scoring
-// candidates are the negatives. Examples whose gold query is missing
-// from the pool are skipped (they are data-preparation misses).
+// its gold query is the positive, and each of negPerExample draws picks
+// a pool candidate uniformly at random as a negative. A draw that lands
+// on the gold's position, or on a candidate that matches the gold
+// exactly (s_i = 1), is dropped rather than redrawn, so an example can
+// get fewer negatives. Examples whose gold query is missing from the
+// pool are skipped (they are data-preparation misses).
 func BuildTriplets(examples []Example, pool []Candidate, pi *PoolIndex, negPerExample int, seed int64) []embed.Triplet {
 	if negPerExample <= 0 {
 		negPerExample = 4
@@ -133,9 +136,8 @@ func BuildTriplets(examples []Example, pool []Candidate, pi *PoolIndex, negPerEx
 			if ci == posIdx {
 				continue
 			}
-			// Hard negatives (structurally close but not equal) teach
-			// the boundary; the s_i score keeps them as negatives, not
-			// positives.
+			// A candidate the s_i score rates an exact match of the
+			// gold is not a negative.
 			if SimilarityScore(pool[ci].SQL, ex.Gold) >= 1 {
 				continue
 			}
@@ -363,7 +365,9 @@ func (p *Pipeline) RankContext(ctx context.Context, nl string) ([]Ranked, error)
 // gold is not retrieved in the top-k contribute their list with the gold
 // appended, so the model still sees a positive (standard practice for
 // training with imperfect first stages). Retrieval for all examples
-// runs as one batched search instead of a per-example loop.
+// runs as one batched search instead of a per-example loop. Each list
+// carries its entries' costs and embeddings from Costs and DialVecs
+// when the pipeline holds them.
 //
 //garlint:allow ctxpass -- training-time helper with no caller context
 func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
@@ -400,12 +404,18 @@ func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 			if p.Costs != nil {
 				list.Costs = append(list.Costs, p.Costs[h.ID])
 			}
+			if p.DialVecs != nil {
+				list.DialVecs = append(list.DialVecs, p.DialVecs[h.ID])
+			}
 		}
 		if !sawGold {
 			list.Dialects = append(list.Dialects, p.Pool[goldIdx].Dialect)
 			list.Labels = append(list.Labels, 1)
 			if p.Costs != nil {
 				list.Costs = append(list.Costs, p.Costs[goldIdx])
+			}
+			if p.DialVecs != nil {
+				list.DialVecs = append(list.DialVecs, p.DialVecs[goldIdx])
 			}
 		}
 		lists = append(lists, list)

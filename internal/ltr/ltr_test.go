@@ -131,27 +131,69 @@ func TestPipelineRetrieve(t *testing.T) {
 	}
 }
 
+// TestBuildListsShape checks the lists of a pipeline without and with
+// per-candidate costs and embeddings; with them, every entry — the
+// appended gold of a list that missed it included — carries its own
+// candidate's cost and embedding. The second run pairs each question
+// with the next example's gold, so retrieval's top 1 misses golds.
 func TestBuildListsShape(t *testing.T) {
 	pipe, examples := trainedPipeline(t, true)
-	lists := pipe.BuildLists(examples, 3)
-	if len(lists) != len(examples) {
-		t.Fatalf("lists = %d, want %d", len(lists), len(examples))
-	}
-	for _, l := range lists {
-		if len(l.Dialects) != len(l.Labels) {
-			t.Fatal("list shape mismatch")
-		}
-		pos := 0
-		for _, lab := range l.Labels {
-			if lab == 1 {
-				pos++
+	for _, k := range []int{3, 1} {
+		if k == 1 {
+			shifted := make([]ltr.Example, len(examples))
+			for i, ex := range examples {
+				shifted[i] = ltr.Example{NL: ex.NL, Gold: examples[(i+1)%len(examples)].Gold}
+			}
+			examples = shifted
+			pipe.Costs = make([]float64, len(pipe.Pool))
+			pipe.DialVecs = make([]vector.Vec, len(pipe.Pool))
+			for i, c := range pipe.Pool {
+				pipe.Costs[i] = float64(i)
+				pipe.DialVecs[i] = pipe.Encoder.Encode(c.Dialect)
 			}
 		}
-		if pos != 1 {
-			t.Errorf("list for %q has %d positives, want 1", l.NL, pos)
+		lists := pipe.BuildLists(examples, k)
+		if len(lists) != len(examples) {
+			t.Fatalf("lists = %d, want %d", len(lists), len(examples))
 		}
-		if len(l.Dialects) > 4 { // k=3 plus possibly the appended gold
-			t.Errorf("list too long: %d", len(l.Dialects))
+		appended := 0
+		for _, l := range lists {
+			if len(l.Dialects) != len(l.Labels) {
+				t.Fatal("list shape mismatch")
+			}
+			pos := 0
+			for _, lab := range l.Labels {
+				if lab == 1 {
+					pos++
+				}
+			}
+			if pos != 1 {
+				t.Errorf("list for %q has %d positives, want 1", l.NL, pos)
+			}
+			if len(l.Dialects) > k+1 { // k plus possibly the appended gold
+				t.Errorf("list too long: %d", len(l.Dialects))
+			}
+			if len(l.Dialects) == k+1 {
+				appended++
+			}
+			if pipe.Costs == nil {
+				if l.Costs != nil || l.DialVecs != nil {
+					t.Fatalf("list for %q carries costs or embeddings the pipeline does not hold", l.NL)
+				}
+				continue
+			}
+			if len(l.Costs) != len(l.Dialects) || len(l.DialVecs) != len(l.Dialects) {
+				t.Fatalf("list for %q: %d dialects, %d costs, %d embeddings", l.NL, len(l.Dialects), len(l.Costs), len(l.DialVecs))
+			}
+			for j, d := range l.Dialects {
+				id := int(l.Costs[j])
+				if pipe.Pool[id].Dialect != d || &l.DialVecs[j][0] != &pipe.DialVecs[id][0] {
+					t.Fatalf("list for %q entry %d: cost and embedding of candidate %d, dialect %q", l.NL, j, id, d)
+				}
+			}
+		}
+		if k == 1 && appended == 0 {
+			t.Fatal("no list appended its gold at k=1")
 		}
 	}
 }

@@ -174,34 +174,76 @@ func (m *MLP) newGrads() *grads {
 	return g
 }
 
+// zero resets every accumulator to +0 for the next list.
+func (g *grads) zero() {
+	for l := range g.w {
+		for _, row := range g.w[l] {
+			clear(row)
+		}
+		clear(g.b[l])
+	}
+}
+
 // backward accumulates gradients for one example given dLoss/dScore.
-func (m *MLP) backward(acts [][]float64, dScore float64, g *grads) {
-	// delta for the output layer (linear).
-	delta := []float64{dScore}
+// acts is the example's activation list (input first); delta holds one
+// buffer per layer, delta[l] of length sizes[l+1], and delta[last]
+// must already hold dScore. Every accumulator gets one add per example,
+// and each propagated delta is summed from zero in output order, four
+// inputs per pass over the layer's rows.
+func (m *MLP) backward(acts, delta [][]float64, g *grads) {
 	for l := len(m.weights) - 1; l >= 0; l-- {
-		in := acts[l]
-		for o, d := range delta {
-			g.b[l][o] += d
-			row := g.w[l][o]
+		in, d := acts[l], delta[l]
+		gw, gb := g.w[l], g.b[l]
+		o := 0
+		for ; o+4 <= len(d); o += 4 {
+			r0, r1, r2, r3 := gw[o][:len(in)], gw[o+1][:len(in)], gw[o+2][:len(in)], gw[o+3][:len(in)]
+			d0, d1, d2, d3 := d[o], d[o+1], d[o+2], d[o+3]
+			gb[o] += d0
+			gb[o+1] += d1
+			gb[o+2] += d2
+			gb[o+3] += d3
 			for i, v := range in {
-				row[i] += d * v
+				r0[i] += d0 * v
+				r1[i] += d1 * v
+				r2[i] += d2 * v
+				r3[i] += d3 * v
+			}
+		}
+		for ; o < len(d); o++ {
+			gb[o] += d[o]
+			row := gw[o][:len(in)]
+			for i, v := range in {
+				row[i] += d[o] * v
 			}
 		}
 		if l == 0 {
 			break
 		}
-		prev := make([]float64, len(in))
-		for i := range prev {
-			var s float64
-			for o, d := range delta {
-				s += d * m.weights[l][o][i]
+		w, prev := m.weights[l], delta[l-1]
+		i := 0
+		for ; i+4 <= len(prev); i += 4 {
+			var s0, s1, s2, s3 float64
+			for o, dv := range d {
+				r := w[o][i : i+4]
+				s0 += dv * r[0]
+				s1 += dv * r[1]
+				s2 += dv * r[2]
+				s3 += dv * r[3]
 			}
-			if in[i] <= 0 { // ReLU derivative of the hidden activation
-				s = 0
+			prev[i], prev[i+1], prev[i+2], prev[i+3] = s0, s1, s2, s3
+		}
+		for ; i < len(prev); i++ {
+			var s float64
+			for o, dv := range d {
+				s += dv * w[o][i]
 			}
 			prev[i] = s
 		}
-		delta = prev
+		for i, v := range in {
+			if v <= 0 { // ReLU derivative of the hidden activation
+				prev[i] = 0
+			}
+		}
 	}
 }
 
@@ -249,7 +291,9 @@ type TrainConfig struct {
 // TrainListwise fits the network with the ListNet objective: the
 // cross-entropy between the softmax of the predicted scores and the
 // normalized label distribution of each list. It returns the mean loss
-// per epoch.
+// per epoch. Its buffers are sized once for the longest list and reused
+// by every step, so the allocations of a call do not grow with the
+// epochs or the lists.
 func (m *MLP) TrainListwise(lists []List, cfg TrainConfig) []float64 {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
@@ -262,7 +306,12 @@ func (m *MLP) TrainListwise(lists []List, cfg TrainConfig) []float64 {
 	for i := range order {
 		order[i] = i
 	}
-	var losses []float64
+	longest, labels := 0, 0
+	for _, l := range lists {
+		longest, labels = max(longest, len(l.Features)), max(labels, len(l.Labels))
+	}
+	b := m.newListBufs(longest, labels)
+	losses := make([]float64, 0, cfg.Epochs)
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sum float64
@@ -272,7 +321,7 @@ func (m *MLP) TrainListwise(lists []List, cfg TrainConfig) []float64 {
 			if len(l.Features) == 0 {
 				continue
 			}
-			loss := m.listStep(l, cfg.LR)
+			loss := m.listStep(l, cfg.LR, b)
 			sum += loss
 			n++
 		}
@@ -284,19 +333,59 @@ func (m *MLP) TrainListwise(lists []List, cfg TrainConfig) []float64 {
 	return losses
 }
 
-// listStep applies one ListNet update for a single list.
-func (m *MLP) listStep(l List, lr float64) float64 {
-	n := len(l.Features)
-	actsAll := make([][][]float64, n)
-	scores := make([]float64, n)
-	for i, x := range l.Features {
-		acts := m.activations(x)
-		m.forward(x, acts[1:])
-		actsAll[i] = acts
-		scores[i] = acts[len(acts)-1][0]
+// listBufs is the working memory of one TrainListwise call: per list
+// position an activation list over one shared block, the scores, the
+// softmax and the targets, one delta buffer per layer and the
+// gradient accumulators.
+type listBufs struct {
+	acts                 [][][]float64
+	scores, pred, target []float64
+	delta                [][]float64
+	g                    *grads
+}
+
+// newListBufs sizes a listBufs for lists of up to n entries and
+// labels.
+func (m *MLP) newListBufs(n, labels int) *listBufs {
+	width := 0 // the activations of one example, every layer's output
+	for _, s := range m.sizes[1:] {
+		width += s
 	}
-	pred := softmax(scores)
-	target := normalizeLabels(l.Labels)
+	layers := len(m.weights)
+	block := make([]float64, n*width)
+	heads := make([][]float64, n*(layers+1))
+	b := &listBufs{
+		acts:   make([][][]float64, n),
+		scores: make([]float64, n),
+		pred:   make([]float64, n),
+		target: make([]float64, labels),
+		delta:  make([][]float64, layers),
+		g:      m.newGrads(),
+	}
+	for e := range b.acts {
+		acts := heads[e*(layers+1) : (e+1)*(layers+1) : (e+1)*(layers+1)]
+		for l := 1; l <= layers; l++ {
+			acts[l], block = block[:m.sizes[l]:m.sizes[l]], block[m.sizes[l]:]
+		}
+		b.acts[e] = acts
+	}
+	for l := range b.delta {
+		b.delta[l] = make([]float64, m.sizes[l+1])
+	}
+	return b
+}
+
+// listStep applies one ListNet update for a single list.
+func (m *MLP) listStep(l List, lr float64, b *listBufs) float64 {
+	n := len(l.Features)
+	for i, x := range l.Features {
+		acts := b.acts[i]
+		acts[0] = x
+		m.forward(x, acts[1:])
+		b.scores[i] = acts[len(acts)-1][0]
+	}
+	pred := softmax(b.pred[:n], b.scores[:n])
+	target := normalizeLabels(b.target[:len(l.Labels)], l.Labels)
 
 	// Loss = -sum target_i * log(pred_i); dLoss/dscore_i = pred_i - target_i.
 	var loss float64
@@ -305,22 +394,24 @@ func (m *MLP) listStep(l List, lr float64) float64 {
 			loss -= target[i] * math.Log(pred[i]+1e-12)
 		}
 	}
-	g := m.newGrads()
+	b.g.zero()
+	out := b.delta[len(b.delta)-1]
 	for i := range pred {
-		m.backward(actsAll[i], pred[i]-target[i], g)
+		out[0] = pred[i] - target[i]
+		m.backward(b.acts[i], b.delta, b.g)
 	}
-	m.adamApply(g, lr)
+	m.adamApply(b.g, lr)
 	return loss
 }
 
-func softmax(scores []float64) []float64 {
+// softmax writes the softmax of scores into out and returns it.
+func softmax(out, scores []float64) []float64 {
 	maxS := scores[0]
 	for _, s := range scores[1:] {
 		if s > maxS {
 			maxS = s
 		}
 	}
-	out := make([]float64, len(scores))
 	var sum float64
 	for i, s := range scores {
 		out[i] = math.Exp(s - maxS)
@@ -332,10 +423,9 @@ func softmax(scores []float64) []float64 {
 	return out
 }
 
-// normalizeLabels converts labels to a probability distribution; an
-// all-zero list becomes uniform.
-func normalizeLabels(labels []float64) []float64 {
-	out := make([]float64, len(labels))
+// normalizeLabels writes labels as a probability distribution into out
+// and returns it; an all-zero list becomes uniform.
+func normalizeLabels(out, labels []float64) []float64 {
 	var sum float64
 	for _, l := range labels {
 		if l > 0 {
@@ -349,6 +439,7 @@ func normalizeLabels(labels []float64) []float64 {
 		return out
 	}
 	for i, l := range labels {
+		out[i] = 0
 		if l > 0 {
 			out[i] = l / sum
 		}

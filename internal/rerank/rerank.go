@@ -276,18 +276,28 @@ func rankOrder(scores []float64) []int {
 // dialects and their binary (or graded) relevance labels. Costs, when
 // non-nil, must align with Dialects and carries each candidate's
 // estimated-cost feature, so training sees the same inputs serving
-// will.
+// will. DialVecs, when non-nil, must align with Dialects and hold each
+// dialect's embedding under the extractor's encoder (the pool vectors
+// retrieval already computed); nil encodes every dialect on the spot,
+// to the same features.
 type TrainingList struct {
 	NL       string
 	Dialects []string
 	Labels   []float64
 	Costs    []float64
+	DialVecs []vector.Vec
 }
 
-// Train fits the model on listwise groups. Each list's dialects get
-// one feature table, so a list pays the dialect side once per
-// candidate, exactly as serving does.
+// Train fits the model on listwise groups: TrainingFeatures, then the
+// network's listwise training.
 func (m *Model) Train(lists []TrainingList, cfg nn.TrainConfig) []float64 {
+	return m.Net.TrainListwise(m.TrainingFeatures(lists), cfg)
+}
+
+// TrainingFeatures computes the network's input lists from listwise
+// groups. Each list's dialects get one feature table, so a list pays
+// the dialect side once per candidate, exactly as serving does.
+func (m *Model) TrainingFeatures(lists []TrainingList) []nn.List {
 	nnLists := make([]nn.List, 0, len(lists))
 	for _, l := range lists {
 		list := nn.List{Labels: l.Labels}
@@ -297,11 +307,15 @@ func (m *Model) Train(lists []TrainingList, cfg nn.TrainConfig) []float64 {
 			if l.Costs != nil {
 				cost = l.Costs[i]
 			}
-			list.Features = append(list.Features, m.X.FeaturesAt(match, i, nil, cost))
+			var dialVec vector.Vec
+			if l.DialVecs != nil {
+				dialVec = l.DialVecs[i]
+			}
+			list.Features = append(list.Features, m.X.FeaturesAt(match, i, dialVec, cost))
 		}
 		nnLists = append(nnLists, list)
 	}
-	return m.Net.TrainListwise(nnLists, cfg)
+	return nnLists
 }
 
 // Rank scores all candidates for the NL query and returns the indexes in

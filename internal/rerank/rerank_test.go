@@ -2,6 +2,7 @@ package rerank_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/embed"
@@ -287,6 +288,39 @@ func TestCostFeaturePath(t *testing.T) {
 	for i, d := range dialects {
 		if want := m.ScorePrepCost(p, d, nil, costs[i]); batch[i] != want {
 			t.Errorf("batched score %d: %v != sequential %v", i, batch[i], want)
+		}
+	}
+}
+
+// TestTrainingFeaturesReadDialVecs: lists that carry their dialects'
+// embeddings train on the features of lists that do not, bit for bit,
+// and the cosine feature comes from the carried vectors.
+func TestTrainingFeaturesReadDialVecs(t *testing.T) {
+	x := newExtractor()
+	m, err := rerank.New(x, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := trainingLists()
+	withVecs := trainingLists()
+	zeroed := trainingLists()
+	for i := range withVecs {
+		for _, d := range withVecs[i].Dialects {
+			withVecs[i].DialVecs = append(withVecs[i].DialVecs, x.Encoder.Encode(d))
+			zeroed[i].DialVecs = append(zeroed[i].DialVecs, vector.New(x.Encoder.Dim()))
+		}
+	}
+	want, got, zero := m.TrainingFeatures(plain), m.TrainingFeatures(withVecs), m.TrainingFeatures(zeroed)
+	for i := range want {
+		for j := range want[i].Features {
+			for k, v := range want[i].Features[j] {
+				if math.Float64bits(got[i].Features[j][k]) != math.Float64bits(v) {
+					t.Fatalf("list %d entry %d feature %d: %v with carried embeddings, %v encoding", i, j, k, got[i].Features[j][k], v)
+				}
+			}
+			if zero[i].Features[j][18] != 0 || want[i].Features[j][18] == 0 {
+				t.Fatalf("list %d entry %d: cosine %v from zero embeddings, %v encoding", i, j, zero[i].Features[j][18], want[i].Features[j][18])
+			}
 		}
 	}
 }
