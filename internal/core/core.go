@@ -29,7 +29,6 @@ import (
 	"repro/internal/rerank"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
-	"repro/internal/text"
 	"repro/internal/transcache"
 	"repro/internal/values"
 	"repro/internal/vector"
@@ -531,29 +530,45 @@ type Models struct {
 	Encoder  *embed.Encoder
 	Reranker *rerank.Model // nil under the w/o-Re-ranking ablation
 
-	// trained is the pool embeddings TrainModels computed to build its
-	// lists, kept when it trained on one set, so that UseModels on the
-	// same pool deploys them instead of encoding the pool again.
-	trained trainedVecs
+	// trained is what TrainModels derived from the pool it built its
+	// lists over, kept when it trained on one set, so that UseModels on
+	// the same pool deploys it instead of deriving it again.
+	trained trainedPool
 }
 
-// trainedVecs is one pool's dialect embeddings under one encoder.
-type trainedVecs struct {
+// trainedPool is one pool's dialect embeddings under one encoder and
+// its re-rank feature table.
+type trainedPool struct {
 	pool    []ltr.Candidate
 	encoder *embed.Encoder
 	vecs    []vector.Vec
+	table   *rerank.Table
+}
+
+// of reports whether t was derived from pool. Pools are immutable once
+// published, so the same slice is the same candidates.
+func (t trainedPool) of(pool []ltr.Candidate) bool {
+	return len(pool) > 0 && len(t.pool) == len(pool) && &t.pool[0] == &pool[0]
 }
 
 // poolVecs returns the embeddings TrainModels computed for pool, or
 // nil when it trained on another pool or m.Encoder is no longer the
-// encoder it trained (a candidate mutation may replace it). Pools are
-// immutable once published, so the same slice is the same candidates.
+// encoder it trained (a candidate mutation may replace it).
 func (m *Models) poolVecs(pool []ltr.Candidate) []vector.Vec {
-	t := m.trained
-	if len(pool) == 0 || len(t.pool) != len(pool) || &t.pool[0] != &pool[0] || t.encoder != m.Encoder {
+	if !m.trained.of(pool) || m.trained.encoder != m.Encoder {
 		return nil
 	}
-	return t.vecs
+	return m.trained.vecs
+}
+
+// poolTable returns the feature table TrainModels built over pool, or
+// nil when it trained on another pool. The table depends on the
+// dialects alone, so it outlives a replaced encoder.
+func (m *Models) poolTable(pool []ltr.Candidate) *rerank.Table {
+	if !m.trained.of(pool) {
+		return nil
+	}
+	return m.trained.table
 }
 
 // TrainingSet couples a prepared per-database System with its (NL, gold)
@@ -568,7 +583,8 @@ type TrainingSet struct {
 // retrieval encoder over each database's candidate pool, then top-k
 // listwise groups for the re-ranker. Every set's System must be
 // Prepared. The lists are built over the pool embeddings under the
-// trained encoder; with one set, the models keep them for UseModels.
+// trained encoder and name entries of one feature table per pool; with
+// one set, the models keep both for UseModels.
 func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	return trainModels(sets, opts, nil)
 }
@@ -598,7 +614,7 @@ func trainModels(sets []TrainingSet, opts Options, clock *stageClock) (*Models, 
 
 	// Retrieval model.
 	encoder := embed.NewEncoder(embed.Config{Seed: opts.Seed})
-	encoder.FitIDF(corpus)
+	idf := encoder.FitIDF(corpus)
 	var triplets []embed.Triplet
 	for i, set := range sets {
 		triplets = append(triplets,
@@ -613,8 +629,9 @@ func trainModels(sets []TrainingSet, opts Options, clock *stageClock) (*Models, 
 		return m, nil
 	}
 
-	// Re-ranking model over per-database retrieval top-k lists.
-	x := &rerank.Extractor{IDF: text.NewIDF(corpus), Encoder: encoder}
+	// Re-ranking model over per-database retrieval top-k lists, on the
+	// encoder's IDF fit of the same corpus.
+	x := &rerank.Extractor{IDF: idf, Encoder: encoder}
 	model, err := rerank.New(x, opts.Seed+3)
 	if err != nil {
 		return nil, err
@@ -626,14 +643,14 @@ func trainModels(sets []TrainingSet, opts Options, clock *stageClock) (*Models, 
 		if err != nil {
 			return nil, err
 		}
-		if len(sets) == 1 {
-			m.trained = trainedVecs{pool: pools[i], encoder: encoder, vecs: vecs}
-		}
 		clock.mark(stagePoolEncode)
 		// m has no re-ranker yet, so the pipeline has no feature table:
-		// the lists are retrieval's top k.
+		// BuildLists builds the pool's, and the lists name its entries.
 		pipe := servingPipeline(pools[i], poolIdxs[i], m, vecs, opts)
 		lists = append(lists, pipe.BuildLists(sets[i].Examples, opts.RerankTrainK)...)
+		if len(sets) == 1 {
+			m.trained = trainedPool{pool: pools[i], encoder: encoder, vecs: vecs, table: pipe.Table}
+		}
 		clock.mark(stageListsBuild)
 	}
 	features := model.TrainingFeatures(lists)
@@ -690,8 +707,8 @@ func fillSQL(p *ltr.Pipeline, linker *values.Linker, id int, q *sqlast.Query, va
 // the candidate pool is embedded and indexed with the trained encoder
 // and the pipeline is assembled. This is how a system for an unseen
 // validation database comes online. Models that TrainModels fitted on
-// this same pool bring its embeddings, and the pool is not encoded
-// again.
+// this same pool bring its embeddings and feature table, and neither is
+// derived again.
 func (s *System) UseModels(m *Models) error {
 	// The write lock is held across the (slow) index build so the pool
 	// cannot be swapped between reading it and publishing the pipeline

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/execguide"
 	"repro/internal/ltr"
+	"repro/internal/rerank"
 	"repro/internal/vector"
 )
 
@@ -19,3 +20,8 @@ func ExecGuide(s *System) *execguide.Guide { return s.state.Load().guide }
 // external tests can tell a deployment that reused them from one that
 // encoded the pool.
 func TrainedVecs(m *Models) []vector.Vec { return m.trained.vecs }
+
+// TrainedTable exposes the feature table TrainModels built over its
+// pool, so the external tests can tell a deployment that reused it from
+// one that built another.
+func TrainedTable(m *Models) *rerank.Table { return m.trained.table }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/parallel"
-	"repro/internal/rerank"
 	"repro/internal/schema"
 	"repro/internal/spill"
 	"repro/internal/sqlast"
@@ -563,9 +562,9 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 // servingPipeline assembles the online pipeline over a pool whose
 // dialect embeddings are computed: the vector index over them, the
 // static cost features and, when the pipeline re-ranks, the re-rank
-// feature table. A checkpoint restore derives the same parts
-// concurrently (see deriveSnapshot); the table is derived data and
-// never persisted.
+// feature table — the one TrainModels built over this pool, else a new
+// one. A checkpoint restore derives the same parts concurrently (see
+// deriveSnapshot); the table is derived data and never persisted.
 func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, vecs []vector.Vec, opts Options) *ltr.Pipeline {
 	pipe := &ltr.Pipeline{
 		Encoder:    m.Encoder,
@@ -581,11 +580,10 @@ func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, ve
 		Workers:    opts.Workers,
 	}
 	if !opts.NoRerank && m.Reranker != nil {
-		dialects := make([]string, len(pool))
-		for i, c := range pool {
-			dialects[i] = c.Dialect
+		pipe.Table = m.poolTable(pool)
+		if pipe.Table == nil {
+			pipe.Table = ltr.PoolTable(pool)
 		}
-		pipe.Table = rerank.NewTable(dialects)
 	}
 	return pipe
 }

@@ -13,13 +13,13 @@ import (
 // several sets; each stage sums its runs.
 const (
 	stagePrepare        = "prepare"         // Prepare: generalization, dialects, the pool
-	stageEncoderFit     = "encoder.fit"     // the IDF corpus and the triplets
+	stageEncoderFit     = "encoder.fit"     // the IDF corpus, its one fit (shared by encoder and re-ranker), the triplets
 	stageEncoderTrain   = "encoder.train"   // embed.Encoder.Train
-	stagePoolEncode     = "pool.encode"     // the re-ranker's IDF, then the pool's embeddings under the trained encoder
-	stageListsBuild     = "lists.build"     // retrieval's top k per example (ltr.Pipeline.BuildLists)
-	stageRerankFeatures = "rerank.features" // the lists' cross-pair features
+	stagePoolEncode     = "pool.encode"     // the pool's embeddings under the trained encoder
+	stageListsBuild     = "lists.build"     // the pool's re-rank feature table, then retrieval's top k per example (ltr.Pipeline.BuildLists)
+	stageRerankFeatures = "rerank.features" // the lists' cross-pair features over the pool's table
 	stageListNet        = "listnet.train"   // nn.MLP.TrainListwise
-	stageDeploy         = "deploy"          // UseModels
+	stageDeploy         = "deploy"          // UseModels, which after TrainModels on the same pool builds no table and encodes nothing
 )
 
 // BuildStage is one stage of a profiled build: its wall time and the

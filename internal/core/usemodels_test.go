@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ltr"
 	"repro/internal/schema/schematest"
 )
 
@@ -42,12 +45,14 @@ func deployedVecs(t *testing.T, sys *core.System) []byte {
 }
 
 // TestUseModelsDeploysTrainedVecs: UseModels of the models TrainModels
-// fitted on the same system deploys the embeddings training computed,
-// and serves exactly what a deployment that encodes the pool serves —
-// the same embeddings, pool, charge, degradation and answers — both
-// unbudgeted and under a budget that truncates the embeddings, and
-// after the models' encoder was replaced, when the training embeddings
-// no longer apply.
+// fitted on the same system deploys the embeddings and the feature
+// table training computed, and serves exactly what a deployment that
+// encodes the pool serves — the same embeddings, pool, charge,
+// degradation and answers — both unbudgeted, where the cold build's one
+// table is training's, and under a budget that truncates the
+// embeddings, where the deployed table covers the kept candidates and
+// ranks them as a fresh table over them would; and after the models'
+// encoder was replaced, when the training embeddings no longer apply.
 func TestUseModelsDeploysTrainedVecs(t *testing.T) {
 	opts := core.Options{GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 4, RerankEpochs: 6, Seed: 42, NoCache: true}
 	probed := opts
@@ -92,9 +97,43 @@ func TestUseModelsDeploysTrainedVecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			trained := core.TrainedVecs(m)
-			reused := &core.ServingPipeline(sys).DialVecs[0][0] == &trained[0][0]
+			pipe := core.ServingPipeline(sys)
+			reused := &pipe.DialVecs[0][0] == &trained[0][0]
 			if reused == tc.encoder {
 				t.Fatalf("deployment reused the training embeddings: %v, want %v", reused, !tc.encoder)
+			}
+			switch {
+			case tc.encoder:
+				if pipe.Table != nil {
+					t.Fatal("a pipeline without a re-ranker deployed a feature table")
+				}
+			case !tc.truncated:
+				if pipe.Table == nil || pipe.Table != core.TrainedTable(m) {
+					t.Fatal("deployment built a second feature table over the pool training used")
+				}
+			default:
+				if pipe.Table == nil || pipe.Table.Len() != sys.PoolSize() {
+					t.Fatalf("deployed table does not cover exactly the %d kept candidates", sys.PoolSize())
+				}
+				fresh := *pipe
+				fresh.Table = ltr.PoolTable(pipe.Pool)
+				for _, ex := range employeeExamples() {
+					hits, err := pipe.RetrieveContext(context.Background(), ex.NL, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := pipe.RerankVecContext(context.Background(), ex.NL, nil, hits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.RerankVecContext(context.Background(), ex.NL, nil, hits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%q: deployed table ranks %+v, a fresh table over the kept candidates %+v", ex.NL, got, want)
+					}
+				}
 			}
 			if err := twin.UseModels(reloaded(t, m)); err != nil {
 				t.Fatal(err)

@@ -79,8 +79,13 @@ func NewEncoder(cfg Config) *Encoder {
 func (e *Encoder) Dim() int { return e.cfg.Dim }
 
 // FitIDF fits the IDF pooling weights over a corpus (typically the
-// dialect expressions plus the training NL queries).
-func (e *Encoder) FitIDF(corpus []string) { e.idf = text.NewIDF(corpus) }
+// dialect expressions plus the training NL queries) and returns them,
+// so a model trained on the same corpus can share one fit. The
+// statistics are never mutated after the fit.
+func (e *Encoder) FitIDF(corpus []string) *text.IDF {
+	e.idf = text.NewIDF(corpus)
+	return e.idf
+}
 
 //garlint:allow errlost -- hash.Hash.Write never returns an error by its documented contract
 func (e *Encoder) bucket(s string) int {

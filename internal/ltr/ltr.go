@@ -3,11 +3,13 @@
 // similarity score s_i, the first-stage retrieval (Siamese encoder +
 // vector index), and the second-stage re-ranking over the retrieved
 // subset. The paper's Fig. 3 training flow maps onto BuildTriplets /
-// BuildLists; inference maps onto Pipeline.Rank.
+// BuildLists; inference maps onto Pipeline.RetrieveVecContext, then
+// Pipeline.RerankVecContext over the retrieved hits.
 package ltr
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 
@@ -180,10 +182,12 @@ type Pipeline struct {
 	// so a translation copies only the candidates it can fill; nil
 	// treats every candidate as fillable.
 	Fillable []bool
-	// Table, when non-nil, is the re-rank feature table over Pool's
-	// dialects (entry i is Pool[i]). Snapshot builds compute it once,
-	// so re-ranking never re-tokenizes a retrieved dialect; nil builds
-	// a table over each request's hits instead.
+	// Table is the re-rank feature table over Pool's dialects (entry i
+	// is Pool[i]), the one source of the dialect side of every feature
+	// the re-ranker trains and scores on. BuildLists builds it when nil;
+	// snapshot builds deploy the table training built or build one, so
+	// re-ranking never re-tokenizes a retrieved dialect. A pipeline that
+	// re-ranks must have one.
 	Table *rerank.Table
 	// Workers bounds the fan-out of batched scoring and retrieval
 	// (0 = one per CPU, 1 = sequential).
@@ -261,22 +265,20 @@ func (p *Pipeline) FromHits(hits []vindex.Hit) []Ranked {
 	return out
 }
 
-// RerankContext runs the second stage only: the re-ranker reorders the
-// retrieved hits. The context is observed between forward passes.
-func (p *Pipeline) RerankContext(ctx context.Context, nl string, hits []vindex.Hit) ([]Ranked, error) {
-	return p.RerankVecContext(ctx, nl, nil, hits)
-}
-
-// RerankVecContext is RerankContext with an optional precomputed query
-// embedding (under p.Encoder). Every candidate is scored exactly once:
-// the NL-side features are prepared once per question, the dialect
-// side comes from Table and the dialect embeddings from DialVecs when
-// the snapshot precomputed them, and the forward passes fan out across
-// p.Workers. The ranked output is bit-identical to sequential per-pair
-// scoring.
+// RerankVecContext runs the second stage only: the re-ranker reorders
+// the retrieved hits, given an optional precomputed query embedding
+// (under p.Encoder). Every candidate is scored exactly once: the
+// NL-side features are prepared once per question, the dialect side
+// comes from Table and the dialect embeddings from DialVecs when the
+// snapshot precomputed them, and the forward passes fan out across
+// p.Workers, observing the context between them. The ranked output is
+// bit-identical to sequential per-pair scoring.
 func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.Vec, hits []vindex.Hit) ([]Ranked, error) {
 	if p.SkipRerank || p.Reranker == nil {
 		return p.FromHits(hits), nil
+	}
+	if p.Table == nil {
+		return nil, errors.New("ltr: re-ranking pipeline has no feature table")
 	}
 	// The cached query embedding substitutes for the extractor's own
 	// encode only when both stages share one encoder (they do in every
@@ -288,18 +290,11 @@ func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.
 	} else {
 		prep = p.Reranker.X.Prepare(nl)
 	}
-	var order []int
-	var scores []float64
-	var err error
-	if p.Table != nil {
-		ids := make([]int, len(hits))
-		for i, h := range hits {
-			ids[i] = h.ID
-		}
-		order, scores, err = p.Reranker.RankTableContext(ctx, prep, p.Table, ids, p.DialVecs, p.Costs, p.Workers)
-	} else {
-		order, scores, err = p.rerankHits(ctx, prep, hits)
+	ids := make([]int, len(hits))
+	for i, h := range hits {
+		ids[i] = h.ID
 	}
+	order, scores, err := p.Reranker.RankTableContext(ctx, prep, p.Table, ids, p.DialVecs, p.Costs, p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -317,62 +312,23 @@ func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.
 	return out, nil
 }
 
-// rerankHits scores the hits of a pipeline without a feature table,
-// gathering their dialects, embeddings and costs per request.
-func (p *Pipeline) rerankHits(ctx context.Context, prep *rerank.Prep, hits []vindex.Hit) ([]int, []float64, error) {
-	dialects := make([]string, len(hits))
-	var dialVecs []vector.Vec
-	if p.DialVecs != nil {
-		dialVecs = make([]vector.Vec, len(hits))
-	}
-	var costs []float64
-	if p.Costs != nil {
-		costs = make([]float64, len(hits))
-	}
-	for i, h := range hits {
-		dialects[i] = p.Pool[h.ID].Dialect
-		if dialVecs != nil {
-			dialVecs[i] = p.DialVecs[h.ID]
-		}
-		if costs != nil {
-			costs[i] = p.Costs[h.ID]
-		}
-	}
-	return p.Reranker.RankScoresPrepContext(ctx, prep, dialects, dialVecs, costs, p.Workers)
-}
-
-// Rank runs the full two-stage pipeline and returns the candidates in
-// final ranked order.
-//
-//garlint:allow ctxpass errlost -- compatibility wrapper over RankContext; the fresh root context and the dropped error are the legacy signature
-func (p *Pipeline) Rank(nl string) []Ranked {
-	out, _ := p.RankContext(context.Background(), nl)
-	return out
-}
-
-// RankContext is Rank with cancellation threaded through both stages.
-func (p *Pipeline) RankContext(ctx context.Context, nl string) ([]Ranked, error) {
-	hits, err := p.RetrieveContext(ctx, nl, p.K)
-	if err != nil {
-		return nil, err
-	}
-	return p.RerankContext(ctx, nl, hits)
-}
-
 // BuildLists constructs the re-ranking model's listwise training groups:
 // for each example, the top-k retrieval results form the candidate list
 // and the binary labels mark the gold dialect (§III-C2). Examples whose
 // gold is not retrieved in the top-k contribute their list with the gold
 // appended, so the model still sees a positive (standard practice for
 // training with imperfect first stages). Retrieval for all examples
-// runs as one batched search instead of a per-example loop. Each list
-// carries its entries' costs and embeddings from Costs and DialVecs
-// when the pipeline holds them.
+// runs as one batched search instead of a per-example loop. Every list
+// names entries of the pool's feature table, p.Table, which BuildLists
+// builds when nil, and carries the pipeline's own Costs and DialVecs.
 //
 //garlint:allow ctxpass -- training-time helper with no caller context
 func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 	if p.PoolIdx == nil {
 		p.PoolIdx = NewPoolIndex(p.Pool)
+	}
+	if p.Table == nil {
+		p.Table = PoolTable(p.Pool)
 	}
 	golds := make([]int, 0, len(examples))
 	nls := make([]string, 0, len(examples))
@@ -391,34 +347,32 @@ func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 	lists := make([]rerank.TrainingList, 0, len(nls))
 	for j, hits := range batch {
 		goldIdx := golds[j]
-		list := rerank.TrainingList{NL: nls[j]}
+		list := rerank.TrainingList{NL: nls[j], Table: p.Table, DialVecs: p.DialVecs, Costs: p.Costs}
 		sawGold := false
 		for _, h := range hits {
-			list.Dialects = append(list.Dialects, p.Pool[h.ID].Dialect)
 			label := 0.0
 			if h.ID == goldIdx {
 				label = 1
 				sawGold = true
 			}
+			list.IDs = append(list.IDs, h.ID)
 			list.Labels = append(list.Labels, label)
-			if p.Costs != nil {
-				list.Costs = append(list.Costs, p.Costs[h.ID])
-			}
-			if p.DialVecs != nil {
-				list.DialVecs = append(list.DialVecs, p.DialVecs[h.ID])
-			}
 		}
 		if !sawGold {
-			list.Dialects = append(list.Dialects, p.Pool[goldIdx].Dialect)
+			list.IDs = append(list.IDs, goldIdx)
 			list.Labels = append(list.Labels, 1)
-			if p.Costs != nil {
-				list.Costs = append(list.Costs, p.Costs[goldIdx])
-			}
-			if p.DialVecs != nil {
-				list.DialVecs = append(list.DialVecs, p.DialVecs[goldIdx])
-			}
 		}
 		lists = append(lists, list)
 	}
 	return lists
+}
+
+// PoolTable builds the re-rank feature table over the pool's dialects:
+// entry i is pool[i].
+func PoolTable(pool []Candidate) *rerank.Table {
+	dialects := make([]string, len(pool))
+	for i, c := range pool {
+		dialects[i] = c.Dialect
+	}
+	return rerank.NewTable(dialects)
 }

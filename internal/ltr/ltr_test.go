@@ -132,12 +132,15 @@ func TestPipelineRetrieve(t *testing.T) {
 }
 
 // TestBuildListsShape checks the lists of a pipeline without and with
-// per-candidate costs and embeddings; with them, every entry — the
-// appended gold of a list that missed it included — carries its own
-// candidate's cost and embedding. The second run pairs each question
-// with the next example's gold, so retrieval's top 1 misses golds.
+// per-candidate costs and embeddings: every list names entries of the
+// one pool table BuildLists built, its IDs index the pool, a gold that
+// retrieval missed is appended as its pool id with label 1, and the
+// lists carry the pipeline's own Costs and DialVecs, not copies. The
+// second run pairs each question with the next example's gold, so
+// retrieval's top 1 misses golds.
 func TestBuildListsShape(t *testing.T) {
 	pipe, examples := trainedPipeline(t, true)
+	pi := ltr.NewPoolIndex(pipe.Pool)
 	for _, k := range []int{3, 1} {
 		if k == 1 {
 			shifted := make([]ltr.Example, len(examples))
@@ -156,25 +159,43 @@ func TestBuildListsShape(t *testing.T) {
 		if len(lists) != len(examples) {
 			t.Fatalf("lists = %d, want %d", len(lists), len(examples))
 		}
+		if pipe.Table == nil || pipe.Table.Len() != len(pipe.Pool) {
+			t.Fatal("BuildLists did not build the pool's table")
+		}
 		appended := 0
-		for _, l := range lists {
-			if len(l.Dialects) != len(l.Labels) {
+		for i, l := range lists {
+			if l.Table != pipe.Table {
+				t.Fatalf("list for %q names entries of another table", l.NL)
+			}
+			if len(l.IDs) != len(l.Labels) {
 				t.Fatal("list shape mismatch")
 			}
-			pos := 0
-			for _, lab := range l.Labels {
-				if lab == 1 {
-					pos++
+			hits := pipe.Retrieve(l.NL, k)
+			gold := pi.Find(examples[i].Gold)
+			for j, id := range l.IDs {
+				if id < 0 || id >= len(pipe.Pool) {
+					t.Fatalf("list for %q entry %d: id %d outside the pool", l.NL, j, id)
+				}
+				if j < len(hits) && hits[j].ID != id {
+					t.Fatalf("list for %q entry %d: id %d, retrieval's %d", l.NL, j, id, hits[j].ID)
+				}
+				want := 0.0
+				if id == gold {
+					want = 1
+				}
+				if l.Labels[j] != want {
+					t.Fatalf("list for %q entry %d (candidate %d): label %v, want %v", l.NL, j, id, l.Labels[j], want)
 				}
 			}
-			if pos != 1 {
-				t.Errorf("list for %q has %d positives, want 1", l.NL, pos)
-			}
-			if len(l.Dialects) > k+1 { // k plus possibly the appended gold
-				t.Errorf("list too long: %d", len(l.Dialects))
-			}
-			if len(l.Dialects) == k+1 {
+			switch len(l.IDs) {
+			case len(hits):
+			case len(hits) + 1: // the appended gold
+				if l.IDs[len(hits)] != gold || l.Labels[len(hits)] != 1 {
+					t.Fatalf("list for %q appended candidate %d, label %v; want gold %d, label 1", l.NL, l.IDs[len(hits)], l.Labels[len(hits)], gold)
+				}
 				appended++
+			default:
+				t.Fatalf("list for %q has %d entries for %d hits", l.NL, len(l.IDs), len(hits))
 			}
 			if pipe.Costs == nil {
 				if l.Costs != nil || l.DialVecs != nil {
@@ -182,14 +203,9 @@ func TestBuildListsShape(t *testing.T) {
 				}
 				continue
 			}
-			if len(l.Costs) != len(l.Dialects) || len(l.DialVecs) != len(l.Dialects) {
-				t.Fatalf("list for %q: %d dialects, %d costs, %d embeddings", l.NL, len(l.Dialects), len(l.Costs), len(l.DialVecs))
-			}
-			for j, d := range l.Dialects {
-				id := int(l.Costs[j])
-				if pipe.Pool[id].Dialect != d || &l.DialVecs[j][0] != &pipe.DialVecs[id][0] {
-					t.Fatalf("list for %q entry %d: cost and embedding of candidate %d, dialect %q", l.NL, j, id, d)
-				}
+			if len(l.Costs) != len(pipe.Costs) || &l.Costs[0] != &pipe.Costs[0] ||
+				len(l.DialVecs) != len(pipe.DialVecs) || &l.DialVecs[0] != &pipe.DialVecs[0] {
+				t.Fatalf("list for %q does not carry the pipeline's own costs and embeddings", l.NL)
 			}
 		}
 		if k == 1 && appended == 0 {
@@ -200,7 +216,14 @@ func TestBuildListsShape(t *testing.T) {
 
 func TestRankWithoutReranker(t *testing.T) {
 	pipe, examples := trainedPipeline(t, true)
-	ranked := pipe.Rank(examples[3].NL)
+	hits, err := pipe.RetrieveContext(context.Background(), examples[3].NL, pipe.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := pipe.RerankVecContext(context.Background(), examples[3].NL, nil, hits)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -229,11 +252,12 @@ func TestBuildTripletsSkipsMissingGold(t *testing.T) {
 }
 
 // TestRerankVecContextCostAware drives the full second stage with a
-// live re-ranker: ranked output must be a permutation of the retrieved
-// hits in descending score order, the precomputed-embedding and
-// precomputed-cost paths must be bit-identical to the plain path, and
-// the cost vector must actually reach the model (perturbing it moves a
-// score).
+// live re-ranker over the pool's table: ranked output must be a
+// permutation of the retrieved hits in descending score order, the
+// precomputed-embedding and precomputed-cost paths must be
+// bit-identical to the plain path, the cost vector must actually reach
+// the model (perturbing it moves a score), and the pool's table must
+// rank exactly as a table over the hits alone.
 func TestRerankVecContextCostAware(t *testing.T) {
 	pipe, examples := trainedPipeline(t, false)
 	var corpus []string
@@ -246,11 +270,12 @@ func TestRerankVecContextCostAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe.Reranker = m
+	pipe.Table = ltr.PoolTable(pipe.Pool)
 
 	nl := examples[3].NL
 	hits := pipe.Retrieve(nl, 3)
 
-	plain, err := pipe.RerankContext(context.Background(), nl, hits)
+	plain, err := pipe.RerankVecContext(context.Background(), nl, nil, hits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,21 +337,43 @@ func TestRerankVecContextCostAware(t *testing.T) {
 		t.Fatal("cost vector did not reach the scoring path")
 	}
 
-	// A per-snapshot feature table ranks exactly as the per-request
-	// one over the hits.
-	dialects := make([]string, len(pipe.Pool))
-	for i, c := range pipe.Pool {
-		dialects[i] = c.Dialect
+	// The pool's table ranks exactly as a table over the hits' dialects
+	// alone, with their embeddings and costs gathered per hit.
+	dialects := make([]string, len(hits))
+	dialVecs := make([]vector.Vec, len(hits))
+	costs := make([]float64, len(hits))
+	for i, h := range hits {
+		dialects[i], dialVecs[i], costs[i] = pipe.Pool[h.ID].Dialect, pipe.DialVecs[h.ID], pipe.Costs[h.ID]
 	}
-	pipe.Table = rerank.NewTable(dialects)
-	tabled, err := pipe.RerankVecContext(context.Background(), nl, qvec, hits)
+	order, scores, err := m.RankScoresPrepContext(context.Background(), x.PrepareVec(nl, qvec), dialects, dialVecs, costs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range costly {
-		if tabled[i].ID != costly[i].ID || tabled[i].Score != costly[i].Score {
-			t.Fatalf("table path diverged at %d: %+v vs %+v", i, tabled[i], costly[i])
+	for i, idx := range order {
+		if costly[i].ID != hits[idx].ID || costly[i].Score != scores[idx] {
+			t.Fatalf("pool table diverged at %d from a table over the hits: %+v vs candidate %d score %v", i, costly[i], hits[idx].ID, scores[idx])
 		}
+	}
+}
+
+// TestRerankWithoutTable: a pipeline that re-ranks must hold its
+// pool's feature table; without one the second stage is an error, not
+// a panic, while the retrieval-only ablation needs none.
+func TestRerankWithoutTable(t *testing.T) {
+	pipe, examples := trainedPipeline(t, false)
+	x := &rerank.Extractor{IDF: text.NewIDF(nil), Encoder: pipe.Encoder}
+	m, err := rerank.New(x, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Reranker = m
+	hits := pipe.Retrieve(examples[0].NL, 3)
+	if out, err := pipe.RerankVecContext(context.Background(), examples[0].NL, nil, hits); err == nil {
+		t.Fatalf("re-ranking without a table returned %d candidates and no error", len(out))
+	}
+	pipe.SkipRerank = true
+	if out, err := pipe.RerankVecContext(context.Background(), examples[0].NL, nil, hits); err != nil || len(out) != len(hits) {
+		t.Fatalf("retrieval-only ranking: %d candidates, %v", len(out), err)
 	}
 }
 

@@ -103,31 +103,6 @@ func (x *Extractor) PrepareVec(nl string, vec vector.Vec) *Prep {
 	}
 }
 
-// Features computes the feature vector for one (NL, dialect) pair.
-func (x *Extractor) Features(nl, dial string) []float64 {
-	return x.FeaturesPrep(x.Prepare(nl), dial, nil)
-}
-
-// FeaturesPrep computes the feature vector for one prepared question
-// against one candidate dialect, with a zero cost feature. dialVec,
-// when non-nil, must be the encoder embedding of dial (pipelines
-// precompute one per pool candidate at snapshot-build time); nil falls
-// back to encoding dial on the spot. Either way the resulting features
-// are bit-identical to Features(nl, dial) — the determinism suite
-// depends on that.
-func (x *Extractor) FeaturesPrep(p *Prep, dial string, dialVec vector.Vec) []float64 {
-	return x.FeaturesPrepCost(p, dial, dialVec, 0)
-}
-
-// FeaturesPrepCost is FeaturesPrep with the candidate's estimated-cost
-// feature (execguide.CostFeature of its SQL, normalized to [0,1); 0
-// when no cost signal is available). The cost is a static property of
-// the candidate, so pipelines compute it once per pool entry. It runs
-// the table's pair math over a one-entry table.
-func (x *Extractor) FeaturesPrepCost(p *Prep, dial string, dialVec vector.Vec, cost float64) []float64 {
-	return x.FeaturesAt(x.Match(p, NewTable([]string{dial})), 0, dialVec, cost)
-}
-
 func lengthRatio(a, b int) float64 {
 	if a == 0 || b == 0 {
 		return 0
@@ -199,53 +174,26 @@ func New(x *Extractor, seed int64) (*Model, error) {
 	return &Model{X: x, Net: net}, nil
 }
 
-// Score returns the relevance score of a (NL, dialect) pair.
+// Score returns the relevance score of a (NL, dialect) pair: the one
+// entry of a table over dial, scored as a pipeline scores a pool
+// entry.
 func (m *Model) Score(nl, dial string) float64 {
-	return m.Net.Score(m.X.Features(nl, dial))
-}
-
-// ScorePrep scores one prepared question against one candidate.
-// dialVec, when non-nil, must be the encoder embedding of dial. The
-// score is bit-identical to Score(nl, dial).
-func (m *Model) ScorePrep(p *Prep, dial string, dialVec vector.Vec) float64 {
-	return m.ScorePrepCost(p, dial, dialVec, 0)
-}
-
-// ScorePrepCost is ScorePrep with the candidate's estimated-cost
-// feature.
-func (m *Model) ScorePrepCost(p *Prep, dial string, dialVec vector.Vec, cost float64) float64 {
-	return m.Net.Score(m.X.FeaturesPrepCost(p, dial, dialVec, cost))
-}
-
-// ScoreBatchContext scores the prepared question against every
-// candidate, fanning the forward passes across workers (0 means one
-// per CPU). dialVecs and costs are each either nil or aligned with
-// dialects (nil costs scores every pair with a zero cost feature).
-// scores[i] is bit-identical to the sequential per-pair score
-// regardless of the worker count — each score depends only on its own
-// (Prep, dialect, cost) triple.
-func (m *Model) ScoreBatchContext(ctx context.Context, p *Prep, dialects []string, dialVecs []vector.Vec, costs []float64, workers int) ([]float64, error) {
-	_, scores, err := m.RankScoresPrepContext(ctx, p, dialects, dialVecs, costs, workers)
-	return scores, err
+	return m.Net.Score(m.X.FeaturesAt(m.X.Match(m.X.Prepare(nl), NewTable([]string{dial})), 0, nil, 0))
 }
 
 // RankScoresPrepContext ranks the candidates for a prepared question
 // and returns both the descending-score index order and the raw score
-// per original candidate index, so callers never re-score a candidate
-// they already ranked. It builds a feature table over dialects and
-// ranks every entry; pipelines that hold a per-snapshot table call
-// RankTableContext directly.
+// per original candidate index. dialVecs and costs are each either nil
+// or aligned with dialects. It builds a feature table over dialects
+// per call; its one caller is the benchmark's traced replay
+// (perfbench), and pipelines rank entries of their pool's table with
+// RankTableContext.
 func (m *Model) RankScoresPrepContext(ctx context.Context, p *Prep, dialects []string, dialVecs []vector.Vec, costs []float64, workers int) ([]int, []float64, error) {
 	ids := make([]int, len(dialects))
 	for i := range ids {
 		ids[i] = i
 	}
 	return m.RankTableContext(ctx, p, NewTable(dialects), ids, dialVecs, costs, workers)
-}
-
-// RankScoresContext is RankScoresPrepContext over a raw NL question.
-func (m *Model) RankScoresContext(ctx context.Context, nl string, dialects []string, dialVecs []vector.Vec, costs []float64, workers int) ([]int, []float64, error) {
-	return m.RankScoresPrepContext(ctx, m.X.Prepare(nl), dialects, dialVecs, costs, workers)
 }
 
 // rankOrder returns candidate indexes in descending score order using
@@ -272,20 +220,23 @@ func rankOrder(scores []float64) []int {
 	return out
 }
 
-// TrainingList is one listwise group: an NL query with candidate
-// dialects and their binary (or graded) relevance labels. Costs, when
-// non-nil, must align with Dialects and carries each candidate's
-// estimated-cost feature, so training sees the same inputs serving
-// will. DialVecs, when non-nil, must align with Dialects and hold each
-// dialect's embedding under the extractor's encoder (the pool vectors
-// retrieval already computed); nil encodes every dialect on the spot,
-// to the same features.
+// TrainingList is one listwise group: an NL query, the entries of a
+// feature table that form its candidate list, and their binary (or
+// graded) relevance labels, aligned with IDs. Lists drawn from one pool
+// share its table. DialVecs and Costs are each either nil or aligned
+// with the table's entries, as RankTableContext takes them: DialVecs
+// holds each entry's embedding under the extractor's encoder (the pool
+// vectors retrieval already computed; nil encodes every entry on the
+// spot, to the same features), Costs its estimated-cost feature (nil
+// trains every entry with a zero cost feature), so training sees the
+// inputs serving will.
 type TrainingList struct {
 	NL       string
-	Dialects []string
+	Table    *Table
+	IDs      []int
 	Labels   []float64
-	Costs    []float64
 	DialVecs []vector.Vec
+	Costs    []float64
 }
 
 // Train fits the model on listwise groups: TrainingFeatures, then the
@@ -295,42 +246,34 @@ func (m *Model) Train(lists []TrainingList, cfg nn.TrainConfig) []float64 {
 }
 
 // TrainingFeatures computes the network's input lists from listwise
-// groups. Each list's dialects get one feature table, so a list pays
-// the dialect side once per candidate, exactly as serving does.
+// groups: each question is matched into its list's table once, and
+// each entry's features are computed exactly as serving computes them.
 func (m *Model) TrainingFeatures(lists []TrainingList) []nn.List {
 	nnLists := make([]nn.List, 0, len(lists))
+	var sc scratch
 	for _, l := range lists {
-		list := nn.List{Labels: l.Labels}
-		match := m.X.Match(m.X.Prepare(l.NL), NewTable(l.Dialects))
-		for i := range l.Dialects {
-			var cost float64
-			if l.Costs != nil {
-				cost = l.Costs[i]
-			}
-			var dialVec vector.Vec
-			if l.DialVecs != nil {
-				dialVec = l.DialVecs[i]
-			}
-			list.Features = append(list.Features, m.X.FeaturesAt(match, i, dialVec, cost))
+		match := m.X.Match(m.X.Prepare(l.NL), l.Table)
+		block := make([]float64, len(l.IDs)*FeatureDim)
+		list := nn.List{Features: make([][]float64, len(l.IDs)), Labels: l.Labels}
+		for j, id := range l.IDs {
+			dv, cost := entryInputs(l.DialVecs, l.Costs, id)
+			list.Features[j] = m.X.pairFeatures(block[j*FeatureDim:(j+1)*FeatureDim], match, id, dv, cost, &sc)
 		}
 		nnLists = append(nnLists, list)
 	}
 	return nnLists
 }
 
-// Rank scores all candidates for the NL query and returns the indexes in
-// descending score order.
-//
-//garlint:allow ctxpass errlost -- compatibility wrapper over RankContext; the fresh root context and the dropped error are the legacy signature
-func (m *Model) Rank(nl string, dialects []string) []int {
-	order, _ := m.RankContext(context.Background(), nl, dialects)
-	return order
-}
-
-// RankContext is Rank with cancellation: the context is checked around
-// every forward pass, so a deadline set over a large candidate list
-// aborts mid-scoring instead of completing the full scan.
-func (m *Model) RankContext(ctx context.Context, nl string, dialects []string) ([]int, error) {
-	order, _, err := m.RankScoresContext(ctx, nl, dialects, nil, nil, 1)
-	return order, err
+// entryInputs returns table entry id's embedding and cost from the
+// optional entry-aligned slices: nil and zero where a slice is nil.
+func entryInputs(dialVecs []vector.Vec, costs []float64, id int) (vector.Vec, float64) {
+	var dv vector.Vec
+	if dialVecs != nil {
+		dv = dialVecs[id]
+	}
+	var cost float64
+	if costs != nil {
+		cost = costs[id]
+	}
+	return dv, cost
 }

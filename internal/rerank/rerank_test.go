@@ -3,6 +3,7 @@ package rerank_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/embed"
@@ -25,9 +26,34 @@ func newExtractor() *rerank.Extractor {
 	return &rerank.Extractor{IDF: text.NewIDF(corpus), Encoder: enc}
 }
 
+// features computes the features of one (question, dialect) pair over
+// a one-entry table, with no precomputed embedding and a zero cost.
+func features(x *rerank.Extractor, nl, dial string) []float64 {
+	return x.FeaturesAt(x.Match(x.Prepare(nl), rerank.NewTable([]string{dial})), 0, nil, 0)
+}
+
+// rank ranks entries ids of table t for the question.
+func rank(t *testing.T, m *rerank.Model, nl string, table *rerank.Table, ids []int, dialVecs []vector.Vec, costs []float64, workers int) ([]int, []float64) {
+	t.Helper()
+	order, scores, err := m.RankTableContext(context.Background(), m.X.Prepare(nl), table, ids, dialVecs, costs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return order, scores
+}
+
+// allIDs lists every entry of a table over n dialects.
+func allIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 func TestFeatureShape(t *testing.T) {
 	x := newExtractor()
-	f := x.Features("who is the oldest employee", "Find the name of employee.")
+	f := features(x, "who is the oldest employee", "Find the name of employee.")
 	if len(f) != rerank.FeatureDim {
 		t.Fatalf("feature dim %d, want %d", len(f), rerank.FeatureDim)
 	}
@@ -37,7 +63,7 @@ func TestFeatureShape(t *testing.T) {
 		}
 	}
 	// Empty inputs must not panic or produce NaN.
-	f = x.Features("", "")
+	f = features(x, "", "")
 	for i, v := range f {
 		if v != v {
 			t.Errorf("empty-input feature %d is NaN", i)
@@ -50,8 +76,8 @@ func TestFeaturesFavorMatchingDialect(t *testing.T) {
 	nl := "who is the oldest employee"
 	good := "Find the name of employee. Return the top one result in descending order of the age of employee."
 	bad := "Find the number of employees."
-	fg := x.Features(nl, good)
-	fb := x.Features(nl, bad)
+	fg := features(x, nl, good)
+	fb := features(x, nl, bad)
 	// The ordering-cue agreement feature (index 14) must separate them.
 	if fg[14] <= fb[14] {
 		t.Errorf("order cue feature does not separate: good %v bad %v", fg[14], fb[14])
@@ -60,8 +86,8 @@ func TestFeaturesFavorMatchingDialect(t *testing.T) {
 
 func TestSuperlativeAgreement(t *testing.T) {
 	x := newExtractor()
-	withCue := x.Features("the highest bonus", "Return the top one result in descending order of one bonus.")
-	withoutCue := x.Features("the highest bonus", "Find the bonus of evaluation.")
+	withCue := features(x, "the highest bonus", "Return the top one result in descending order of one bonus.")
+	withoutCue := features(x, "the highest bonus", "Find the bonus of evaluation.")
 	if withCue[10] != 1 {
 		t.Errorf("superlative agreement should be 1: %v", withCue[10])
 	}
@@ -70,44 +96,27 @@ func TestSuperlativeAgreement(t *testing.T) {
 	}
 }
 
+// trainPool is the candidate pool the training lists are drawn from.
+var trainPool = []string{
+	"Find the name of employee. Return the top one result in descending order of the age of employee.",
+	"Find the name of employee.",
+	"Find the number of employees.",
+	"Find the age of employee.",
+	"Find the name of employee. Return results only for employee that age is greater than value.",
+}
+
+// trainingLists draws four lists from one table over trainPool, each
+// with its positive first.
 func trainingLists() []rerank.TrainingList {
+	table := rerank.NewTable(trainPool)
+	list := func(nl string, ids ...int) rerank.TrainingList {
+		return rerank.TrainingList{NL: nl, Table: table, IDs: ids, Labels: []float64{1, 0, 0}}
+	}
 	return []rerank.TrainingList{
-		{
-			NL: "who is the oldest employee",
-			Dialects: []string{
-				"Find the name of employee. Return the top one result in descending order of the age of employee.",
-				"Find the name of employee.",
-				"Find the number of employees.",
-			},
-			Labels: []float64{1, 0, 0},
-		},
-		{
-			NL: "how many employees are there",
-			Dialects: []string{
-				"Find the number of employees.",
-				"Find the age of employee.",
-				"Find the name of employee. Return results only for employee that age is greater than value.",
-			},
-			Labels: []float64{1, 0, 0},
-		},
-		{
-			NL: "employees older than 30",
-			Dialects: []string{
-				"Find the name of employee. Return results only for employee that age is greater than value.",
-				"Find the name of employee.",
-				"Find the number of employees.",
-			},
-			Labels: []float64{1, 0, 0},
-		},
-		{
-			NL: "list employee ages",
-			Dialects: []string{
-				"Find the age of employee.",
-				"Find the number of employees.",
-				"Find the name of employee. Return the top one result in descending order of the age of employee.",
-			},
-			Labels: []float64{1, 0, 0},
-		},
+		list("who is the oldest employee", 0, 1, 2),
+		list("how many employees are there", 2, 3, 4),
+		list("employees older than 30", 4, 1, 2),
+		list("list employee ages", 3, 2, 0),
 	}
 }
 
@@ -124,7 +133,7 @@ func TestTrainAndRank(t *testing.T) {
 	}
 	correct := 0
 	for _, l := range lists {
-		order := m.Rank(l.NL, l.Dialects)
+		order, _ := rank(t, m, l.NL, l.Table, l.IDs, nil, nil, 1)
 		if l.Labels[order[0]] == 1 {
 			correct++
 		}
@@ -134,10 +143,12 @@ func TestTrainAndRank(t *testing.T) {
 	}
 }
 
-// TestPrepPathBitIdentical pins the amortized scoring path — prepared
-// NL-side features plus precomputed dialect embeddings — to the legacy
-// per-pair path, feature by feature and bit by bit. The translate hot
-// path's determinism guarantee rests on this equivalence.
+// TestPrepPathBitIdentical pins the amortized scoring path — a
+// question prepared with its cached embedding plus precomputed dialect
+// embeddings — to the plain path that encodes both sides on the spot,
+// feature by feature and bit by bit, the empty question and the empty
+// dialect included. The translate hot path's determinism guarantee
+// rests on this equivalence.
 func TestPrepPathBitIdentical(t *testing.T) {
 	x := newExtractor()
 	nls := []string{
@@ -152,19 +163,20 @@ func TestPrepPathBitIdentical(t *testing.T) {
 		"",
 		"Find the name of employee. Return results only for employee that age is greater than value.",
 	}
+	table := rerank.NewTable(dialects)
 	dialVecs := make([]vector.Vec, len(dialects))
 	for i, d := range dialects {
 		dialVecs[i] = x.Encoder.Encode(d)
 	}
 	for _, nl := range nls {
-		plain := x.Prepare(nl)
-		withVec := x.PrepareVec(nl, x.Encoder.Encode(nl))
+		plain := x.Match(x.Prepare(nl), table)
+		withVec := x.Match(x.PrepareVec(nl, x.Encoder.Encode(nl)), table)
 		for di, d := range dialects {
-			want := x.Features(nl, d)
+			want := x.FeaturesAt(plain, di, nil, 0)
 			for name, got := range map[string][]float64{
-				"Prepare":            x.FeaturesPrep(plain, d, nil),
-				"Prepare+dialVec":    x.FeaturesPrep(plain, d, dialVecs[di]),
-				"PrepareVec+dialVec": x.FeaturesPrep(withVec, d, dialVecs[di]),
+				"one-entry table":    features(x, nl, d),
+				"Prepare+dialVec":    x.FeaturesAt(plain, di, dialVecs[di], 0),
+				"PrepareVec+dialVec": x.FeaturesAt(withVec, di, dialVecs[di], 0),
 			} {
 				if len(got) != len(want) {
 					t.Fatalf("%s: dim %d vs %d", name, len(got), len(want))
@@ -180,8 +192,10 @@ func TestPrepPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScoreBatchMatchesScore pins batched (and parallel) scoring and
-// ranking to the sequential per-pair API.
+// TestScoreBatchMatchesScore pins table ranking, sequential and fanned
+// out, and RankScoresPrepContext's ranking of raw dialects to the
+// per-pair Score, and checks that an empty entry list ranks nothing and
+// a cancelled context aborts the ranking.
 func TestScoreBatchMatchesScore(t *testing.T) {
 	x := newExtractor()
 	m, err := rerank.New(x, 7)
@@ -195,6 +209,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 		"Find the number of employees.",
 		"Find the age of employee.",
 	}
+	table := rerank.NewTable(dialects)
 	dialVecs := make([]vector.Vec, len(dialects))
 	for i, d := range dialects {
 		dialVecs[i] = x.Encoder.Encode(d)
@@ -203,24 +218,28 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	for i, d := range dialects {
 		want[i] = m.Score(nl, d)
 	}
-	wantOrder := m.Rank(nl, dialects)
-	for _, workers := range []int{1, 4} {
-		order, scores, err := m.RankScoresContext(context.Background(), nl, dialects, dialVecs, nil, workers)
+	wantOrder, _ := rank(t, m, nl, table, allIDs(len(dialects)), nil, nil, 1)
+	for _, workers := range []int{1, 2, 4} {
+		order, scores := rank(t, m, nl, table, allIDs(len(dialects)), dialVecs, nil, workers)
+		rawOrder, rawScores, err := m.RankScoresPrepContext(context.Background(), x.Prepare(nl), dialects, dialVecs, nil, workers)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		for i := range want {
-			if scores[i] != want[i] {
-				t.Errorf("workers=%d score %d: %v != %v", workers, i, scores[i], want[i])
+			if scores[i] != want[i] || rawScores[i] != want[i] {
+				t.Errorf("workers=%d score %d: %v over the table, %v over raw dialects, want %v", workers, i, scores[i], rawScores[i], want[i])
 			}
-			if order[i] != wantOrder[i] {
-				t.Errorf("workers=%d order %d: %d != %d", workers, i, order[i], wantOrder[i])
+			if order[i] != wantOrder[i] || rawOrder[i] != wantOrder[i] {
+				t.Errorf("workers=%d order %d: %d over the table, %d over raw dialects, want %d", workers, i, order[i], rawOrder[i], wantOrder[i])
 			}
 		}
 	}
+	if order, scores := rank(t, m, nl, table, nil, nil, nil, 2); len(order) != 0 || len(scores) != 0 {
+		t.Errorf("no entries ranked as %v, %v", order, scores)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.RankScoresContext(ctx, nl, dialects, nil, nil, 2); err == nil {
+	if _, _, err := m.RankTableContext(ctx, x.Prepare(nl), table, allIDs(len(dialects)), nil, nil, 2); err == nil {
 		t.Error("cancelled rank must fail")
 	}
 }
@@ -231,9 +250,9 @@ func TestRankDeterministicAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rerank.New: %v", err)
 	}
-	dialects := []string{"a b c", "d e f", "a b d"}
-	o1 := m.Rank("a b", dialects)
-	o2 := m.Rank("a b", dialects)
+	table := rerank.NewTable([]string{"a b c", "d e f", "a b d"})
+	o1, _ := rank(t, m, "a b", table, allIDs(3), nil, nil, 1)
+	o2, _ := rank(t, m, "a b", table, allIDs(3), nil, nil, 1)
 	if len(o1) != 3 {
 		t.Fatalf("rank returned %d indexes", len(o1))
 	}
@@ -249,10 +268,10 @@ func TestRankDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-// TestCostFeaturePath pins the cost-feature plumbing: ScorePrep is
-// ScorePrepCost at zero cost, a non-zero cost lands in feature 19 and
-// changes the score, and batched scoring with a costs slice matches the
-// sequential per-pair path bit for bit.
+// TestCostFeaturePath pins the cost-feature plumbing: a non-zero cost
+// lands in feature 19 and changes the score, a zero cost is no costs
+// slice, and fanned-out ranking with a costs slice matches the
+// per-pair path bit for bit.
 func TestCostFeaturePath(t *testing.T) {
 	x := newExtractor()
 	m, err := rerank.New(x, 11)
@@ -265,36 +284,35 @@ func TestCostFeaturePath(t *testing.T) {
 		"Find the number of employees.",
 		"Find the age of employee.",
 	}
+	table := rerank.NewTable(dialects)
 	costs := []float64{0.2, 0.8, 0}
-	p := x.Prepare(nl)
+	match := x.Match(x.Prepare(nl), table)
 
-	for i, d := range dialects {
-		f := x.FeaturesPrepCost(p, d, nil, costs[i])
-		if got := f[19]; got != costs[i] {
+	for i := range dialects {
+		if got := x.FeaturesAt(match, i, nil, costs[i])[19]; got != costs[i] {
 			t.Errorf("feature 19 = %v, want cost %v", got, costs[i])
 		}
-		if got, want := m.ScorePrep(p, d, nil), m.ScorePrepCost(p, d, nil, 0); got != want {
-			t.Errorf("ScorePrep %v != ScorePrepCost(0) %v", got, want)
-		}
 	}
-	if m.ScorePrepCost(p, dialects[1], nil, 0.8) == m.ScorePrepCost(p, dialects[1], nil, 0) {
+	if m.Net.Score(x.FeaturesAt(match, 1, nil, 0.8)) == m.Net.Score(x.FeaturesAt(match, 1, nil, 0)) {
 		t.Error("non-zero cost did not move the score")
 	}
-
-	batch, err := m.ScoreBatchContext(context.Background(), p, dialects, nil, costs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dialects {
-		if want := m.ScorePrepCost(p, d, nil, costs[i]); batch[i] != want {
+	_, none := rank(t, m, nl, table, allIDs(len(dialects)), nil, nil, 1)
+	_, zero := rank(t, m, nl, table, allIDs(len(dialects)), nil, make([]float64, len(dialects)), 1)
+	_, batch := rank(t, m, nl, table, allIDs(len(dialects)), nil, costs, 4)
+	for i := range dialects {
+		if zero[i] != none[i] {
+			t.Errorf("score %d: %v with zero costs, %v with none", i, zero[i], none[i])
+		}
+		if want := m.Net.Score(x.FeaturesAt(match, i, nil, costs[i])); batch[i] != want {
 			t.Errorf("batched score %d: %v != sequential %v", i, batch[i], want)
 		}
 	}
 }
 
-// TestTrainingFeaturesReadDialVecs: lists that carry their dialects'
+// TestTrainingFeaturesReadDialVecs: lists that carry their table's
 // embeddings train on the features of lists that do not, bit for bit,
-// and the cosine feature comes from the carried vectors.
+// the cosine feature comes from the carried vectors, and each entry's
+// features are its table entry's.
 func TestTrainingFeaturesReadDialVecs(t *testing.T) {
 	x := newExtractor()
 	m, err := rerank.New(x, 1)
@@ -304,11 +322,13 @@ func TestTrainingFeaturesReadDialVecs(t *testing.T) {
 	plain := trainingLists()
 	withVecs := trainingLists()
 	zeroed := trainingLists()
+	vecs := make([]vector.Vec, len(trainPool))
+	zeros := make([]vector.Vec, len(trainPool))
+	for i, d := range trainPool {
+		vecs[i], zeros[i] = x.Encoder.Encode(d), vector.New(x.Encoder.Dim())
+	}
 	for i := range withVecs {
-		for _, d := range withVecs[i].Dialects {
-			withVecs[i].DialVecs = append(withVecs[i].DialVecs, x.Encoder.Encode(d))
-			zeroed[i].DialVecs = append(zeroed[i].DialVecs, vector.New(x.Encoder.Dim()))
-		}
+		withVecs[i].DialVecs, zeroed[i].DialVecs = vecs, zeros
 	}
 	want, got, zero := m.TrainingFeatures(plain), m.TrainingFeatures(withVecs), m.TrainingFeatures(zeroed)
 	for i := range want {
@@ -320,6 +340,10 @@ func TestTrainingFeaturesReadDialVecs(t *testing.T) {
 			}
 			if zero[i].Features[j][18] != 0 || want[i].Features[j][18] == 0 {
 				t.Fatalf("list %d entry %d: cosine %v from zero embeddings, %v encoding", i, j, zero[i].Features[j][18], want[i].Features[j][18])
+			}
+			l := plain[i]
+			if f := features(x, l.NL, trainPool[l.IDs[j]]); !slices.Equal(f, want[i].Features[j]) {
+				t.Fatalf("list %d entry %d: features %v, entry %d's own %v", i, j, want[i].Features[j], l.IDs[j], f)
 			}
 		}
 	}

@@ -615,14 +615,7 @@ func (m *Model) RankTableContext(ctx context.Context, p *Prep, t *Table, ids []i
 				return err
 			}
 			id := ids[j]
-			var dv vector.Vec
-			if dialVecs != nil {
-				dv = dialVecs[id]
-			}
-			var cost float64
-			if costs != nil {
-				cost = costs[id]
-			}
+			dv, cost := entryInputs(dialVecs, costs, id)
 			scores[j] = m.Net.Score(m.X.pairFeatures(sc.f, match, id, dv, cost, &sc))
 		}
 		return nil

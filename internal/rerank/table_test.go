@@ -257,8 +257,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // TestTableBitIdentity pins the feature table's pair math to the
 // string-based oracle, bit for bit, for every (question, candidate)
 // pair of the committed suites' pools and a SPIDER-like pool — through
-// a snapshot-wide table, through the one-entry table of
-// FeaturesPrepCost, with and without precomputed dialect embeddings.
+// a snapshot-wide table and through a one-entry table, with and
+// without precomputed dialect embeddings.
 func TestTableBitIdentity(t *testing.T) {
 	pairs := 0
 	for _, c := range tableCases(t) {
@@ -279,7 +279,8 @@ func TestTableBitIdentity(t *testing.T) {
 				want := oracleFeatures(x, nl, d, vecs[i], cost)
 				sameBits(t, c.name+": "+nl+" | "+d, x.FeaturesAt(m, i, vecs[i], cost), want)
 				if i%5 == 0 {
-					sameBits(t, c.name+" (one-entry): "+nl+" | "+d, x.FeaturesPrepCost(p, d, nil, cost), want)
+					one := x.Match(p, rerank.NewTable([]string{d}))
+					sameBits(t, c.name+" (one-entry): "+nl+" | "+d, x.FeaturesAt(one, 0, nil, cost), want)
 				}
 				pairs++
 			}
