@@ -590,7 +590,8 @@ func (s *System) WriteCheckpoint(st *checkpoint.Store) (uint64, error) {
 // generation past both. It keeps the live samples, content and exec
 // guide, which a checkpoint does not store. A restore over a serving
 // snapshot needs budget headroom only for the difference between the
-// two. A checkpoint for another database fails with
+// two. A checkpoint for another database, or one without the re-rank
+// feature table that this system's re-ranking needs, fails with
 // checkpoint.ErrIncompatible, an internally inconsistent one with
 // checkpoint.ErrCorrupt, and one the budget cannot hold with an error
 // wrapping memgov.ErrBudgetExceeded; on any failure the system is left

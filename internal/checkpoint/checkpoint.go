@@ -15,9 +15,10 @@ import (
 // is the same in every version; the version names what the sections
 // mean. Version 2 stores float tables (the dialect vectors, the
 // encoder's embedding table) as flat little-endian blocks where
-// version 1 stored them as gob, so a version-1 checkpoint is
-// incompatible here and recovery skips it.
-const Format = 2
+// version 1 stored them as gob. Version 3 adds the re-rank feature
+// table, which a version-2 restore rebuilt. A checkpoint of an older
+// version is incompatible here and recovery skips it.
+const Format = 3
 
 // ErrCorrupt is wrapped by every integrity failure of Decode: a torn
 // or truncated file, a bit flip, a manifest that contradicts the bytes

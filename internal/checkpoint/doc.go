@@ -29,8 +29,9 @@
 //
 // The package is deliberately generic — sections are named byte
 // slices — so internal/core can layer the actual snapshot codecs
-// (query pool, dialects, embeddings, trained models) on top without a
-// dependency cycle, and the crash-consistency tests can exercise the
-// format with tiny synthetic payloads. Filesystem fault points for
-// those tests come from internal/faults (Store.SetFaultInjector).
+// (query pool, dialects, embeddings, trained models, re-rank feature
+// table) on top without a dependency cycle, and the crash-consistency
+// tests can exercise the format with tiny synthetic payloads.
+// Filesystem fault points for those tests come from internal/faults
+// (Store.SetFaultInjector).
 package checkpoint

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -13,10 +14,13 @@ import (
 
 // The format pins: testdata/envelope-v2.ckpt was written by the build
 // before internal/durable existed, so a change that moved the writer
-// and the reader together would still fail here.
+// and the reader together would still fail here. Format 3 kept the
+// envelope layout and changed only what the sections mean:
+// testdata/envelope-v3.ckpt is the same fixture under a version-3
+// manifest, written by refEnvelope below, not by Encode.
 
-// fixtureManifest and fixtureSections are what testdata/envelope-v2.ckpt
-// holds.
+// fixtureManifest and fixtureSections are what the envelope fixtures
+// hold.
 func fixtureManifest() Manifest {
 	return Manifest{Generation: 7, Database: "employee", CreatedUnix: 1_700_000_007}
 }
@@ -46,10 +50,11 @@ func refEnvelope(mbytes []byte, sections []Section) []byte {
 	return out
 }
 
-// wantManifest is the manifest Encode should derive for the fixture.
-func wantManifest() Manifest {
+// wantManifest is the manifest a build of the given format version
+// derives for the fixture.
+func wantManifest(version int) Manifest {
 	m := fixtureManifest()
-	m.FormatVersion = 2
+	m.FormatVersion = version
 	for _, s := range fixtureSections() {
 		m.Sections = append(m.Sections, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: crc64.Checksum(s.Data, refCRC)})
 	}
@@ -57,8 +62,9 @@ func wantManifest() Manifest {
 }
 
 // checkEnvelope parses data by hand and checks it is exactly the
-// reference layout around a manifest that decodes to wantManifest.
-func checkEnvelope(t *testing.T, data []byte) {
+// reference layout around a manifest that decodes to
+// wantManifest(version).
+func checkEnvelope(t *testing.T, data []byte, version int) {
 	t.Helper()
 	if len(data) < 16 || string(data[:8]) != "GARCKPT1" {
 		t.Fatalf("envelope does not start with the magic: %q", data[:min(8, len(data))])
@@ -75,25 +81,38 @@ func checkEnvelope(t *testing.T, data []byte) {
 	if err := gob.NewDecoder(bytes.NewReader(mbytes)).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if want := wantManifest(); !reflect.DeepEqual(m, want) {
+	if want := wantManifest(version); !reflect.DeepEqual(m, want) {
 		t.Fatalf("manifest %+v, want %+v", m, want)
 	}
 }
 
-// TestFormatFixtureDecodes: the envelope an earlier build wrote decodes
-// to the same manifest and sections, and is itself the reference
-// layout.
+// TestFormatFixtureDecodes: the version-3 fixture decodes to the
+// fixture's manifest and sections, and is itself the reference layout.
+// The version-2 envelope an earlier build wrote keeps the same layout
+// and is incompatible to this build, whole and manifest alone.
 func TestFormatFixtureDecodes(t *testing.T) {
-	data, err := os.ReadFile("testdata/envelope-v2.ckpt")
+	old, err := os.ReadFile("testdata/envelope-v2.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEnvelope(t, data)
+	checkEnvelope(t, old, 2)
+	if ck, err := Decode(old); !errors.Is(err, ErrIncompatible) || ck != nil {
+		t.Fatalf("version-2 fixture: Decode = %v, %v; want ErrIncompatible", ck, err)
+	}
+	if m, err := DecodeManifest(old); !errors.Is(err, ErrIncompatible) || m != nil {
+		t.Fatalf("version-2 fixture: DecodeManifest = %v, %v; want ErrIncompatible", m, err)
+	}
+
+	data, err := os.ReadFile("testdata/envelope-v3.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEnvelope(t, data, 3)
 	ck, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := wantManifest(); !reflect.DeepEqual(ck.Manifest, want) {
+	if want := wantManifest(3); !reflect.DeepEqual(ck.Manifest, want) {
 		t.Fatalf("manifest %+v, want %+v", ck.Manifest, want)
 	}
 	for _, s := range fixtureSections() {
@@ -102,19 +121,19 @@ func TestFormatFixtureDecodes(t *testing.T) {
 		}
 	}
 	m, err := DecodeManifest(data)
-	if err != nil || !reflect.DeepEqual(*m, wantManifest()) {
+	if err != nil || !reflect.DeepEqual(*m, wantManifest(3)) {
 		t.Fatalf("DecodeManifest = %+v, %v", m, err)
 	}
 }
 
 // TestFormatWriterMatchesReference: Encode and Store.Write both produce
-// the reference layout.
+// the reference layout under a version-3 manifest.
 func TestFormatWriterMatchesReference(t *testing.T) {
 	data, err := Encode(fixtureManifest(), fixtureSections())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEnvelope(t, data)
+	checkEnvelope(t, data, 3)
 
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -127,7 +146,7 @@ func TestFormatWriterMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEnvelope(t, written)
+	checkEnvelope(t, written, 3)
 	if tmps, _ := filepath.Glob(filepath.Join(st.Dir(), ".ckpt-*.tmp")); len(tmps) != 0 {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}

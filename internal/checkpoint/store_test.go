@@ -382,8 +382,9 @@ func flip(t *testing.T, path string, at int) {
 	}
 }
 
-// TestRecoverSkipsFormat1: a checkpoint the previous layout version
-// wrote is intact but not loadable by this build — incompatible, not
+// TestRecoverSkipsFormat1: a checkpoint an earlier layout version
+// wrote (format 1, and format 2 before the re-rank feature table was
+// stored) is intact but not loadable by this build — incompatible, not
 // corrupt, whatever its sections hold — so recovery passes over it to
 // the newest current-format generation, and over everything to a clean
 // state when nothing else exists.
@@ -393,15 +394,18 @@ func TestRecoverSkipsFormat1(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGen(t, st, 1, "current")
-	old, err := encodeFormat(Manifest{Generation: 2, Database: "employee"}, []Section{{Name: "pool", Data: []byte("old")}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.Path(2), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(st.Path(2)); !errors.Is(err, ErrIncompatible) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("format-1 file: err = %v, want ErrIncompatible only", err)
+	for version := 1; version < Format; version++ {
+		gen := uint64(1 + version)
+		old, err := encodeFormat(Manifest{Generation: gen, Database: "employee"}, []Section{{Name: "pool", Data: []byte("old")}}, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.Path(gen), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(st.Path(gen)); !errors.Is(err, ErrIncompatible) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("format-%d file: err = %v, want ErrIncompatible only", version, err)
+		}
 	}
 
 	ck, skipped, err := st.Recover(nil)
@@ -409,17 +413,18 @@ func TestRecoverSkipsFormat1(t *testing.T) {
 		t.Fatalf("recover: ck=%v err=%v", ck, err)
 	}
 	if ck.Manifest.Generation != 1 || string(ck.Section("pool")) != "current" {
-		t.Fatalf("recovered generation %d, want the format-2 generation 1", ck.Manifest.Generation)
+		t.Fatalf("recovered generation %d, want the format-%d generation 1", ck.Manifest.Generation, Format)
 	}
-	if len(skipped) != 1 || skipped[0].Path != st.Path(2) || !errors.Is(skipped[0].Err, ErrIncompatible) {
-		t.Fatalf("skipped = %v, want generation 2 as incompatible", skipped)
+	if len(skipped) != 2 || skipped[0].Path != st.Path(3) || skipped[1].Path != st.Path(2) ||
+		!errors.Is(skipped[0].Err, ErrIncompatible) || !errors.Is(skipped[1].Err, ErrIncompatible) {
+		t.Fatalf("skipped = %v, want generations 3 (format 2) and 2 (format 1) as incompatible", skipped)
 	}
 
 	if err := os.Remove(st.Path(1)); err != nil {
 		t.Fatal(err)
 	}
 	ck, skipped, err = st.Recover(nil)
-	if err != nil || ck != nil || len(skipped) != 1 {
-		t.Fatalf("only a format-1 file: ck=%v skipped=%v err=%v, want a clean state", ck, skipped, err)
+	if err != nil || ck != nil || len(skipped) != 2 {
+		t.Fatalf("only older-format files: ck=%v skipped=%v err=%v, want a clean state", ck, skipped, err)
 	}
 }

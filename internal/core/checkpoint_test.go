@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -263,7 +264,7 @@ func TestCheckpointRestoreDamagedSections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names := []string{core.SectionPool, core.SectionVecs, core.SectionModels, core.SectionStats}
+	names := []string{core.SectionPool, core.SectionVecs, core.SectionModels, core.SectionStats, core.SectionTable}
 	mutations := map[string]func([]checkpoint.Section, int) []checkpoint.Section{
 		"missing": func(ss []checkpoint.Section, i int) []checkpoint.Section {
 			return append(append([]checkpoint.Section(nil), ss[:i]...), ss[i+1:]...)
@@ -288,6 +289,16 @@ func TestCheckpointRestoreDamagedSections(t *testing.T) {
 			return rows[:len(rows)-1]
 		})),
 		"flat-empty-block": withVecs(t, sections, editRows(t, func([]vector.Vec) []vector.Vec { return nil })),
+		// Table blocks that frame correctly but break the table's
+		// structure.
+		"table-offset-past-arena": withTable(t, sections, func(tp *tableParts) {
+			tp.offs[len(tp.offs)-1] = uint32(len(tp.arena)) + 1
+		}),
+		"table-section-past-arena": withTable(t, sections, func(tp *tableParts) {
+			tp.arena[tp.offs[len(tp.offs)-1]+1] += uint32(len(tp.arena))
+		}),
+		"table-one-offset-fewer": withTable(t, sections, func(tp *tableParts) { tp.offs = tp.offs[:len(tp.offs)-1] }),
+		"table-repeated-word":    withTable(t, sections, func(tp *tableParts) { tp.words[1] = tp.words[0] }),
 	}
 	for name, damaged := range flat {
 		t.Run(name, func(t *testing.T) {
@@ -295,6 +306,9 @@ func TestCheckpointRestoreDamagedSections(t *testing.T) {
 			rerr := fresh.RestoreCheckpoint(decodeExport(t, m, damaged))
 			if !errors.Is(rerr, checkpoint.ErrCorrupt) {
 				t.Fatalf("damage not typed as corruption: %v", rerr)
+			}
+			if strings.HasPrefix(name, "table-") && !strings.Contains(rerr.Error(), "rerank: table block: ") {
+				t.Fatalf("damage not caught by the table decoder: %v", rerr)
 			}
 			if fresh.Ready() || fresh.PoolSize() != 0 {
 				t.Fatal("failed restore published a state")
@@ -321,8 +335,14 @@ func TestCheckpointRestoreDamagedSections(t *testing.T) {
 				if rerr == nil {
 					t.Fatal("damaged checkpoint restored cleanly")
 				}
-				if !errors.Is(rerr, checkpoint.ErrCorrupt) {
-					t.Fatalf("damage not typed as corruption: %v", rerr)
+				// Without its table a checkpoint is intact, but a
+				// system that re-ranks cannot serve it.
+				want := checkpoint.ErrCorrupt
+				if mutName == "missing" && name == core.SectionTable {
+					want = checkpoint.ErrIncompatible
+				}
+				if !errors.Is(rerr, want) {
+					t.Fatalf("damage not typed as %v: %v", want, rerr)
 				}
 				if fresh.Ready() {
 					t.Fatal("failed restore published a state")
@@ -879,6 +899,141 @@ func withVecs(t *testing.T, sections []checkpoint.Section, edit func([]byte) []b
 		}
 	}
 	return out
+}
+
+// tableParts is a table section taken apart by the test's own reading
+// of the block layout: the vocabulary (a count, each word's byte
+// length, then the words' bytes), the pair keys (a count, then uint64
+// keys), the entry offsets and the arena (each a count, then uint32
+// words), all little-endian. An entry's header is its cue flags, then
+// the lengths of its six sections.
+type tableParts struct {
+	words       []string
+	pairs       []uint64
+	offs, arena []uint32
+}
+
+// withTable returns a copy of sections whose table section is the
+// original with edit applied to its parts.
+func withTable(t *testing.T, sections []checkpoint.Section, edit func(*tableParts)) []checkpoint.Section {
+	t.Helper()
+	out := append([]checkpoint.Section(nil), sections...)
+	for i, s := range out {
+		if s.Name != core.SectionTable {
+			continue
+		}
+		b := s.Data
+		u32 := func() uint32 {
+			v := binary.LittleEndian.Uint32(b)
+			b = b[4:]
+			return v
+		}
+		run := func() []uint32 {
+			w := make([]uint32, u32())
+			for j := range w {
+				w[j] = u32()
+			}
+			return w
+		}
+		var tp tableParts
+		for _, n := range run() {
+			tp.words, b = append(tp.words, string(b[:n])), b[n:]
+		}
+		for n := u32(); n > 0; n-- {
+			tp.pairs, b = append(tp.pairs, binary.LittleEndian.Uint64(b)), b[8:]
+		}
+		tp.offs, tp.arena = run(), run()
+		if len(b) != 0 {
+			t.Fatalf("%d bytes after the table's arena", len(b))
+		}
+		edit(&tp)
+		data := binary.LittleEndian.AppendUint32(nil, uint32(len(tp.words)))
+		for _, w := range tp.words {
+			data = binary.LittleEndian.AppendUint32(data, uint32(len(w)))
+		}
+		for _, w := range tp.words {
+			data = append(data, w...)
+		}
+		data = binary.LittleEndian.AppendUint32(data, uint32(len(tp.pairs)))
+		for _, k := range tp.pairs {
+			data = binary.LittleEndian.AppendUint64(data, k)
+		}
+		for _, w := range [][]uint32{tp.offs, tp.arena} {
+			data = binary.LittleEndian.AppendUint32(data, uint32(len(w)))
+			for _, x := range w {
+				data = binary.LittleEndian.AppendUint32(data, x)
+			}
+		}
+		out[i].Data = data
+		return out
+	}
+	t.Fatal("the export has no table section")
+	return nil
+}
+
+// TestCheckpointRestoreWithoutTable: a checkpoint written by a system
+// that does not re-rank has no table section. Its models may still
+// carry a re-ranker (a deployed models file): a restore that would
+// re-rank with them has no table to do it with, so the checkpoint is
+// incompatible and nothing is published; a restore that does not
+// re-rank takes it. Models without a re-ranker need no table, so their
+// checkpoint restores anywhere and serves what its exporter served.
+func TestCheckpointRestoreWithoutTable(t *testing.T) {
+	trained := trainedSystem(t, core.Options{})
+	models, err := core.TrainModels([]core.TrainingSet{{Sys: trained, Examples: employeeExamples()}}, trained.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := trained.Opts
+	plain.NoRerank = true
+	exporter := core.New(schematest.Employee(), plain)
+	exporter.Prepare(employeeSamples())
+	if err := exporter.UseModels(models); err != nil {
+		t.Fatal(err)
+	}
+	m, sections, err := exporter.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := decodeExport(t, m, sections)
+	if ck.Section(core.SectionTable) != nil {
+		t.Fatal("a pipeline that does not re-rank exported a table")
+	}
+
+	reranking := restoreTarget()
+	if err := reranking.RestoreCheckpoint(ck); !errors.Is(err, checkpoint.ErrIncompatible) {
+		t.Fatalf("re-ranking restore without a table: %v, want ErrIncompatible", err)
+	}
+	if reranking.Ready() || reranking.PoolSize() != 0 {
+		t.Fatal("failed restore published a state")
+	}
+	fresh := core.New(schematest.Employee(), plain)
+	if err := fresh.RestoreCheckpoint(ck); err != nil {
+		t.Fatalf("restore without re-ranking: %v", err)
+	}
+
+	untrained := trainedSystem(t, core.Options{NoRerank: true})
+	m, sections, err = untrained.ExportCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reranking = restoreTarget()
+	if err := reranking.RestoreCheckpoint(decodeExport(t, m, sections)); err != nil {
+		t.Fatalf("restore of models without a re-ranker: %v", err)
+	}
+	for _, q := range checkpointQuestions {
+		a, err := untrained.Translate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := reranking.Translate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := rankedDiff(a, b); d != "" {
+			t.Fatalf("%q: %s", q, d)
+		}
+	}
 }
 
 // editRows lifts an edit of the decoded dialect vectors to their flat

@@ -563,8 +563,8 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 // dialect embeddings are computed: the vector index over them, the
 // static cost features and, when the pipeline re-ranks, the re-rank
 // feature table — the one TrainModels built over this pool, else a new
-// one. A checkpoint restore derives the same parts concurrently (see
-// deriveSnapshot); the table is derived data and never persisted.
+// one. A checkpoint restore derives the same parts concurrently and
+// decodes the table the checkpoint stores (see deriveSnapshot).
 func servingPipeline(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models, vecs []vector.Vec, opts Options) *ltr.Pipeline {
 	pipe := &ltr.Pipeline{
 		Encoder:    m.Encoder,

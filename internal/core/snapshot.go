@@ -36,6 +36,11 @@ const (
 	// SectionStats is the generalization statistics of the pool's
 	// Prepare, so PrepStats survives a restart.
 	SectionStats = "stats"
+	// SectionTable is the pool's re-rank feature table as one
+	// rerank.Table block, aligned with SectionPool, so a warm start
+	// reads the table instead of building it. A checkpoint of a
+	// pipeline that does not re-rank has none.
+	SectionTable = "table"
 )
 
 // ErrNotReady is returned by ExportCheckpoint while no translatable
@@ -61,7 +66,8 @@ func snapshotCorrupt(format string, args ...any) error {
 
 // ExportCheckpoint renders the currently published serving snapshot as
 // a checkpoint manifest plus sections: candidate pool, dialect vectors,
-// trained models and generalization stats. The manifest's Generation is
+// trained models, generalization stats and, when the pipeline
+// re-ranks, the re-rank feature table. The manifest's Generation is
 // the snapshot's pool generation and Database names the bound database,
 // so a restore onto the wrong system is refused. It fails with
 // ErrNotReady while no trained snapshot is published.
@@ -106,6 +112,9 @@ func (s *System) exportState(st *state) (checkpoint.Manifest, []checkpoint.Secti
 		{Name: SectionModels, Data: models},
 		{Name: SectionStats, Data: statsBuf.Bytes()},
 	}
+	if st.pipeline.Table != nil {
+		sections = append(sections, checkpoint.Section{Name: SectionTable, Data: st.pipeline.Table.AppendBinary(nil)})
+	}
 	return manifest, sections, nil
 }
 
@@ -146,21 +155,24 @@ func decodeVecs(ck *checkpoint.Checkpoint) ([]vector.Vec, error) {
 // decoded (and envelope-validated) checkpoint and publishes it
 // atomically: candidate pool re-parsed and re-bound against this
 // system's database, vector index rebuilt from the persisted dialect
-// embeddings (no re-encoding), re-rank feature table derived from the
-// dialects, models deployed. The derivations run side by side on up to
-// Options.Workers goroutines, and every worker count publishes the same
-// snapshot. After it returns the system is Ready and translates without
-// ever running Prepare or Train. The snapshot is built on a fork and
-// published as Rebuild publishes (see adopt), with the live samples,
-// content and exec guide, which a checkpoint does not store; a restore
-// over a serving snapshot needs headroom only for the difference.
+// embeddings (no re-encoding), re-rank feature table decoded from its
+// section (never rebuilt), models deployed. The steps run side by side
+// on up to Options.Workers goroutines, and every worker count publishes
+// the same snapshot. After it returns the system is Ready and
+// translates without ever running Prepare or Train. The snapshot is
+// built on a fork and published as Rebuild publishes (see adopt), with
+// the live samples, content and exec guide, which a checkpoint does not
+// store; a restore over a serving snapshot needs headroom only for the
+// difference.
 //
-// A checkpoint for a different database fails with
-// checkpoint.ErrIncompatible; undecodable or internally inconsistent
-// sections fail with checkpoint.ErrCorrupt; a snapshot the budget
-// cannot hold fails with an error wrapping memgov.ErrBudgetExceeded. On
-// any failure the system is left exactly as it was — the new state is
-// published only after every section has validated.
+// A checkpoint for a different database, or one without a re-rank
+// feature table restored by a system that re-ranks with the
+// checkpoint's models, fails with checkpoint.ErrIncompatible;
+// undecodable or internally inconsistent sections fail with
+// checkpoint.ErrCorrupt; a snapshot the budget cannot hold fails with
+// an error wrapping memgov.ErrBudgetExceeded. On any failure the system
+// is left exactly as it was — the new state is published only after
+// every section has validated.
 func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	_, err := s.restoreCheckpoint(ck, nil)
 	return err
@@ -267,7 +279,7 @@ func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint, prior *guideState)
 	if err := f.vecMem.Grow(vecsBytes); err != nil {
 		return 0, fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings: %w", err)
 	}
-	pipeline, err := f.deriveSnapshot(entries, vecs, modelsData)
+	pipeline, err := f.deriveSnapshot(entries, vecs, modelsData, ck.Section(SectionTable))
 	if err == nil && len(vecs[0]) != pipeline.Encoder.Dim() {
 		err = snapshotCorrupt("vectors of dimension %d for an encoder of dimension %d",
 			len(vecs[0]), pipeline.Encoder.Dim())
@@ -294,18 +306,20 @@ func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint, prior *guideState)
 	return pub, err
 }
 
-// deriveSnapshot computes every part of a restored snapshot that the
-// checkpoint does not store — the models, the parsed and bound pool
-// with its lookup index and cost features, the vector index and the
-// re-rank feature table — and assembles the serving pipeline from
-// them, as servingPipeline does for a fresh build. Each step reads
-// only the decoded sections, so the steps run side by side on up to
-// Options.Workers goroutines — in the order listed with one worker —
-// and every worker count derives the same pipeline. The error is that
-// of the first failing step in that order, and within the pool step
-// that of the lowest failing candidate; a panic in any step is
-// corruption, never a crash.
-func (s *System) deriveSnapshot(entries []poolEntry, vecs []vector.Vec, modelsData []byte) (p *ltr.Pipeline, err error) {
+// deriveSnapshot decodes the models and the re-rank feature table
+// (tableData, nil when the checkpoint has none) and computes what the
+// checkpoint does not store — the parsed and bound pool with its
+// lookup index, cost features and fill flags, and the vector index —
+// and assembles the serving pipeline from them, as servingPipeline
+// does for a fresh build. Each step reads only the decoded sections,
+// so the steps run side by side on up to Options.Workers goroutines —
+// in the order listed with one worker — and every worker count derives
+// the same pipeline. The error is that of the first failing step in
+// that order, and within the pool step that of the lowest failing
+// candidate; a damaged table is corruption, a missing one that the
+// models would re-rank with is incompatible, and a panic in any step
+// is corruption, never a crash.
+func (s *System) deriveSnapshot(entries []poolEntry, vecs []vector.Vec, modelsData, tableData []byte) (p *ltr.Pipeline, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			p, err = nil, snapshotCorrupt("deriving the snapshot panicked: %v", rec)
@@ -344,23 +358,32 @@ func (s *System) deriveSnapshot(entries []poolEntry, vecs []vector.Vec, modelsDa
 		},
 		func() error {
 			// Whether the models carry a re-ranker is known only once
-			// they decode, so the table is built whenever the options
+			// they decode, so the table is decoded whenever the options
 			// re-rank and dropped below if the models cannot.
-			if !s.Opts.NoRerank {
-				dialects := make([]string, len(entries))
-				for i, e := range entries {
-					dialects[i] = e.Dialect
-				}
-				p.Table = rerank.NewTable(dialects)
+			if s.Opts.NoRerank || tableData == nil {
+				return nil
 			}
+			dialects := make([]string, len(entries))
+			for i, e := range entries {
+				dialects[i] = e.Dialect
+			}
+			t, err := rerank.DecodeTable(dialects, tableData)
+			if err != nil {
+				return snapshotCorrupt("section %q does not decode: %v", SectionTable, err)
+			}
+			p.Table = t
 			return nil
 		},
 	)
 	if err != nil {
 		return nil, err
 	}
-	if p.Reranker == nil {
+	switch {
+	case p.Reranker == nil:
 		p.Table = nil
+	case !s.Opts.NoRerank && p.Table == nil:
+		return nil, fmt.Errorf("core: %w: checkpoint has no section %q to re-rank with (written by a pipeline that does not re-rank)",
+			checkpoint.ErrIncompatible, SectionTable)
 	}
 	return p, nil
 }

@@ -10,6 +10,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"repro/gar"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
@@ -670,14 +672,21 @@ func TestFleetEvictionSkipsCleanWarmStart(t *testing.T) {
 }
 
 // TestFleetFormat1CheckpointColdBuilds is the upgrade path: a tenant
-// whose state directory holds only checkpoints of the previous layout
-// version skips them as incompatible, cold-builds once, serves the
+// whose state directory holds only checkpoints of an earlier layout
+// version (format 1, or format 2 before the re-rank feature table was
+// stored) skips them as incompatible, cold-builds once, serves the
 // same answer, and leaves a current-format checkpoint it warm-starts
 // from next time. The old files span more generations than retention
 // keeps, as a tenant reloaded before the upgrade leaves them: the cold
 // build numbers above them, so pruning removes an old file rather than
 // the new checkpoint.
 func TestFleetFormat1CheckpointColdBuilds(t *testing.T) {
+	for version := 1; version < checkpoint.Format; version++ {
+		t.Run(fmt.Sprintf("format-%d", version), func(t *testing.T) { testOldFormatColdBuilds(t, version) })
+	}
+}
+
+func testOldFormatColdBuilds(t *testing.T, version int) {
 	src := newTestSource(t)
 	stateDir := t.TempDir()
 	ctx := context.Background()
@@ -720,7 +729,7 @@ func TestFleetFormat1CheckpointColdBuilds(t *testing.T) {
 	}
 	const oldGens = 4 // more than the default retention of 3
 	for gen := uint64(1); gen <= oldGens; gen++ {
-		stampFormat(t, data, store.Path(gen), gen, 1)
+		stampFormat(t, data, store.Path(gen), gen, version)
 	}
 
 	run(func(reg *fleet.Registry) {
@@ -732,7 +741,7 @@ func TestFleetFormat1CheckpointColdBuilds(t *testing.T) {
 			t.Fatalf("cold build serves generation %d, not above the skipped %d", got.Generation, oldGens)
 		}
 		if c := reg.Health().Tenants["alpha"].Counters; c.WarmStarts != 0 || c.ColdBuilds != 1 || src.deployCount("alpha") != 2 {
-			t.Fatalf("format-1 state: counters %+v, deploys %d; want one cold build", c, src.deployCount("alpha"))
+			t.Fatalf("format-%d state: counters %+v, deploys %d; want one cold build", version, c, src.deployCount("alpha"))
 		}
 	})
 	for range 2 {
@@ -749,7 +758,9 @@ func TestFleetFormat1CheckpointColdBuilds(t *testing.T) {
 
 // stampFormat writes checkpoint data to path as a build of another
 // layout version writes it: the same framing and sections under a
-// manifest declaring the given generation and format version.
+// manifest declaring the given generation and format version. A build
+// before format 3 wrote no re-rank feature table, so that section is
+// dropped.
 func stampFormat(t *testing.T, data []byte, path string, gen uint64, version int) {
 	t.Helper()
 	ck, err := checkpoint.Decode(data)
@@ -758,6 +769,9 @@ func stampFormat(t *testing.T, data []byte, path string, gen uint64, version int
 	}
 	m := ck.Manifest
 	m.Generation, m.FormatVersion = gen, version
+	if version < 3 {
+		m.Sections = slices.DeleteFunc(m.Sections, func(s checkpoint.SectionInfo) bool { return s.Name == core.SectionTable })
+	}
 	var mbuf bytes.Buffer
 	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
 		t.Fatal(err)

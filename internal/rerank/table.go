@@ -17,8 +17,8 @@ import (
 // tokens, numbers), packed character trigrams and the cue flags.
 // Pipelines build one per snapshot, so a translation pays only the
 // question side and the set intersections, never a re-tokenization of
-// the retrieved dialects. A Table is immutable after NewTable and safe
-// for concurrent readers.
+// the retrieved dialects. A Table is immutable once NewTable or
+// DecodeTable returns it, and safe for concurrent readers.
 //
 // Every entry lives in one []uint32 arena: a header of entryHeader
 // words (cue flags, then the length of each section) followed by the

@@ -2,7 +2,6 @@ package sqltoken
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -17,10 +16,11 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Lex tokenizes the whole input, returning the token stream terminated by
 // an EOF token. It returns an error on any character that cannot start a
-// token or on an unterminated string literal.
+// token or on an unterminated string literal. The token slice is its
+// one allocation, sized from the input length.
 func Lex(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/bytesPerToken+2)
 	for {
 		t, err := l.Next()
 		if err != nil {
@@ -44,9 +44,8 @@ func (l *Lexer) Next() (Token, error) {
 	switch {
 	case isIdentStart(c):
 		word := l.scanWhile(isIdentPart)
-		upper := strings.ToUpper(word)
-		if IsKeyword(upper) {
-			return Token{Kind: Keyword, Text: upper, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: Keyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: Ident, Text: word, Pos: start}, nil
 	case c >= '0' && c <= '9':
@@ -107,7 +106,7 @@ func (l *Lexer) scanSymbol() (Token, error) {
 	switch c {
 	case '(', ')', ',', '.', '*', '=', '<', '>', ';', '+', '-', '/':
 		l.pos++
-		return Token{Kind: Symbol, Text: string(c), Pos: start}, nil
+		return Token{Kind: Symbol, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqltoken: unexpected character %q at offset %d", c, start)
 }
@@ -118,4 +117,25 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9'
+}
+
+// keyword returns the keyword's canonical upper-case text when word is
+// a keyword in any letter case. Identifier bytes are ASCII (see
+// isIdentPart), so folding a byte at a time equals strings.ToUpper; the
+// fold stays in a stack buffer, and a word longer than every keyword
+// is not folded at all.
+func keyword(word string) (string, bool) {
+	var buf [maxKeyword]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }

@@ -5,7 +5,10 @@
 // aggregates COUNT/SUM/AVG/MIN/MAX, and nested subqueries.
 package sqltoken
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind classifies a lexical token.
 type Kind int
@@ -71,18 +74,28 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s %q", t.Kind, t.Text)
 }
 
-// keywords is the reserved-word set of the supported SQL subset.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
-	"JOIN": true, "ON": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "LIKE": true, "BETWEEN": true, "EXISTS": true,
-	"UNION": true, "INTERSECT": true, "EXCEPT": true, "DISTINCT": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"ALL": true, "IS": true, "NULL": true, "INNER": true, "LEFT": true,
-	"OUTER": true,
-}
+// keywords maps each reserved word of the supported SQL subset to
+// itself, so a lookup by folded bytes yields the canonical string.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, w := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT ASC DESC
+		JOIN ON AS AND OR NOT IN LIKE BETWEEN EXISTS UNION INTERSECT EXCEPT DISTINCT
+		COUNT SUM AVG MIN MAX ALL IS NULL INNER LEFT OUTER`) {
+		m[w] = w
+	}
+	return m
+}()
+
+// maxKeyword is the length of the longest keyword (INTERSECT).
+const maxKeyword = 9
+
+// bytesPerToken is the input bytes Lex allots to a token when it sizes
+// its token slice; printed pool queries average more per token.
+const bytesPerToken = 3
 
 // IsKeyword reports whether the upper-cased word is reserved in the
 // supported SQL subset.
-func IsKeyword(upper string) bool { return keywords[upper] }
+func IsKeyword(upper string) bool {
+	_, ok := keywords[upper]
+	return ok
+}
