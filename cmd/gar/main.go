@@ -39,6 +39,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -137,17 +138,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "prepared %d candidate queries; models trained\n", sys.PoolSize())
 
 	translate := func(q string) {
-		res, err := sys.Translate(q)
+		// -top counts the answer itself, which is always shown.
+		res, err := sys.TranslateTopContext(context.Background(), q, max(*topK, 1))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			return
 		}
 		fmt.Printf("SQL:     %s\nDialect: %s\n", res.SQL, res.Dialect)
-		for i, c := range res.Candidates {
-			if i == 0 || i >= *topK {
-				continue
-			}
-			fmt.Printf("alt %d:   %s\n", i, c.SQL)
+		for i := 1; i < len(res.Candidates); i++ {
+			fmt.Printf("alt %d:   %s\n", i, res.Candidates[i].SQL)
 		}
 		if content != nil {
 			if rows, err := content.Query(res.SQL); err == nil {

@@ -69,7 +69,8 @@ type serveConfig struct {
 	Timeout time.Duration
 	// MaxBody caps the request body size in bytes.
 	MaxBody int64
-	// TopK caps the candidates returned per translation.
+	// TopK is how many candidates a translation returns (and fills); a
+	// feedback "chosen" index must name one of them.
 	TopK int
 }
 
@@ -227,12 +228,12 @@ func (s *handler) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	res, err := h.Sys().TranslateContext(ctx, req.Question)
+	res, err := h.Sys().TranslateTopContext(ctx, req.Question, s.cfg.TopK)
 	if err != nil {
 		writeTranslateError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, translateJSON(res, s.cfg.TopK, start, name))
+	writeJSON(w, http.StatusOK, translateJSON(res, start, name))
 }
 
 // reloadTimeout bounds one reload.
@@ -359,8 +360,9 @@ func writeTranslateError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
-// translateJSON renders a pipeline result, capping candidates at topK.
-func translateJSON(res *gar.Result, topK int, start time.Time, tenant string) translateResponse {
+// translateJSON renders a pipeline result with every candidate it
+// holds: the translation asked for the -top candidates a reply returns.
+func translateJSON(res *gar.Result, start time.Time, tenant string) translateResponse {
 	out := translateResponse{
 		Tenant:     tenant,
 		SQL:        res.SQL,
@@ -370,11 +372,11 @@ func translateJSON(res *gar.Result, topK int, start time.Time, tenant string) tr
 		Generation: res.Generation,
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 	}
-	for i, c := range res.Candidates {
-		if i >= topK {
-			break
+	if len(res.Candidates) > 0 {
+		out.Candidates = make([]candidateJSON, len(res.Candidates))
+		for i, c := range res.Candidates {
+			out.Candidates[i] = candidateJSON{SQL: c.SQL, Dialect: c.Dialect, Score: c.Score}
 		}
-		out.Candidates = append(out.Candidates, candidateJSON{SQL: c.SQL, Dialect: c.Dialect, Score: c.Score})
 	}
 	return out
 }

@@ -69,17 +69,18 @@ func (s *handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant " + name + ": no snapshot published"})
 		return
 	}
-	status, body := acceptFeedback(ctx, h, req)
+	status, body := acceptFeedback(ctx, h, req, s.cfg.TopK)
 	writeJSON(w, status, body)
 }
 
 // acceptFeedback validates one decoded submission against the tenant's
 // serving system and, if it survives, durably records it and wakes the
-// tenant's trainer. It reports the HTTP status and body, and tallies
-// the outcome in the tenant's health row: a rejection only for a
-// submission refused at validation (transport and storage errors are
+// tenant's trainer. A chosen index must name one of the top candidates
+// a /translate reply returns. It reports the HTTP status and body, and
+// tallies the outcome in the tenant's health row: a rejection only for
+// a submission refused at validation (transport and storage errors are
 // the server's fault, not the client's).
-func acceptFeedback(ctx context.Context, h *fleet.Handle, req feedbackRequest) (int, any) {
+func acceptFeedback(ctx context.Context, h *fleet.Handle, req feedbackRequest, top int) (int, any) {
 	sys := h.Sys()
 	rec := feedback.Record{
 		Question:   req.Question,
@@ -87,9 +88,9 @@ func acceptFeedback(ctx context.Context, h *fleet.Handle, req feedbackRequest) (
 	}
 	if req.Chosen != nil {
 		// Endorsing a candidate: re-translate the question on the live
-		// snapshot and index into its candidates, so the endorsed SQL is
-		// exactly what the system offered.
-		res, err := sys.TranslateContext(ctx, req.Question)
+		// snapshot, as /translate does, and index into its candidates,
+		// so the endorsed SQL is exactly what the system offered.
+		res, err := sys.TranslateTopContext(ctx, req.Question, top)
 		if err != nil {
 			return http.StatusInternalServerError, errorJSON{Error: "translating question: " + err.Error()}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,66 @@ func TestServeFeedbackAccept(t *testing.T) {
 	if health.Feedback.Accepted != 2 || health.Feedback.Rejected != 0 ||
 		health.Feedback.WAL.LastSeq != 2 {
 		t.Fatalf("healthz feedback = %+v", health.Feedback)
+	}
+}
+
+// TestServeFeedbackChosenIndexesReply: a chosen index names one of the
+// -top candidates a /translate reply showed. The index -top answers 422
+// although the question ranks more candidates than that, and chosen 0
+// and -top - 1 endorse the reply's SQL at those places.
+func TestServeFeedbackChosenIndexesReply(t *testing.T) {
+	reg, h := feedbackHandler(t)
+	const question = "how many employees are there"
+	rec := postTranslate(h, `{"question": "`+question+`"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("translate: status %d: %s", rec.Code, rec.Body)
+	}
+	var reply translateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	top := len(reply.Candidates)
+	if top != 5 {
+		t.Fatalf("the reply shows %d candidates, want the default -top of 5", top)
+	}
+	hnd, err := reg.Acquire(context.Background(), defaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := hnd.Sys().TranslateContext(context.Background(), question)
+	hnd.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Candidates) <= top {
+		t.Fatalf("the question ranks only %d candidates; the test needs more than -top", len(full.Candidates))
+	}
+
+	chosen := func(i int) *httptest.ResponseRecorder {
+		return postFeedback(h, `{"question": "`+question+`", "chosen": `+strconv.Itoa(i)+`}`)
+	}
+	if rec := chosen(top); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("chosen %d (= -top): status %d, want 422: %s", top, rec.Code, rec.Body)
+	}
+	for _, i := range []int{0, top - 1} {
+		if rec := chosen(i); rec.Code != http.StatusAccepted {
+			t.Fatalf("chosen %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	hnd, err = reg.Acquire(context.Background(), defaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := hnd.FeedbackLog().Records()
+	hnd.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].SQL != reply.SQL || recs[1].SQL != reply.Candidates[top-1].SQL {
+		t.Fatalf("WAL replay = %+v, want the reply's SQL %q and candidate %d %q", recs, reply.SQL, top-1, reply.Candidates[top-1].SQL)
+	}
+	if fb := feedbackRow(t, reg); fb.Accepted != 2 || fb.Rejected != 1 {
+		t.Errorf("feedback tallies = %+v", fb)
 	}
 }
 

@@ -324,6 +324,9 @@ func runTranslateBench(iters int, outPath string) error {
 		return err
 	} else if ok && prev.PaperScale != nil {
 		report.PaperScale.Parent = prev.PaperScale.Parent
+		if prev.PaperScale.Served != nil {
+			report.PaperScale.Served.Parent = prev.PaperScale.Served.Parent
+		}
 	}
 
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -345,6 +348,10 @@ func runTranslateBench(iters int, outPath string) error {
 	ps := report.PaperScale
 	fmt.Printf("  paper scale: %s pool=%d k=%d, %d questions\n", ps.Database, ps.PoolSize, ps.RetrievalK, ps.Questions)
 	for _, r := range ps.Runs {
+		fmt.Printf("    GOMAXPROCS %d: p50 %.2fms p95 %.2fms %d allocs/op\n", r.GOMAXPROCS, r.P50ms, r.P95ms, r.AllocsPerOp)
+	}
+	fmt.Printf("  paper scale, served (top %d, printed):\n", ps.Served.Top)
+	for _, r := range ps.Served.Runs {
 		fmt.Printf("    GOMAXPROCS %d: p50 %.2fms p95 %.2fms %d allocs/op\n", r.GOMAXPROCS, r.P50ms, r.P95ms, r.AllocsPerOp)
 	}
 	fmt.Printf("  written to %s\n", outPath)

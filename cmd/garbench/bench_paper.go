@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 )
 
 // The paper-scale section of the translate benchmark times a translation
@@ -17,7 +18,11 @@ import (
 // pairs with the serve defaults, k = 100. The held-out questions after
 // those pairs are translated at GOMAXPROCS 1 and N; the ranked output —
 // SQL, dialect and exact score of every candidate — must be equal
-// across the settings before any time counts.
+// across the settings before any time counts. The served row times the
+// call `gar serve` makes for a reply on the same questions: the best
+// servedTop candidates (TranslateTopContext), each printed once as gar
+// prints it. Its candidates must be the first servedTop of the full
+// list's, also before any time counts.
 
 // Paper-scale workload sizes.
 const (
@@ -25,6 +30,9 @@ const (
 	paperTrain     = 60
 	paperHeld      = 500
 	paperQuestions = 100
+	// servedTop is the candidates a `gar serve` reply returns (its
+	// default -top).
+	servedTop = 5
 )
 
 // paperRun is one GOMAXPROCS setting's measurement.
@@ -44,6 +52,19 @@ type paperReport struct {
 	Questions   int             `json:"questions"`
 	Iters       int             `json:"iters"`
 	EqualOutput bool            `json:"equal_ranked_output"`
+	Runs        []paperRun      `json:"runs"`
+	Served      *servedReport   `json:"served"`
+	Parent      json.RawMessage `json:"parent,omitempty"`
+}
+
+// servedReport is the served row of the paper-scale section. Parent,
+// when the output file already holds one, is carried over unchanged:
+// the server's call at the commit before the candidate count
+// (TranslateContext, printing every candidate and the top one again),
+// measured by the same harness.
+type servedReport struct {
+	Top         int             `json:"top"`
+	EqualOutput bool            `json:"equal_to_full_prefix"`
 	Runs        []paperRun      `json:"runs"`
 	Parent      json.RawMessage `json:"parent,omitempty"`
 }
@@ -67,6 +88,7 @@ func runPaperScale(iters int) (*paperReport, error) {
 	report := &paperReport{
 		Database: tn.db, PoolSize: sys.PoolSize(), RetrievalK: opts.RetrievalK,
 		Questions: len(questions), Iters: iters, EqualOutput: true,
+		Served: &servedReport{Top: servedTop, EqualOutput: true},
 	}
 	ctx := context.Background()
 	procs := runtime.GOMAXPROCS(0)
@@ -80,11 +102,18 @@ func runPaperScale(iters int) (*paperReport, error) {
 		runtime.GOMAXPROCS(p)
 		keys := make([]string, len(questions))
 		for i, q := range questions {
-			key, err := rankedKey(ctx, sys, q)
+			key, err := rankedKey(ctx, sys, q, 0)
 			if err != nil {
 				return nil, err
 			}
 			keys[i] = key
+			served, err := rankedKey(ctx, sys, q, servedTop)
+			if err != nil {
+				return nil, err
+			}
+			if !strings.HasPrefix(key, served) || strings.Count(served, "\n") != min(servedTop, strings.Count(key, "\n")) {
+				return nil, fmt.Errorf("bench: paper-scale served candidates at GOMAXPROCS %d are not the first %d of the full list for %q", p, servedTop, q)
+			}
 		}
 		if want == nil {
 			want = keys
@@ -105,6 +134,28 @@ func runPaperScale(iters int) (*paperReport, error) {
 			return nil, failed
 		}
 		report.Runs = append(report.Runs, paperRun{GOMAXPROCS: p, benchStats: stats})
+
+		fmt.Fprintf(os.Stderr, "bench: measuring paper-scale served calls at GOMAXPROCS %d...\n", p)
+		var printed string
+		stats = measure(iters, questions, func(nl string) {
+			tr, err := sys.TranslateTopContext(ctx, nl, servedTop)
+			if err != nil {
+				if failed == nil {
+					failed = err
+				}
+				return
+			}
+			for _, c := range tr.Ranked {
+				printed = c.SQL.String()
+			}
+		})
+		if failed != nil {
+			return nil, failed
+		}
+		if printed == "" {
+			return nil, fmt.Errorf("bench: paper-scale served calls printed nothing")
+		}
+		report.Served.Runs = append(report.Served.Runs, paperRun{GOMAXPROCS: p, benchStats: stats})
 	}
 	return report, nil
 }

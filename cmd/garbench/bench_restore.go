@@ -129,7 +129,7 @@ func runRestoreBench(iters int, outPath string) error {
 	questions := examples[restoreTrain : restoreTrain+restoreQuestions]
 	want := make([]string, len(questions))
 	for i, q := range questions {
-		if want[i], err = rankedKey(ctx, src, q.NL); err != nil {
+		if want[i], err = rankedKey(ctx, src, q.NL, 0); err != nil {
 			return err
 		}
 	}
@@ -163,7 +163,7 @@ func runRestoreBench(iters int, outPath string) error {
 		run.GOMAXPROCS = p
 		report.Runs = append(report.Runs, run)
 		for i, q := range questions {
-			got, err := rankedKey(ctx, restored, q.NL)
+			got, err := rankedKey(ctx, restored, q.NL, 0)
 			if err != nil {
 				return err
 			}
@@ -225,10 +225,11 @@ func timeRestores(ck *checkpoint.Checkpoint, n int, newSystem func() *core.Syste
 	return run, sys, nil
 }
 
-// rankedKey renders a translation's ranked output — SQL, dialect and
-// exact score of every candidate — as one comparable string.
-func rankedKey(ctx context.Context, sys *core.System, nl string) (string, error) {
-	t, err := sys.TranslateContext(ctx, nl)
+// rankedKey renders the ranked output of a translation for its first n
+// candidates (all when n <= 0) — SQL, dialect and exact score of each,
+// one line per candidate — as one comparable string.
+func rankedKey(ctx context.Context, sys *core.System, nl string, n int) (string, error) {
+	t, err := sys.TranslateTopContext(ctx, nl, n)
 	if err != nil {
 		return "", err
 	}

@@ -159,7 +159,8 @@ type Result struct {
 	SQL string
 	// Dialect explains the top translation in (stilted) English.
 	Dialect string
-	// Candidates holds the ranked alternatives, best first.
+	// Candidates holds the ranked alternatives, best first: every one
+	// from TranslateContext, the first n from TranslateTopContext.
 	Candidates []Candidate
 	// Generation is the pool generation of the snapshot that served
 	// this translation: every candidate comes from that one snapshot,
@@ -327,7 +328,8 @@ func (s *System) Translate(question string) (*Result, error) {
 
 // TranslateContext converts a natural-language question to SQL,
 // honoring the context's deadline and cancellation inside the ranking
-// hot loops. Each pipeline stage runs inside a panic-isolation
+// hot loops, and returns every ranked candidate (TranslateTopContext
+// with n = 0). Each pipeline stage runs inside a panic-isolation
 // boundary, and non-fatal stage failures degrade gracefully instead of
 // failing the call: a re-ranking failure or timeout returns the
 // first-stage retrieval order, and a value post-processing failure
@@ -339,22 +341,29 @@ func (s *System) Translate(question string) (*Result, error) {
 // TranslateContext is safe for concurrent use; Prepare and Train may
 // run concurrently with translations.
 func (s *System) TranslateContext(ctx context.Context, question string) (*Result, error) {
-	tr, err := s.inner.TranslateContext(ctx, question)
+	return s.TranslateTopContext(ctx, question, 0)
+}
+
+// TranslateTopContext is TranslateContext returning only the n best
+// candidates (all of them when n <= 0): the first min(n, len) of
+// TranslateContext's, with the same SQL, Degraded and Warnings. Only
+// those candidates are value-filled and printed, so a caller that shows
+// a few of the ~100 ranked candidates should ask for those few; `gar
+// serve` asks for its -top.
+func (s *System) TranslateTopContext(ctx context.Context, question string, n int) (*Result, error) {
+	tr, err := s.inner.TranslateTopContext(ctx, question, n)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Degraded: tr.Degraded, Warnings: tr.Warnings, Generation: tr.Generation}
-	for _, c := range tr.Ranked {
-		out.Candidates = append(out.Candidates, Candidate{
-			SQL:     c.SQL.String(),
-			Dialect: c.Dialect,
-			Score:   c.Score,
-		})
+	if len(tr.Ranked) == 0 {
+		return out, nil
 	}
-	if tr.Top != nil {
-		out.SQL = tr.Top.SQL.String()
-		out.Dialect = tr.Top.Dialect
+	out.Candidates = make([]Candidate, len(tr.Ranked))
+	for i, c := range tr.Ranked {
+		out.Candidates[i] = Candidate{SQL: c.SQL.String(), Dialect: c.Dialect, Score: c.Score}
 	}
+	out.SQL, out.Dialect = out.Candidates[0].SQL, out.Candidates[0].Dialect
 	return out, nil
 }
 

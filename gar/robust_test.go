@@ -3,6 +3,7 @@ package gar_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,37 @@ func TestTranslateContextPublic(t *testing.T) {
 	defer cancel2()
 	if _, err := sys.TranslateContext(ctx2, "who is the oldest employee"); err != nil {
 		t.Fatalf("translate under generous deadline: %v", err)
+	}
+}
+
+// TestTranslateTopContextPublic: an answer of n is the first n
+// candidates of the full answer, with the same SQL and dialect, and n
+// <= 0 or beyond the list returns all of them.
+func TestTranslateTopContextPublic(t *testing.T) {
+	sys := trainedSystem(t)
+	ctx := context.Background()
+	for _, q := range []string{"how many employees are there", "which employees are older than 30"} {
+		full, err := sys.TranslateContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Candidates) < 3 {
+			t.Fatalf("%q ranks %d candidates; the test needs 3", q, len(full.Candidates))
+		}
+		for _, n := range []int{1, 2, 0, -1, len(full.Candidates) + 1} {
+			top, err := sys.TranslateTopContext(ctx, q, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full.Candidates
+			if n > 0 && n < len(want) {
+				want = want[:n]
+			}
+			if !reflect.DeepEqual(top.Candidates, want) || top.SQL != full.SQL || top.Dialect != full.Dialect ||
+				top.Generation != full.Generation || top.Degraded != full.Degraded {
+				t.Fatalf("%q n=%d: %+v, want the first %d of %+v", q, n, top, len(want), full)
+			}
+		}
 	}
 }
 

@@ -861,11 +861,12 @@ func (s *System) Train(examples []ltr.Example) error {
 
 // Candidate is one ranked translation result after value post-processing.
 type Candidate struct {
-	// SQL is the candidate's query with its placeholders filled. It is
-	// shared, not owned: a candidate with nothing to fill, and every
-	// candidate of a degraded post-processing stage, is the snapshot's
-	// own pool query, which other translations read concurrently. Treat
-	// it as read-only and Clone it before editing.
+	// SQL is the candidate's query with its placeholders filled; every
+	// candidate a translation returns is filled, however many it ranked.
+	// It is shared, not owned: a candidate with nothing to fill, and
+	// every candidate of a degraded post-processing stage, is the
+	// snapshot's own pool query, which other translations read
+	// concurrently. Treat it as read-only and Clone it before editing.
 	SQL     *sqlast.Query
 	Dialect string
 	Score   float64
@@ -875,7 +876,8 @@ type Candidate struct {
 type Translation struct {
 	// Top is the best candidate (nil when the pool is empty).
 	Top *Candidate
-	// Ranked is the post-processed top-k list, best first.
+	// Ranked is the post-processed list, best first: the whole top-k
+	// list from TranslateContext, its first n from TranslateTopContext.
 	Ranked []Candidate
 	// Generation is the pool generation of the snapshot that served
 	// this translation; every candidate comes from that one snapshot.
@@ -921,9 +923,11 @@ func stageCtx(ctx context.Context, frac float64) (context.Context, context.Cance
 }
 
 // TranslateContext is Translate with cancellation and stage-level fault
-// isolation. Each stage runs inside a recover boundary, so a panic in a
-// ranking stage surfaces as a *StageError instead of crashing the
-// process, and the pipeline degrades gracefully:
+// isolation; it returns every post-processed candidate, as
+// TranslateTopContext does with n = 0. Each stage runs inside a
+// recover boundary, so a panic in a ranking stage surfaces as a
+// *StageError instead of crashing the process, and the pipeline
+// degrades gracefully:
 //
 //   - retrieval failure (or cancellation before/while retrieving) is
 //     fatal: there is nothing to fall back to;
@@ -944,6 +948,19 @@ func stageCtx(ctx context.Context, frac float64) (context.Context, context.Cance
 // {pool, index, models} generation even while Prepare/Rebuild
 // run concurrently.
 func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation, error) {
+	return s.TranslateTopContext(ctx, nl, 0)
+}
+
+// TranslateTopContext is TranslateContext returning only the n best
+// candidates (all of them when n <= 0): its Ranked is the first
+// min(n, len) candidates of TranslateContext's, with the same
+// Degraded, Warnings and Verdicts. Value post-processing still filters
+// every ranked candidate, so the filtered order, the cached entry and
+// the exec-guide verdicts do not depend on n, but it fills only the
+// candidates an answer of n can hold: the first n, or the first
+// n + ExecTopK under the exec guide, whose reordering keeps the
+// unexecuted candidates in order ahead of the demoted ones.
+func (s *System) TranslateTopContext(ctx context.Context, nl string, n int) (*Translation, error) {
 	st := s.state.Load()
 	if !st.trained {
 		return nil, fmt.Errorf("core: Translate before Train")
@@ -958,7 +975,7 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 	useCache := inj == nil && ctx.Err() == nil
 	if useCache {
 		if cached, ok := s.transCache.Get(st.gen, nl); ok && cached.pub == st.pub {
-			return cached.translation(st, nl), nil
+			return cached.translation(st, nl, n), nil
 		}
 	}
 
@@ -1034,10 +1051,11 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 
 	// Stage 3: value post-processing (filter by value-implied columns,
 	// then instantiate placeholders). On failure the ranked SQL is
-	// returned as-is, placeholders still masked. ids holds each
-	// processed candidate's pool id, for the translation cache.
+	// returned as-is, placeholders still masked. filtered is the whole
+	// post-processed order and processed its head of fillCount
+	// candidates, filled: the only ones an answer of n can return.
+	var filtered []ltr.Ranked
 	var processed []Candidate
-	var ids []int32
 	pctx, pcancel := stageCtx(ctx, s.Opts.StageBudget.Postprocess)
 	err = runStage(pctx, StagePostprocess, func() error {
 		if ferr := inj.Fire(pctx, faults.Postprocess); ferr != nil {
@@ -1049,7 +1067,7 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		// Post-processing 1: drop candidates whose dialect lacks a
 		// column implied by a literal value in the NL query. If every
 		// candidate would be dropped, keep the original ranking.
-		filtered := make([]ltr.Ranked, 0, len(ranked))
+		filtered = make([]ltr.Ranked, 0, len(ranked))
 		for _, r := range ranked {
 			if s.Opts.NoDialect || linker.Mentions(vals, r.Dialect) {
 				filtered = append(filtered, r)
@@ -1058,22 +1076,24 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		if len(filtered) == 0 {
 			filtered = ranked
 		}
-		for _, r := range filtered {
+		head := filtered[:s.fillCount(len(filtered), n)]
+		processed = make([]Candidate, 0, len(head))
+		for _, r := range head {
 			if cerr := pctx.Err(); cerr != nil {
 				return cerr
 			}
 			// Post-processing 2: instantiate placeholders from the NL.
 			processed = append(processed, Candidate{SQL: fillSQL(pipeline, linker, r.ID, r.SQL, vals), Dialect: r.Dialect, Score: r.Score})
-			ids = append(ids, int32(r.ID))
 		}
 		return nil
 	})
 	pcancel()
 	if err != nil {
-		processed, ids = processed[:0], ids[:0]
-		for _, r := range ranked {
+		filtered = ranked
+		head := ranked[:s.fillCount(len(ranked), n)]
+		processed = make([]Candidate, 0, len(head))
+		for _, r := range head {
 			processed = append(processed, Candidate{SQL: r.SQL, Dialect: r.Dialect, Score: r.Score})
-			ids = append(ids, int32(r.ID))
 		}
 		degrade(StagePostprocess, err)
 	}
@@ -1081,7 +1101,9 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 	// Stage 4: execution-guided reranking (off by default). The top
 	// ExecTopK candidates run against the seeded sample instance and
 	// candidates with execution evidence against them are demoted; on
-	// any stage failure the pre-execution LTR order stands.
+	// any stage failure the pre-execution LTR order stands. order is
+	// the final order as indexes into filtered; nil keeps it.
+	var order []int
 	if s.Opts.ExecGuide && st.guide != nil && len(processed) > 0 {
 		var verdicts []execguide.Verdict
 		ectx, ecancel := stageCtx(ctx, s.Opts.StageBudget.ExecGuide)
@@ -1101,14 +1123,7 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		if err != nil {
 			degrade(StageExecGuide, err)
 		} else {
-			order := execguide.Reorder(len(processed), verdicts)
-			reordered := make([]Candidate, 0, len(processed))
-			reorderedIDs := make([]int32, 0, len(ids))
-			for _, idx := range order {
-				reordered = append(reordered, processed[idx])
-				reorderedIDs = append(reorderedIDs, ids[idx])
-			}
-			processed, ids = reordered, reorderedIDs
+			order = execguide.Reorder(len(filtered), verdicts)
 			out.Verdicts = verdicts
 			s.execExecuted.Add(uint64(len(verdicts)))
 			for _, v := range verdicts {
@@ -1126,25 +1141,57 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		}
 	}
 
-	out.Ranked = processed
-	if len(out.Ranked) > 0 {
+	at := func(i int) int {
+		if order == nil {
+			return i
+		}
+		return order[i]
+	}
+	if k := topCount(len(filtered), n); k > 0 {
+		out.Ranked = make([]Candidate, k)
+		for i := range out.Ranked {
+			out.Ranked[i] = processed[at(i)]
+		}
 		out.Top = &out.Ranked[0]
 	}
 	// Only clean, fully-processed results are cached: a degraded answer
-	// must not outlive the transient failure that produced it.
+	// must not outlive the transient failure that produced it. The entry
+	// holds the whole order, whatever n this call returns.
 	if useCache && !out.Degraded {
 		c := &cachedTranslation{
 			pub:      st.pub,
-			ids:      ids,
-			scores:   make([]float64, len(processed)),
+			ids:      make([]int32, len(filtered)),
+			scores:   make([]float64, len(filtered)),
 			verdicts: slices.Clone(out.Verdicts),
 		}
-		for i := range processed {
-			c.scores[i] = processed[i].Score
+		for i := range filtered {
+			r := filtered[at(i)]
+			c.ids[i], c.scores[i] = int32(r.ID), r.Score
 		}
 		s.transCache.Put(st.gen, nl, c)
 	}
 	return out, nil
+}
+
+// topCount is how many of total candidates an answer of n returns: all
+// of them when n <= 0.
+func topCount(total, n int) int {
+	if n <= 0 || n > total {
+		return total
+	}
+	return n
+}
+
+// fillCount is how many of total filtered candidates an answer of n
+// must fill: its first n, plus the ExecTopK the exec guide executes.
+// execguide.Reorder keeps the candidates beyond the executed head in
+// order ahead of every demoted one, so after reordering the n best are
+// among those.
+func (s *System) fillCount(total, n int) int {
+	if n > 0 && s.Opts.ExecGuide {
+		n += s.Opts.ExecTopK
+	}
+	return topCount(total, n)
 }
 
 // cachedTranslation is a clean translation held by reference into the
@@ -1161,17 +1208,18 @@ type cachedTranslation struct {
 	verdicts []execguide.Verdict
 }
 
-// translation rebuilds the Translation the entry was cached from, on
-// the state that produced it.
-func (c *cachedTranslation) translation(st *state, nl string) *Translation {
+// translation rebuilds the first n candidates (all when n <= 0) of the
+// Translation the entry was cached from, on the state that produced it.
+func (c *cachedTranslation) translation(st *state, nl string, n int) *Translation {
 	p, linker := st.pipeline, st.linker
 	vals := linker.Extract(nl)
 	out := &Translation{
 		Generation: st.gen,
-		Ranked:     make([]Candidate, len(c.ids)),
+		Ranked:     make([]Candidate, topCount(len(c.ids), n)),
 		Verdicts:   slices.Clone(c.verdicts),
 	}
-	for i, id := range c.ids {
+	for i := range out.Ranked {
+		id := c.ids[i]
 		cand := p.Pool[id]
 		out.Ranked[i] = Candidate{SQL: fillSQL(p, linker, int(id), cand.SQL, vals), Dialect: cand.Dialect, Score: c.scores[i]}
 	}

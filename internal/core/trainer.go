@@ -473,7 +473,7 @@ func scoreTop1(ctx context.Context, sys *System, examples []ltr.Example) float64
 	}
 	hits := 0
 	for _, ex := range examples {
-		tr, err := sys.TranslateContext(ctx, ex.NL)
+		tr, err := sys.TranslateTopContext(ctx, ex.NL, 1)
 		if err != nil || tr.Top == nil {
 			continue
 		}
@@ -506,7 +506,7 @@ func (t *Trainer) ObserveFeedback(ctx context.Context, rec feedback.Record) {
 		return
 	}
 	match := false
-	if tr, terr := t.sys.TranslateContext(ctx, rec.Question); terr == nil && tr.Top != nil {
+	if tr, terr := t.sys.TranslateTopContext(ctx, rec.Question, 1); terr == nil && tr.Top != nil {
 		match = norm.ExactMatch(tr.Top.SQL, t.sys.BindGold(gold))
 	}
 
