@@ -1,5 +1,5 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-generalize bench-restore bench-build bench-smoke cover qualgate stress perfbench
+.PHONY: verify test build vet fmt lint garlint race bench bench-translate bench-restore bench-build bench-smoke cover qualgate stress perfbench
 
 build:
 	go build ./...
@@ -52,12 +52,6 @@ bench:
 bench-translate:
 	go run ./cmd/garbench -bench translate -iters 5 -benchout BENCH_translate.json
 
-# bench-generalize regenerates the committed BENCH_generalize.json: the
-# budget-governed streaming pool build at 1k/10k/100k records, with
-# byte-identical-replay, budget-peak, and heap-vs-budget assertions.
-bench-generalize:
-	go run ./cmd/garbench -bench generalize -iters 3 -benchout BENCH_generalize.json
-
 # bench-restore regenerates the committed BENCH_restore.json: a
 # SPIDER-like tenant at pool cap 2,000 exported once and restored from
 # its checkpoint at GOMAXPROCS 1 and N (p50, allocs/op), with an
@@ -80,7 +74,6 @@ bench-build:
 # per GOMAXPROCS setting and asserts the committed models digest.
 bench-smoke:
 	go run ./cmd/garbench -bench translate -iters 1 -benchout /tmp/BENCH_translate.json
-	go run ./cmd/garbench -bench generalize -iters 1 -benchout /tmp/BENCH_generalize.json
 	go run ./cmd/garbench -bench restore -iters 3 -benchout /tmp/BENCH_restore.json
 	go run ./cmd/garbench -bench build -iters 1 -benchout /tmp/BENCH_build.json
 
@@ -118,7 +111,7 @@ qualgate:
 # if an alternative of the -run pattern matches none, so a renamed or
 # deleted test cannot drop out of the run unnoticed.
 STRESS_RUN := TestServeBurst|TestServeReload|TestServeNotReady|TestServeHealthzDegraded|TestServeRequestValidation|TestSwap|TestRerankBreaker|TestStageBudget|TestPrepareDuringTraffic|TestBreaker|TestAcquire|TestShed|TestQueued|TestBurst|TestBlockGate|TestFault|TestConcurrent|TestLoadModels|TestModelPersistence|TestParallelTranslateDeterminism|TestCheckpoint|TestCrash|TestRecover|TestStore|TestServeRestartSIGTERM|TestServeUpgradesSingleDatabaseStateDir|TestServeWarmStart|TestServeAllCorrupt|TestFleet|TestServeFleet|TestFeedback|TestTrainer|TestOnline|TestServeFeedback|TestDurable
-STRESS_PKGS := ./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/spill/ ./internal/memgov/ ./internal/durable/ ./gar/
+STRESS_PKGS := ./cmd/gar/ ./internal/core/ ./internal/admit/ ./internal/breaker/ ./internal/faults/ ./internal/checkpoint/ ./internal/fleet/ ./internal/feedback/ ./internal/memgov/ ./internal/durable/ ./gar/
 
 stress:
 	@tests="$$(go test -list '.*' $(STRESS_PKGS))" || { echo "$$tests"; exit 1; }; \

@@ -433,21 +433,18 @@ func TestServeReload(t *testing.T) {
 	}
 
 	// A failing reload answers 422 and changes nothing: not the tenant's
-	// generation, pool or memory charge, and it leaves no spill run.
-	// alpha serves a small pool and beta the full demo pool, under a
-	// process budget too small for two full pools: growing alpha to the
-	// full spec builds on its fork, but adopt's Grow is denied. Every
-	// build spills, and the tenants activate through a reload so that
-	// alpha has no cached translations for adopt to purge.
-	fopts := testServeOpts()
-	fopts.SpillBufferBytes = 1024
+	// generation, pool or memory charge. alpha serves a small pool and
+	// beta the full demo pool, under a process budget too small for two
+	// full pools: growing alpha to the full spec builds on its fork, but
+	// adopt's Grow is denied. The tenants activate through a reload so
+	// that alpha has no cached translations for adopt to purge.
 	small := demoSpec()
 	small.Samples = small.Samples[:3]
 	models := demoModelsFile(t)
 	dir := writeSpecDir(t, "beta")
 	writeSpec(t, filepath.Join(dir, "alpha.json"), small)
 	activate := func(fcfg fleet.Config) (http.Handler, map[string]fleet.TenantHealth) {
-		reg, h := newTestFleet(t, &specSource{dir: dir, opts: fopts, loadModels: models}, fcfg, serveConfig{}, "alpha", "beta")
+		reg, h := newTestFleet(t, &specSource{dir: dir, opts: testServeOpts(), loadModels: models}, fcfg, serveConfig{}, "alpha", "beta")
 		out := map[string]fleet.TenantHealth{}
 		for _, name := range []string{"alpha", "beta"} {
 			if rec := postFleetReload(h, name); rec.Code != http.StatusOK {
@@ -470,10 +467,6 @@ func TestServeReload(t *testing.T) {
 	stateDir := t.TempDir()
 	fh, live := activate(fleet.Config{MemLimit: limit, TenantMemLimit: limit, StateDir: stateDir})
 	alpha := live["alpha"]
-	if alpha.Memory.SpillFiles == 0 {
-		t.Fatalf("builds do not spill: %+v", alpha.Memory)
-	}
-	spillDir := filepath.Join(stateDir, "alpha", "spill")
 	noSamples := demoSpec()
 	noSamples.Samples = nil
 	failures := []struct {
@@ -501,9 +494,6 @@ func TestServeReload(t *testing.T) {
 			int(row["pool"].(float64)) != alpha.Pool || int64(used) != alpha.Memory.Budget.Used {
 			t.Errorf("%s changed the tenant: generation %v pool %v used %v; before %d %d %d", f.name,
 				row["generation"], row["pool"], used, alpha.Generation, alpha.Pool, alpha.Memory.Budget.Used)
-		}
-		if runs, _ := filepath.Glob(filepath.Join(spillDir, "*")); len(runs) != 0 {
-			t.Errorf("%s left spill files: %v", f.name, runs)
 		}
 	}
 	if rec := postFleetTranslate(fh, "alpha", "how many employees are there"); rec.Code != http.StatusOK {

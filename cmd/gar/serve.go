@@ -18,10 +18,10 @@
 // With -spec or -demo the fleet is one tenant named default. It is
 // built, or warm-started from -statedir, before the server announces
 // readiness, is never evicted, and keeps the flat layout: checkpoints
-// in -statedir itself, the feedback WAL in {statedir}/feedback and
-// spill runs in {statedir}/spill. With -specdir every {tenant}.json is
-// a tenant; tenants activate on first request within a bounded LRU
-// working set and keep their state in {statedir}/{tenant}/.
+// in -statedir itself and the feedback WAL in {statedir}/feedback.
+// With -specdir every {tenant}.json is a tenant; tenants activate on
+// first request within a bounded LRU working set and keep their state
+// in {statedir}/{tenant}/.
 //
 // Each request runs under a per-request timeout, the request body is
 // size-limited, panics are recovered into 500 responses, and every
@@ -541,7 +541,8 @@ func openRegistry(src *specSource, cfg fleet.Config) (*fleet.Registry, error) {
 	if src.dir == "" {
 		h, err := reg.Acquire(context.Background(), defaultTenant)
 		if err != nil {
-			// Nothing is resident to flush; this removes a spill root.
+			// Nothing is resident to flush; Shutdown settles an
+			// activation still in flight.
 			return nil, errors.Join(err, reg.Shutdown(context.Background()))
 		}
 		h.Release()
@@ -571,8 +572,8 @@ func runServe(args []string) {
 	execGuide := fs.Bool("execguide", false, "execution-guided reranking: execute top candidates on a seeded sample instance and demote failures")
 	execBudget := fs.Duration("execbudget", 25*time.Millisecond, "per-candidate execution budget under -execguide")
 	workers := fs.Int("workers", 0, "parallel fan-out of encoding and re-rank scoring (0 = one per CPU)")
-	cacheSize := fs.Int("cachesize", 1024, "entries per translation cache (embeddings, results)")
-	noCache := fs.Bool("nocache", false, "disable the translation-path caches")
+	cacheSize := fs.Int("cachesize", 1024, "translation cache entries")
+	noCache := fs.Bool("nocache", false, "disable the translation cache")
 	stateDir := fs.String("statedir", "", "durable serving-state directory: warm-start from the newest valid checkpoint and checkpoint after every state change")
 	keepCkpt := fs.Int("keepckpt", 3, "checkpoint generations retained per tenant")
 	specDir := fs.String("specdir", "", "directory of per-tenant JSON database specs ({tenant}.json): serve a multi-tenant fleet")
@@ -580,7 +581,7 @@ func runServe(args []string) {
 	tenantIdle := fs.Duration("tenantidle", 15*time.Minute, "-specdir only: evict tenants idle this long (0 disables)")
 	tenantInFlight := fs.Int("tenantinflight", 0, "-specdir only: per-tenant concurrent translations (0 = maxinflight/maxtenants)")
 	tenantQueue := fs.Int("tenantqueue", 0, "-specdir only: per-tenant queue depth (0 = maxqueue/maxtenants)")
-	memLimit := fs.Int64("memlimit", 0, "serving-state memory budget in bytes: pool, embeddings and caches spill or degrade instead of growing past it (0 = unbounded)")
+	memLimit := fs.Int64("memlimit", 0, "serving-state memory budget in bytes: pool builds keep a truncated (degraded) pool and the translation cache sheds entries instead of growing past it (0 = unbounded)")
 	tenantMemLimit := fs.Int64("tenantmemlimit", 0, "-specdir only: per-tenant share of -memlimit in bytes (0 = memlimit/maxtenants)")
 	feedbackOn := fs.Bool("feedback", false, "accept POST /feedback into a durable WAL and retrain in the background (requires -statedir)")
 	shadowThreshold := fs.Float64("shadowthreshold", 0, "how much worse (shadow top-1 exact match) a retrained candidate may score and still be promoted")

@@ -193,8 +193,8 @@ func TestRecoverMiddleware(t *testing.T) {
 
 // TestServeHealthzReportsCaches pins the cache counters surfaced by
 // the tenant's health row: a repeated question must hit the
-// translation cache, and the hit/miss/size numbers must be visible to
-// operators.
+// translation cache, and the hit/miss/size numbers and the entry's
+// accounted bytes must be visible to operators, budget or none.
 func TestServeHealthzReportsCaches(t *testing.T) {
 	h := testHandler(t, serveConfig{})
 	for i := 0; i < 2; i++ {
@@ -212,21 +212,16 @@ func TestServeHealthzReportsCaches(t *testing.T) {
 				Hits   uint64 `json:"hits"`
 				Misses uint64 `json:"misses"`
 				Size   int    `json:"size"`
+				Bytes  int64  `json:"bytes"`
 			} `json:"translations"`
-			Embeddings struct {
-				Size int `json:"size"`
-			} `json:"embeddings"`
 		} `json:"caches"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
 	tc := health.Caches.Translations
-	if tc.Hits != 1 || tc.Misses != 1 || tc.Size != 1 {
+	if tc.Hits != 1 || tc.Misses != 1 || tc.Size != 1 || tc.Bytes <= 0 {
 		t.Errorf("translation cache counters = %+v", tc)
-	}
-	if health.Caches.Embeddings.Size != 1 {
-		t.Errorf("embedding cache size = %d, want 1", health.Caches.Embeddings.Size)
 	}
 }
 

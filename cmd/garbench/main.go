@@ -10,7 +10,7 @@
 // Usage:
 //
 //	garbench [-scale small|full] [-exp id[,id...]] [-seed n]
-//	garbench -bench translate|generalize|restore|build [-iters n] [-benchout file]
+//	garbench -bench translate|restore|build [-iters n] [-benchout file]
 //	garbench -baseline [-write]    # translation-quality gate / ratchet
 //
 // -bench build times a tenant's cold build stage by stage at pool cap
@@ -32,7 +32,7 @@ func main() {
 	scale := flag.String("scale", "small", "experiment scale: small or full (-bench build: full adds the 6,000-candidate pool)")
 	exp := flag.String("exp", "all", "comma-separated experiment ids (or 'all')")
 	seed := flag.Int64("seed", 0, "override the benchmark seed (0 keeps the default)")
-	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize, restore, build)")
+	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, restore, build)")
 	iters := flag.Int("iters", 5, "benchmark iterations over the question set (restore: restores, build: builds per GOMAXPROCS setting)")
 	benchOut := flag.String("benchout", "", "benchmark JSON output path (default BENCH_<id>.json)")
 	baseline := flag.Bool("baseline", false, "run the translation-quality gate against the committed baseline")
@@ -58,14 +58,12 @@ func main() {
 		switch *bench {
 		case "translate":
 			err = runTranslateBench(*iters, out)
-		case "generalize":
-			err = runGeneralizeBench(*iters, out)
 		case "restore":
 			err = runRestoreBench(*iters, out)
 		case "build":
 			err = runBuildBench(*iters, *scale == "full", out)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize, restore, build)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, restore, build)\n", *bench)
 			os.Exit(1)
 		}
 		if err != nil {

@@ -15,7 +15,7 @@
 // -demo, one per spec file for -specdir — behind one route table
 // (/db/{name}/..., with /translate, /reload and /feedback as aliases
 // of /db/default/...). internal/fleet is the only serving code that
-// wires memory budgets, spill, checkpoints, the feedback WAL and the
+// wires memory budgets, checkpoints, the feedback WAL and the
 // trainer, and the only health renderer. See the README's "Serving &
 // robustness" section.
 //
@@ -47,7 +47,7 @@
 // in library code, context propagation, and Must* helpers confined to
 // tests and generators.
 //
-// Models files, checkpoints, spill runs and the feedback WAL share one
+// Models files, checkpoints and the feedback WAL share one
 // durable-file layer, internal/durable: the CRC-64 checksum, the atomic
 // temp+fsync+rename write, the length+CRC frame, the magic-headed
 // block and the temp sweep; each format keeps its own magic, length

@@ -70,11 +70,10 @@ type Options struct {
 	// 0 means one worker per CPU; 1 forces the sequential path. The
 	// ranked output is identical for every setting.
 	Workers int
-	// CacheSize caps each translation-path cache (question embeddings
-	// and full translations, both invalidated automatically when the
-	// pool generation changes) in entries; default 1024.
+	// CacheSize caps the translation cache (invalidated automatically
+	// by every publication of a new snapshot) in entries; default 1024.
 	CacheSize int
-	// NoCache disables the translation-path caches entirely.
+	// NoCache disables the translation cache entirely.
 	NoCache bool
 	// ExecGuide enables execution-guided reranking: after the learned
 	// ranking, the top ExecTopK candidates are executed against a small
@@ -86,20 +85,6 @@ type Options struct {
 	// 25ms); ExecTopK is how many top candidates execute (default 8).
 	ExecBudget time.Duration
 	ExecTopK   int
-	// MemBudget caps the bytes of retained state (candidate pool,
-	// dialect embeddings, translation caches) this system may hold;
-	// 0 disables memory governance. Pool builds that hit the budget
-	// spill to SpillDir or degrade to a truncated pool — they never
-	// OOM-kill the process. See SetResources for fleet-managed budgets.
-	MemBudget int64
-	// SpillDir is where streaming pool builds overflow candidate
-	// records once the RAM buffer budget trips. Empty disables
-	// spilling: buffer pressure then truncates the pool instead.
-	SpillDir string
-	// SpillBufferBytes caps the in-RAM record buffer of a pool build
-	// before it overflows to SpillDir. 0 derives a quarter of the
-	// effective budget limit.
-	SpillBufferBytes int64
 }
 
 // StageBudget holds the per-stage deadline fractions; see
@@ -125,15 +110,12 @@ func (o Options) internal() core.Options {
 			Postprocess: o.StageBudget.Postprocess,
 			ExecGuide:   o.StageBudget.ExecGuide,
 		},
-		Workers:          o.Workers,
-		CacheSize:        o.CacheSize,
-		NoCache:          o.NoCache,
-		ExecGuide:        o.ExecGuide,
-		ExecBudget:       o.ExecBudget,
-		ExecTopK:         o.ExecTopK,
-		MemBudget:        o.MemBudget,
-		SpillDir:         o.SpillDir,
-		SpillBufferBytes: o.SpillBufferBytes,
+		Workers:    o.Workers,
+		CacheSize:  o.CacheSize,
+		NoCache:    o.NoCache,
+		ExecGuide:  o.ExecGuide,
+		ExecBudget: o.ExecBudget,
+		ExecTopK:   o.ExecTopK,
 	}
 }
 
@@ -227,11 +209,10 @@ func (s *System) SetContent(content *Content) {
 // Rebuild replaces the system's candidate pool, models and content in
 // one publication, with no window in which it is unprepared or
 // untrained: build runs on a fork of the system (the same database,
-// options, content and spill directory, with a memory budget of its
-// own at the system's limit), typically calling SetContent, Prepare
-// and Train or UseModels; Rebuild then publishes the fork's snapshot
-// as the next pool generation and moves its memory charge onto the
-// system. Translations in flight finish against the old snapshot;
+// options and content, with a memory budget of its own at the system's
+// limit), typically calling SetContent, Prepare and Train or
+// UseModels; Rebuild then publishes the fork's snapshot as the next
+// pool generation and moves its memory charge onto the system. Translations in flight finish against the old snapshot;
 // `gar serve`'s zero-downtime POST /reload is built on it. A failing
 // build, an untrained fork, or a snapshot the system's budget cannot
 // hold leaves the system as it was. It returns the new generation.
@@ -252,9 +233,9 @@ func (s *System) Generation() uint64 { return s.inner.Generation() }
 // and the completing Train/UseModels/Rebuild.
 func (s *System) Ready() bool { return s.inner.Ready() }
 
-// CacheStats reports hit/miss/size counters for the translation-path
-// caches (question embeddings and full translations); all-zero when
-// caching is disabled. Serving layers surface it in health endpoints.
+// CacheStats reports hit/miss/size counters for the translation
+// cache; all-zero when caching is disabled. Serving layers surface it
+// in health endpoints.
 type CacheStats = core.CacheStats
 
 // CacheStats returns a point-in-time snapshot of the cache counters.
@@ -270,9 +251,9 @@ type ExecGuideStats = core.ExecGuideStats
 func (s *System) ExecGuideStats() ExecGuideStats { return s.inner.ExecGuideStats() }
 
 // MemBudget is a hierarchical byte budget (see internal/memgov):
-// reservations charge every level of a process → tenant → operation
-// chain, and any level's denial makes the caller spill, truncate or
-// skip instead of allocating. A nil budget is fully inert.
+// reservations charge every level of a process → tenant chain, and
+// any level's denial makes the caller truncate or skip instead of
+// allocating. A nil budget is fully inert.
 type MemBudget = memgov.Budget
 
 // MemBudgetStats is one budget level's gauge snapshot (limit, used,
@@ -284,20 +265,21 @@ type MemBudgetStats = memgov.Stats
 func NewMemBudget(name string, limit int64) *MemBudget { return memgov.New(name, limit) }
 
 // MemStats is the resource-governance gauge block of one system:
-// budget accounting, published-snapshot bytes, spill gauges and the
-// degradation record of the current pool's build.
+// budget accounting, published-snapshot bytes and the degradation
+// record of the current pool's build.
 type MemStats = core.MemStats
 
 // MemStats reports the system's resource-governance gauges, lock-free.
 func (s *System) MemStats() MemStats { return s.inner.MemStats() }
 
-// SetResources installs the memory budget and spill directory used by
-// every subsequent pool build, overriding the Options the system was
-// created with. The fleet calls it right after constructing a tenant's
-// system so each tenant charges its own share of the process budget.
-func (s *System) SetResources(budget *MemBudget, spillDir string) {
-	s.inner.SetResources(budget, spillDir)
-}
+// SetResources puts the system under a memory budget: every
+// subsequent pool build and publication charges it, and the
+// translation cache too. A build that hits the budget degrades to a
+// truncated pool instead of growing — it never OOM-kills the process;
+// nil leaves the system unbudgeted. The fleet calls it right after
+// constructing a tenant's system so each tenant charges its own share
+// of the process budget.
+func (s *System) SetResources(budget *MemBudget) { s.inner.SetResources(budget) }
 
 // ReleaseMemory returns the published snapshot's budget reservations.
 // Call it when the system is being discarded (the fleet's eviction

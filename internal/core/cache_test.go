@@ -58,14 +58,65 @@ func TestTranslateCacheHit(t *testing.T) {
 	sameTranslation(t, second, third)
 }
 
-func TestEmbeddingCacheFeedsRetrieval(t *testing.T) {
-	sys := trainedSystem(t, core.Options{})
-	if _, err := sys.Translate("who is the oldest employee"); err != nil {
+// TestCacheKeyedByPublication: a model redeploy publishes at the same
+// generation, and a translation that loaded the outgoing snapshot may
+// write its entry after UseModels purged the cache. That entry must not
+// be served on the new snapshot: every translation there answers as an
+// uncached system with the new models does.
+func TestCacheKeyedByPublication(t *testing.T) {
+	sys, _ := swapSystem(t, core.Options{})
+	seeded := sys.Opts
+	seeded.Seed = 7
+	other, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, seeded)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := sys.CacheStats()
-	if st.Embeddings.Len != 1 || st.Embeddings.Misses != 1 {
-		t.Errorf("embedding cache stats after first translate = %+v", st.Embeddings)
+	opts := sys.Opts
+	opts.NoCache = true
+	ref := core.New(sys.DB, opts)
+	ref.Prepare(employeeSamples())
+	if err := ref.UseModels(other); err != nil {
+		t.Fatal(err)
+	}
+
+	const nl = "who is the oldest employee"
+	outgoing := core.Pinned(sys, nl)
+	old, err := sys.Translate(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sys.Generation()
+	if err := sys.UseModels(other); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Generation() != gen {
+		t.Fatalf("UseModels moved the generation %d -> %d; the test needs a same-generation publication", gen, sys.Generation())
+	}
+	// The in-flight translation of the outgoing snapshot finishes now,
+	// after the purge, and caches its answer.
+	if _, err := outgoing(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Translate(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderTranslation(want) == renderTranslation(old) {
+		t.Fatal("differently seeded models answer as the outgoing ones; the test cannot tell a stale entry")
+	}
+	hits := sys.CacheStats().Translations.Hits
+	for i := 0; i < 2; i++ { // a miss on the new snapshot, then its own hit
+		got, err := sys.Translate(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderTranslation(got) != renderTranslation(want) {
+			t.Fatalf("translation %d on the new snapshot:\n%s\nan uncached system with the new models:\n%s",
+				i, renderTranslation(got), renderTranslation(want))
+		}
+	}
+	if got := sys.CacheStats().Translations.Hits - hits; got != 1 {
+		t.Errorf("%d cache hits on the new snapshot, want 1 (its own entry)", got)
 	}
 }
 

@@ -847,7 +847,7 @@ func TestCheckpointerFlushesPublishDuringWrite(t *testing.T) {
 // a restore that fails after charging returns every byte.
 func TestCheckpointRestoreChargesBuildBytes(t *testing.T) {
 	sys := restoreTarget()
-	sys.SetResources(memgov.New("exporter", 64<<20), "")
+	sys.SetResources(memgov.New("exporter", 64<<20))
 	sys.Prepare(employeeSamples())
 	if err := sys.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
@@ -863,7 +863,7 @@ func TestCheckpointRestoreChargesBuildBytes(t *testing.T) {
 
 	budget := memgov.New("restore", 64<<20)
 	fresh := restoreTarget()
-	fresh.SetResources(budget, "")
+	fresh.SetResources(budget)
 	if err := fresh.RestoreCheckpoint(decodeExport(t, m, sections)); err != nil {
 		t.Fatal(err)
 	}
@@ -879,7 +879,7 @@ func TestCheckpointRestoreChargesBuildBytes(t *testing.T) {
 	narrow := withVecs(t, sections, narrowVecs(t))
 	empty := memgov.New("failed", 64<<20)
 	failed := restoreTarget()
-	failed.SetResources(empty, "")
+	failed.SetResources(empty)
 	if err := failed.RestoreCheckpoint(decodeExport(t, m, narrow)); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("narrow vectors: %v, want ErrCorrupt", err)
 	}
@@ -1136,7 +1136,7 @@ func TestCheckpointRestoreOverBudget(t *testing.T) {
 	for _, limit := range []int64{1 << 10, 64 << 10} {
 		budget := memgov.New("tight", limit)
 		fresh := restoreTarget()
-		fresh.SetResources(budget, "")
+		fresh.SetResources(budget)
 		err := fresh.RestoreCheckpoint(ck)
 		if !errors.Is(err, memgov.ErrBudgetExceeded) || errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Fatalf("limit %d: %v, want a budget error", limit, err)

@@ -82,11 +82,11 @@ type Options struct {
 	// retrieval, and re-rank scoring. 0 means one worker per CPU; 1
 	// forces the sequential path. Every worker count ranks identically.
 	Workers int
-	// CacheSize caps each translation-path cache (question embeddings,
-	// full translations) in entries. Default 1024. See NoCache.
+	// CacheSize caps the translation cache in entries. Default 1024.
+	// See NoCache.
 	CacheSize int
-	// NoCache disables the translation-path caches entirely (the
-	// benchmark's cold path, and a debugging escape hatch).
+	// NoCache disables the translation cache entirely (the benchmark's
+	// cold path, and a debugging escape hatch).
 	NoCache bool
 	// ExecGuide enables execution-guided reranking: after value
 	// post-processing the top ExecTopK candidates are executed against
@@ -100,19 +100,6 @@ type Options struct {
 	// ExecTopK is how many of the best-ranked candidates ExecGuide
 	// executes (default 8).
 	ExecTopK int
-	// MemBudget caps the bytes of retained state (candidate pool,
-	// dialect embeddings, pool-build buffers) this system may hold;
-	// 0 means unbudgeted. The fleet overrides it per tenant through
-	// SetResources.
-	MemBudget int64
-	// SpillDir is where streaming pool builds spill candidate records
-	// once the RAM buffer budget trips. Empty disables spilling:
-	// buffer pressure then truncates the pool instead (Degraded).
-	SpillDir string
-	// SpillBufferBytes caps the in-RAM record buffer of a streaming
-	// pool build before it overflows to SpillDir. 0 derives a quarter
-	// of the effective budget limit.
-	SpillBufferBytes int64
 }
 
 func (o *Options) fill() {
@@ -168,7 +155,7 @@ type state struct {
 	guide     *execguide.Guide
 	prepStats generalize.Stats
 	// info is the resource-governance record of the build that produced
-	// this snapshot's pool: degradation flag and reason, spill gauges.
+	// this snapshot's pool: degradation flag and reason.
 	info    buildInfo
 	trained bool
 	inj     *faults.Injector
@@ -219,10 +206,11 @@ type System struct {
 	execErrors   atomic.Uint64
 	execTimeouts atomic.Uint64
 
-	// resources carries the memory budget and spill directory every
-	// pool build reads; installed by New from Options, overridden per
-	// tenant by SetResources.
-	resources atomic.Pointer[resources]
+	// budget is the memory budget every pool build and publication
+	// charges, nil when unbudgeted; installed by SetResources. It sits
+	// behind an atomic pointer because builds run outside writeMu
+	// (Prepare constructs off to the side).
+	budget atomic.Pointer[memgov.Budget]
 	// snapMem accounts the published snapshot's candidate-pool bytes
 	// and vecMem its dialect-embedding and feature-table bytes, both
 	// against the budget.
@@ -236,12 +224,12 @@ type System struct {
 	// under resource pressure; see MemStats.
 	memDegradedBuilds atomic.Uint64
 
-	// embedCache memoizes question embeddings and transCache whole
-	// translation results, both keyed by (pool generation, NL question).
-	// The generation key makes every Prepare/Rebuild an implicit flush: an
-	// entry from an older snapshot can never be served after a hot
-	// reload. Nil when Options.NoCache is set (a nil cache never hits).
-	embedCache *transcache.Cache[vector.Vec]
+	// transCache memoizes whole translation results, keyed by (snapshot
+	// publication, NL question). The publication key makes every
+	// publication an implicit flush: an entry from an older snapshot
+	// can never be served after a reload or a model redeploy, even one
+	// a translation of the outgoing snapshot writes after the purge.
+	// Nil when Options.NoCache is set (a nil cache never hits).
 	transCache *transcache.Cache[*cachedTranslation]
 
 	// recovered records the store and publication of the state the last
@@ -264,40 +252,28 @@ func New(db *schema.Database, opts Options) *System {
 		st.guide = execguide.New(db, nil, execguide.Seeds{}, s.guideConfig())
 	}
 	s.state.Store(st)
-	var budget *memgov.Budget
-	if opts.MemBudget > 0 {
-		budget = memgov.New("system", opts.MemBudget)
-	}
-	s.resources.Store(&resources{budget: budget, spillDir: opts.SpillDir, bufBytes: opts.SpillBufferBytes})
 	if !opts.NoCache {
-		s.embedCache = transcache.New[vector.Vec](s.Opts.CacheSize)
 		s.transCache = transcache.New[*cachedTranslation](s.Opts.CacheSize)
-		s.governCaches(budget)
+		s.transCache.Govern(nil, cachedBytes) // metered; SetResources adds a budget
 	}
 	return s
 }
 
-// CacheStats reports the hit/miss/size counters of the translation-path
-// caches; all-zero when caching is disabled.
+// CacheStats reports the hit/miss/size counters of the translation
+// cache; all-zero when caching is disabled.
 type CacheStats struct {
-	Embeddings   transcache.Stats `json:"embeddings"`
 	Translations transcache.Stats `json:"translations"`
 }
 
 // CacheStats returns a point-in-time snapshot of the cache counters.
 func (s *System) CacheStats() CacheStats {
-	return CacheStats{
-		Embeddings:   s.embedCache.Stats(),
-		Translations: s.transCache.Stats(),
-	}
+	return CacheStats{Translations: s.transCache.Stats()}
 }
 
-// purgeCaches drops every cached embedding and translation. Mutators
-// whose changes are not visible in the pool generation (a new linker, a
-// model redeploy on the same pool) call it so a stale result can never
-// outlive the state that produced it.
+// purgeCaches drops every cached translation. Mutators call it when
+// they publish, so the outgoing snapshot's entries return their bytes
+// to the budget at once instead of at their next stale lookup.
 func (s *System) purgeCaches() {
-	s.embedCache.Purge()
 	s.transCache.Purge()
 }
 
@@ -723,7 +699,7 @@ func (s *System) UseModels(m *Models) error {
 	// The embeddings get their own account against the budget; the pool
 	// keeps the reservation Prepare adopted (shrunk on truncation).
 	pipeline, pool, poolIdx, vecMem, truncated, err := newPipelineGoverned(
-		cur.pool, cur.poolIdx, m, m.poolVecs(cur.pool), s.Opts, s.resources.Load().budget, s.snapMem)
+		cur.pool, cur.poolIdx, m, m.poolVecs(cur.pool), s.Opts, s.budget.Load(), s.snapMem)
 	if err != nil {
 		return err
 	}
@@ -764,19 +740,16 @@ func (s *System) Rebuild(build func(fork *System) error) (uint64, error) {
 }
 
 // fork makes the system a snapshot is built on off to the side: s's
-// database, options, content, samples, fault injector, linker, exec
-// guide and spill directory, and a budget of its own at the effective
-// limit of s's (none when s has none). The build's spill and truncation
-// decisions are therefore a cold build's at that share, and nothing
-// charges s's budget until adopt moves the finished snapshot's bytes.
+// database, options, content, samples, fault injector, linker and exec
+// guide, and a budget of its own at the effective limit of s's (none
+// when s has none). The build's truncation decisions are therefore a
+// cold build's at that share, and nothing charges s's budget until
+// adopt moves the finished snapshot's bytes.
 func (s *System) fork() *System {
 	f := New(s.DB, s.Opts)
-	res := s.resources.Load()
-	budget := res.budget
-	if budget != nil {
-		budget = memgov.New(budget.Name(), budget.EffectiveLimit())
+	if budget := s.budget.Load(); budget != nil {
+		f.SetResources(memgov.New(budget.Name(), budget.EffectiveLimit()))
 	}
-	f.SetResources(budget, res.spillDir)
 	s.writeMu.Lock()
 	cur := s.state.Load()
 	f.state.Store(&state{linker: cur.linker, guide: cur.guide, inj: cur.inj})
@@ -797,10 +770,8 @@ func (s *System) fork() *System {
 //
 // The generation is f's or, when s or a skipped file has reached it,
 // the next past them (see nextGen): a warm start keeps its checkpoint's
-// generation, so health endpoints, Result.Generation and the caches
-// line up across the restart, and a generation never names two
-// snapshots, or a translation on the outgoing one could repopulate the
-// caches under it after the purge.
+// generation, so health endpoints and Result.Generation line up across
+// the restart, and a generation never names two snapshots.
 func (s *System) adopt(f *System) (gen, pub uint64, err error) {
 	if f == s || f.DB != s.DB {
 		return 0, 0, fmt.Errorf("core: adopt of a system that is not a fork of %s", s.DB.Name)
@@ -814,7 +785,7 @@ func (s *System) adopt(f *System) (gen, pub uint64, err error) {
 	// The cached results belong to the outgoing snapshot; dropping them
 	// first returns their bytes before the resize asks for room.
 	s.purgeCaches()
-	budget := s.resources.Load().budget
+	budget := s.budget.Load()
 	poolMem, vecMem := s.snapMem, s.vecMem
 	if poolMem == nil {
 		poolMem = budget.Hold()
@@ -961,7 +932,12 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 // n + ExecTopK under the exec guide, whose reordering keeps the
 // unexecuted candidates in order ahead of the demoted ones.
 func (s *System) TranslateTopContext(ctx context.Context, nl string, n int) (*Translation, error) {
-	st := s.state.Load()
+	return s.translateOn(ctx, s.state.Load(), nl, n)
+}
+
+// translateOn is TranslateTopContext on snapshot st, which a
+// publication may have replaced since it was loaded.
+func (s *System) translateOn(ctx context.Context, st *state, nl string, n int) (*Translation, error) {
 	if !st.trained {
 		return nil, fmt.Errorf("core: Translate before Train")
 	}
@@ -974,32 +950,23 @@ func (s *System) TranslateTopContext(ctx context.Context, nl string, n int) (*Tr
 	// stage attribution whether or not the answer happens to be cached.
 	useCache := inj == nil && ctx.Err() == nil
 	if useCache {
-		if cached, ok := s.transCache.Get(st.gen, nl); ok && cached.pub == st.pub {
+		if cached, ok := s.transCache.Get(st.pub, nl); ok {
 			return cached.translation(st, nl, n), nil
 		}
 	}
 
 	// Stage 1: first-stage retrieval over the candidate pool. Fatal on
 	// any failure — every later stage only refines this answer. The
-	// question embedding is computed at most once per (generation, NL)
-	// pair: a cache hit feeds both retrieval and the re-ranker's
+	// question embedding feeds both retrieval and the re-ranker's
 	// similarity feature.
 	var qvec vector.Vec
-	if useCache {
-		qvec, _ = s.embedCache.Get(st.gen, nl)
-	}
 	var hits []vindex.Hit
 	rctx, rcancel := stageCtx(ctx, s.Opts.StageBudget.Retrieval)
 	err := runStage(rctx, StageRetrieval, func() error {
 		if ferr := inj.Fire(rctx, faults.Retrieval); ferr != nil {
 			return ferr
 		}
-		if qvec == nil {
-			qvec = pipeline.Encoder.Encode(nl)
-			if useCache {
-				s.embedCache.Put(st.gen, nl, qvec)
-			}
-		}
+		qvec = pipeline.Encoder.Encode(nl)
 		var rerr error
 		hits, rerr = pipeline.RetrieveVecContext(rctx, qvec, pipeline.K)
 		return rerr
@@ -1159,7 +1126,6 @@ func (s *System) TranslateTopContext(ctx context.Context, nl string, n int) (*Tr
 	// holds the whole order, whatever n this call returns.
 	if useCache && !out.Degraded {
 		c := &cachedTranslation{
-			pub:      st.pub,
 			ids:      make([]int32, len(filtered)),
 			scores:   make([]float64, len(filtered)),
 			verdicts: slices.Clone(out.Verdicts),
@@ -1168,7 +1134,7 @@ func (s *System) TranslateTopContext(ctx context.Context, nl string, n int) (*Tr
 			r := filtered[at(i)]
 			c.ids[i], c.scores[i] = int32(r.ID), r.Score
 		}
-		s.transCache.Put(st.gen, nl, c)
+		s.transCache.Put(st.pub, nl, c)
 	}
 	return out, nil
 }
@@ -1200,9 +1166,6 @@ func (s *System) fillCount(total, n int) int {
 // placeholders from the same snapshot, which reproduces the miss
 // exactly because value extraction is deterministic.
 type cachedTranslation struct {
-	// pub is the publication of the state that produced the entry; a
-	// hit is served only from that state.
-	pub      uint64
 	ids      []int32
 	scores   []float64
 	verdicts []execguide.Verdict

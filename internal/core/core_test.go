@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ltr"
+	"repro/internal/memgov"
 	"repro/internal/norm"
 	"repro/internal/schema/schematest"
 	"repro/internal/sqlast"
@@ -52,6 +53,12 @@ func employeeExamples() []ltr.Example {
 
 func trainedSystem(t *testing.T, opts core.Options) *core.System {
 	t.Helper()
+	return trainedUnder(t, opts, nil)
+}
+
+// trainedUnder is trainedSystem built under budget (nil: unbudgeted).
+func trainedUnder(t *testing.T, opts core.Options, budget *memgov.Budget) *core.System {
+	t.Helper()
 	if opts.GeneralizeSize == 0 {
 		opts.GeneralizeSize = 300
 	}
@@ -62,6 +69,7 @@ func trainedSystem(t *testing.T, opts core.Options) *core.System {
 	opts.RerankEpochs = 40
 	opts.Seed = 42
 	sys := core.New(schematest.Employee(), opts)
+	sys.SetResources(budget)
 	sys.Prepare(employeeSamples())
 	if err := sys.Train(employeeExamples()); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/execguide"
 	"repro/internal/ltr"
 	"repro/internal/rerank"
@@ -11,6 +13,14 @@ import (
 // which compare the parts a checkpoint restore derives with the
 // exporter's.
 func ServingPipeline(s *System) *ltr.Pipeline { return s.state.Load().pipeline }
+
+// Pinned loads the published snapshot and returns a translation of nl
+// on it, to run later: a translation in flight across whatever
+// publication happens in between.
+func Pinned(s *System, nl string) func() (*Translation, error) {
+	st := s.state.Load()
+	return func() (*Translation, error) { return s.translateOn(context.Background(), st, nl, 0) }
+}
 
 // ExecGuide exposes the published exec guide to the external tests,
 // which compare the sample instance it seeded with a cold build's.

@@ -4,17 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/embed"
-	"repro/internal/faults"
 	"repro/internal/generalize"
 	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/parallel"
 	"repro/internal/schema"
-	"repro/internal/spill"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 	"repro/internal/vector"
@@ -23,50 +19,24 @@ import (
 // This file is the resource-governance layer of pool construction and
 // serving: every byte a published snapshot retains (candidate pool,
 // dialect embeddings, re-rank feature table) is accounted against a
-// memgov budget, pool construction streams candidates through a
-// bounded RAM buffer that overflows into crash-safe spill runs
-// (internal/spill), and every pressure or spill-disk failure degrades
+// memgov budget, pool construction streams candidates through a RAM
+// record buffer charged to the same budget, and every denial degrades
 // — truncated pool, Degraded flag, healthz counters — instead of
-// OOM-killing or panicking.
+// OOM-killing or panicking. A record charges at most an eighth of what
+// its candidate then charges in the published snapshot, so a budget
+// that denies a record could not have published the whole pool anyway.
 //
-// The degradation ladder, mildest first:
-//
-//  1. RAM buffer budget trips → records move to disk (no quality loss;
-//     replay is byte-identical to the in-RAM order).
-//  2. Frontier or snapshot budget trips → the pool is truncated at the
-//     denial point and the build is flagged Degraded.
-//  3. Spill disk fails (write, sync, rename, read) → whatever is still
-//     in RAM or readable becomes the pool, truncated and Degraded.
+// The budget can trip at three points, each truncating the pool there
+// and flagging the build Degraded: the generalizer's search frontier,
+// the record buffer, and the materialized snapshot (pool, then
+// embeddings).
 
-// resources carries the budget and spill directory a build reads.
-// They live behind one atomic pointer because builds run outside
-// writeMu (Prepare constructs off to the side) while the fleet installs
-// per-tenant budgets after New.
-type resources struct {
-	budget   *memgov.Budget
-	spillDir string
-	bufBytes int64 // RAM record-buffer cap before spilling; 0 derives from the budget
-}
-
-// SetResources installs the memory budget and spill directory used by
-// every subsequent pool build, overriding the Options the system was
-// created with. The fleet calls it right after constructing a tenant's
-// system, before any Prepare/Rebuild/Restore can run.
-func (s *System) SetResources(budget *memgov.Budget, spillDir string) {
-	cur := s.resources.Load()
-	bufBytes := int64(0)
-	if cur != nil {
-		bufBytes = cur.bufBytes
-	}
-	s.resources.Store(&resources{budget: budget, spillDir: spillDir, bufBytes: bufBytes})
-	s.governCaches(budget)
-}
-
-// governCaches points the translation-path caches' byte accounting at
-// budget, so cached embeddings and translations share the same account
-// as the snapshot they were computed from.
-func (s *System) governCaches(budget *memgov.Budget) {
-	s.embedCache.Govern(budget, vecBytes)
+// SetResources installs the memory budget used by every subsequent
+// pool build and charged by the translation cache; nil leaves the
+// system unbudgeted. The fleet calls it right after constructing a
+// tenant's system, before any Prepare/Rebuild/Restore can run.
+func (s *System) SetResources(budget *memgov.Budget) {
+	s.budget.Store(budget)
 	s.transCache.Govern(budget, cachedBytes)
 }
 
@@ -80,16 +50,10 @@ func cachedBytes(c *cachedTranslation) int64 {
 	return n
 }
 
-// spillRunBytes rotates a spill run once it grows past this size, so
-// replay merges several bounded runs instead of scanning one unbounded
-// file. Variable (not const) so tests can force multi-run merges with
-// small pools.
-var spillRunBytes int64 = 4 << 20
-
 // Size estimators. memgov is an accountant, not an allocator: these
 // deterministic estimates (derived only from string lengths, so a
-// spilled and an in-RAM build account identically) stand in for the
-// retained heap bytes of each structure.
+// cold build and a checkpoint restore account identically) stand in
+// for the retained heap bytes of each structure.
 
 // recBytes estimates one buffered (sql, dialect) record.
 func recBytes(r poolRec) int64 { return int64(len(r.sql)+len(r.dialect)) + 64 }
@@ -113,9 +77,6 @@ func tableBytes(dialect string) int64 { return int64(len(dialect)) + 320 }
 type buildInfo struct {
 	Degraded      bool
 	DegradeReason string
-	SpillFiles    int
-	SpillFrames   int
-	SpillBytes    int64
 }
 
 func (bi *buildInfo) degrade(reason string) {
@@ -137,317 +98,98 @@ type poolBuild struct {
 	mem *memgov.Reservation
 }
 
-// poolRec is the serialized form of one streamed candidate: exactly
-// the poolEntry shape checkpoints persist, so the spill path and the
-// restore path share one round-trip discipline (print → parse → bind)
-// whose fixed-point property the snapshot tests already pin.
+// poolRec is the printed form of one streamed candidate: exactly the
+// poolEntry shape checkpoints persist, so a cold build and a restore
+// share one round-trip discipline (print → parse → bind) whose
+// fixed-point property the snapshot tests already pin.
 type poolRec struct {
-	seq     uint64
 	sql     string
 	dialect string
 }
 
-// encodeRec renders the record payload: u32 sql length, sql, dialect.
-func encodeRec(r poolRec) []byte {
-	buf := make([]byte, 4+len(r.sql)+len(r.dialect))
-	buf[0] = byte(len(r.sql) >> 24)
-	buf[1] = byte(len(r.sql) >> 16)
-	buf[2] = byte(len(r.sql) >> 8)
-	buf[3] = byte(len(r.sql))
-	copy(buf[4:], r.sql)
-	copy(buf[4+len(r.sql):], r.dialect)
-	return buf
-}
-
-func decodeRec(seq uint64, payload []byte) (poolRec, error) {
-	if len(payload) < 4 {
-		return poolRec{}, fmt.Errorf("%w: record of %d bytes lacks a length header", spill.ErrCorrupt, len(payload))
-	}
-	n := int(payload[0])<<24 | int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
-	if n < 0 || n > len(payload)-4 {
-		return poolRec{}, fmt.Errorf("%w: record sql length %d exceeds payload", spill.ErrCorrupt, n)
-	}
-	return poolRec{seq: seq, sql: string(payload[4 : 4+n]), dialect: string(payload[4+n:])}, nil
-}
-
 // poolSink consumes the generalizer's stream. Records accumulate in
-// RAM while the buffer budget allows; the first denial moves the whole
-// buffer to a spill run and subsequent records append to rotating
-// runs, so the candidate pool's size is bounded by disk. Spill-disk
-// failures flip the sink into truncation mode: it keeps what it has
-// and drops the rest, degraded but never failing the build.
+// RAM under one reservation on the system's budget.
 type poolSink struct {
-	bufRes   *memgov.Reservation
-	spillDir string
-	inj      *faults.Injector
-	express  func(*sqlast.Query) string
+	buf     *memgov.Reservation
+	express func(*sqlast.Query) string
 
-	recs     []poolRec
-	runs     []string
-	w        *spill.Writer
-	seq      uint64
-	spilling bool
-	broken   bool // spill failed: truncate instead of spilling
-	info     buildInfo
+	recs []poolRec
+	info buildInfo
 }
 
-func newPoolSink(res *resources, inj *faults.Injector, express func(*sqlast.Query) string) *poolSink {
-	ps := &poolSink{spillDir: res.spillDir, inj: inj, express: express}
-	bufBytes := res.bufBytes
-	if bufBytes <= 0 {
-		// Default: a quarter of the tightest limit on the chain. With no
-		// limit anywhere the buffer is unbounded and nothing ever spills
-		// — the ungoverned fast path.
-		bufBytes = res.budget.EffectiveLimit() / 4
-	}
-	if res.budget != nil {
-		ps.bufRes = res.budget.Child("poolbuild.buffer", bufBytes).Hold()
-	}
-	return ps
-}
-
-// add is the generalize.Sink: it serializes the candidate (SQL text
-// printed and dialect rendered from the live AST, so both are
-// byte-identical to what the in-RAM path would keep) and buffers or
-// spills it. It never returns an error: every failure degrades.
+// add is the generalize.Sink: it prints the candidate's SQL and renders
+// its dialect from the live AST and buffers the record. Its one error
+// is the budget's denial of a record, which ends the stream: the pool
+// is truncated there.
 func (ps *poolSink) add(q *sqlast.Query) error {
-	rec := poolRec{seq: ps.seq, sql: q.String(), dialect: ps.express(q)}
-	ps.seq++
-	if ps.broken {
-		return nil
+	rec := poolRec{sql: q.String(), dialect: ps.express(q)}
+	if err := ps.buf.Grow(recBytes(rec)); err != nil {
+		return err
 	}
-	if !ps.spilling {
-		if err := ps.bufRes.Grow(recBytes(rec)); err == nil {
-			ps.recs = append(ps.recs, rec)
-			return nil
-		}
-		// The RAM buffer budget tripped: move everything accumulated so
-		// far into a spill run and switch to disk.
-		ps.beginSpill()
-		if ps.broken {
-			return nil
-		}
-	}
-	ps.append(rec)
+	ps.recs = append(ps.recs, rec)
 	return nil
 }
 
-// beginSpill flushes the RAM buffer into the first spill run. On
-// success the buffer's reservation is released (the bytes now live on
-// disk); on failure the sink keeps the RAM buffer as the truncated
-// pool basis and stops accepting records.
-func (ps *poolSink) beginSpill() {
-	if ps.spillDir == "" {
-		ps.fail(fmt.Errorf("spill disabled: no spill directory configured"))
-		return
-	}
-	ps.spilling = true
-	for _, rec := range ps.recs {
-		ps.append(rec)
-		if ps.broken {
-			return
-		}
-	}
-	ps.recs = nil
-	ps.bufRes.Release()
-}
-
-// append writes one record to the current spill run, rotating runs at
-// the size cap.
-func (ps *poolSink) append(rec poolRec) {
-	if ps.w == nil {
-		w, err := spill.Create(ps.spillDir, "pool", ps.inj)
-		if err != nil {
-			ps.fail(err)
-			return
-		}
-		ps.w = w
-	}
-	if err := ps.w.Append(spill.Record(rec.seq, encodeRec(rec))); err != nil {
-		ps.fail(err)
-		return
-	}
-	ps.info.SpillFrames++
-	if ps.w.Bytes() >= spillRunBytes {
-		ps.rotate()
-	}
-}
-
-// rotate finishes the current run and starts counting toward the next.
-func (ps *poolSink) rotate() {
-	w := ps.w
-	ps.w = nil
-	bytes, frames := w.Bytes(), w.Frames()
-	if path, err := w.Finish(); err != nil {
-		// The whole run's frames died with the temp file.
-		ps.info.SpillFrames -= frames
-		ps.fail(err)
-	} else {
-		ps.runs = append(ps.runs, path)
-		ps.info.SpillFiles++
-		ps.info.SpillBytes += bytes
-	}
-}
-
-// fail flips the sink into truncation mode: rung 3 of the ladder.
-// Records flushed from the RAM buffer into an aborted run still have
-// their buffer reservation (beginSpill releases it only after a
-// complete flush), so ps.recs remains a recovery source when the
-// flush itself failed.
-func (ps *poolSink) fail(err error) {
-	ps.broken = true
-	ps.info.degrade(err.Error())
-	if ps.w != nil {
-		ps.info.SpillFrames -= ps.w.Frames()
-		ps.w.Abort()
-		ps.w = nil
-	}
-}
-
-// finish replays every record — from RAM, or merged across spill runs
-// — into the materialized candidate pool, accounting each candidate
-// against the snapshot reservation. Replay parses and binds each
-// record's SQL whether or not it ever touched disk, so a spilled build
-// and an in-RAM build construct byte-identical pools by construction.
+// finish replays the buffered records into the materialized candidate
+// pool, accounting each candidate against the snapshot reservation,
+// and releases the buffer. Replay parses and binds each record's SQL,
+// so a cold build constructs the pool a checkpoint restore of it does.
 func (ps *poolSink) finish(db *schema.Database, snap *memgov.Reservation) ([]ltr.Candidate, buildInfo) {
-	defer ps.bufRes.Release()
-	if ps.w != nil {
-		ps.rotate()
-	}
-	defer ps.cleanup()
-
+	defer ps.buf.Release()
 	var pool []ltr.Candidate
-	stopped := false
-	keep := func(rec poolRec) bool {
-		cand, err := materialize(db, rec, snap)
+	for i, rec := range ps.recs {
+		cand, err := materialize(db, i, rec, snap)
 		if err != nil {
 			ps.info.degrade(err.Error())
-			stopped = true
-			return false
+			break
 		}
 		pool = append(pool, cand)
-		return true
 	}
-
-	// Replay pass 1: the finished spill runs, merged by sequence.
-	var last uint64
-	merged := false
-	if len(ps.runs) > 0 {
-		readers := make([]*spill.Reader, 0, len(ps.runs))
-		for _, path := range ps.runs {
-			r, err := spill.Open(path, ps.inj)
-			if err != nil {
-				ps.info.degrade(err.Error())
-				continue
-			}
-			readers = append(readers, r)
-		}
-		merge := spill.NewMerge(readers...)
-		for !stopped {
-			seq, payload, err := merge.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				// A failing disk mid-merge: keep the replayed prefix.
-				ps.info.degrade(err.Error())
-				break
-			}
-			rec, err := decodeRec(seq, payload)
-			if err != nil {
-				ps.info.degrade(err.Error())
-				break
-			}
-			if keep(rec) {
-				last, merged = seq, true
-			}
-		}
-		if merge.Torn() {
-			ps.info.degrade("spill run ended at a torn tail")
-		}
-		for _, r := range readers {
-			closeSpill(r)
-		}
-	}
-
-	// Replay pass 2: the RAM buffer. On the pure-RAM path this is the
-	// whole pool; after a failed flush into the first spill run it still
-	// holds every record (beginSpill keeps it until the flush lands),
-	// so the tail beyond the last merged sequence recovers what the
-	// aborted run lost. After a successful flush it is empty.
-	for _, rec := range ps.recs {
-		if stopped || (merged && rec.seq <= last) {
-			continue
-		}
-		keep(rec)
-	}
-
-	if dropped := int(ps.seq) - len(pool); dropped > 0 && ps.info.Degraded {
-		ps.info.degrade("truncated pool")
+	if dropped := len(ps.recs) - len(pool); dropped > 0 {
 		ps.info.DegradeReason = fmt.Sprintf("%s (%d candidates dropped)", ps.info.DegradeReason, dropped)
 	}
 	return pool, ps.info
 }
 
-// materialize re-parses and re-binds one record into a pool candidate,
-// charging the snapshot reservation first so a denial truncates before
-// allocating the AST.
-func materialize(db *schema.Database, rec poolRec, snap *memgov.Reservation) (ltr.Candidate, error) {
+// materialize re-parses and re-binds the seq-th record into a pool
+// candidate, charging the snapshot reservation first so a denial
+// truncates before allocating the AST.
+func materialize(db *schema.Database, seq int, rec poolRec, snap *memgov.Reservation) (ltr.Candidate, error) {
 	if err := snap.Grow(candBytes(rec)); err != nil {
 		return ltr.Candidate{}, err
 	}
 	q, err := sqlparse.Parse(rec.sql)
 	if err != nil {
 		snap.Shrink(candBytes(rec))
-		return ltr.Candidate{}, fmt.Errorf("core: streamed candidate %d does not re-parse: %v", rec.seq, err)
+		return ltr.Candidate{}, fmt.Errorf("core: streamed candidate %d does not re-parse: %v", seq, err)
 	}
 	if err := db.Bind(q); err != nil {
 		snap.Shrink(candBytes(rec))
-		return ltr.Candidate{}, fmt.Errorf("core: streamed candidate %d does not re-bind: %v", rec.seq, err)
+		return ltr.Candidate{}, fmt.Errorf("core: streamed candidate %d does not re-bind: %v", seq, err)
 	}
 	return ltr.Candidate{SQL: q, Dialect: rec.dialect}, nil
 }
 
-// cleanup removes this build's finished spill runs; they are scratch
-// and fully replayed (or abandoned) by now.
-//
-//garlint:allow errlost -- best-effort scratch removal after replay; the pool already carries the data (or the degradation flag)
-func (ps *poolSink) cleanup() {
-	for _, path := range ps.runs {
-		_ = os.Remove(path)
-	}
-	ps.runs = nil
-}
-
-// closeSpill closes a reader whose run is about to be deleted.
-//
-//garlint:allow errlost -- the run is scratch and removed right after; a close failure has nothing to unwind
-func closeSpill(r *spill.Reader) {
-	_ = r.Close()
-}
-
 // buildPoolGoverned is the streaming, budget-accounted pool build:
-// generalize.Stream feeds the sink, the sink buffers or spills, and
-// replay materializes the pool under the snapshot reservation. It
-// subsumes the old materialize-everything buildPool — an unbudgeted
-// system takes the same path with every governor inert.
+// generalize.Stream feeds the sink, the sink buffers the records, and
+// replay materializes the pool under the snapshot reservation. An
+// unbudgeted system takes the same path with every governor inert.
 func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
-	res := s.resources.Load()
-	inj := s.state.Load().inj
-	sink := newPoolSink(res, inj, s.expression)
+	budget := s.budget.Load()
+	sink := &poolSink{buf: budget.Hold(), express: s.expression}
 	gres, err := generalize.Stream(s.DB, samples, generalize.Config{
 		TargetSize: s.Opts.GeneralizeSize,
 		Seed:       s.Opts.Seed,
 		Rules:      generalize.AllRules(),
-		Budget:     res.budget,
+		Budget:     budget,
 	}, sink.add)
 	if err != nil {
-		// The sink never returns an error (failures degrade); keep the
-		// contract visible rather than discarding it.
+		// A denied record ended the stream (the sink's one error): the
+		// pool is the records buffered before it.
 		sink.info.degrade(err.Error())
 	}
 
-	build := &poolBuild{stats: gres.Stats, mem: res.budget.Hold()}
+	build := &poolBuild{stats: gres.Stats, mem: budget.Hold()}
 	build.pool, build.info = sink.finish(s.DB, build.mem)
 	if gres.Degraded {
 		build.info.Degraded = true
@@ -606,8 +348,8 @@ func (s *System) adoptSnapMem(poolMem, vecMem *memgov.Reservation) {
 
 // MemStats is the resource-governance gauge block surfaced through
 // /healthz: the budget's accounting, the published snapshot's retained
-// bytes, and the degradation/spill record of the build that produced
-// the current pool.
+// bytes, and the degradation record of the build that produced the
+// current pool.
 type MemStats struct {
 	// Budget is the system's budget level (the tenant share under the
 	// fleet); nil when unbudgeted.
@@ -618,10 +360,6 @@ type MemStats struct {
 	// Degraded and DegradeReason describe the published pool's build.
 	Degraded      bool   `json:"degraded"`
 	DegradeReason string `json:"degrade_reason,omitempty"`
-	// Spill gauges of the published pool's build.
-	SpillFiles  int   `json:"spill_files"`
-	SpillFrames int   `json:"spill_frames"`
-	SpillBytes  int64 `json:"spill_bytes"`
 	// DegradedBuilds counts builds that finished degraded over this
 	// system's lifetime.
 	DegradedBuilds uint64 `json:"degraded_builds"`
@@ -630,19 +368,13 @@ type MemStats struct {
 // MemStats reports the resource-governance gauges, lock-free.
 func (s *System) MemStats() MemStats {
 	st := s.state.Load()
-	ms := MemStats{
+	return MemStats{
+		Budget:         s.budget.Load().Stats(),
 		SnapshotBytes:  s.snapBytes.Load(),
 		Degraded:       st.info.Degraded,
 		DegradeReason:  st.info.DegradeReason,
-		SpillFiles:     st.info.SpillFiles,
-		SpillFrames:    st.info.SpillFrames,
-		SpillBytes:     st.info.SpillBytes,
 		DegradedBuilds: s.memDegradedBuilds.Load(),
 	}
-	if res := s.resources.Load(); res != nil {
-		ms.Budget = res.budget.Stats()
-	}
-	return ms
 }
 
 // ReleaseMemory returns every byte this system holds against the

@@ -2,78 +2,72 @@ package core_test
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
+	"repro/internal/datasets"
+	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/schema/schematest"
 )
 
 // governedOpts is the shared shape of the resource-governed test
-// systems: a roomy budget (governance on, no pressure) and a spill
-// buffer so small that every pool build streams through disk.
-func governedOpts(spillDir string) core.Options {
+// systems; governed puts one under a budget.
+func governedOpts() core.Options {
 	return core.Options{
-		GeneralizeSize:   300,
-		RetrievalK:       10,
-		EncoderEpochs:    12,
-		RerankEpochs:     40,
-		Seed:             42,
-		NoCache:          true,
-		MemBudget:        256 << 20,
-		SpillDir:         spillDir,
-		SpillBufferBytes: 4096,
-	}
-}
-
-// TestParallelTranslateDeterminismSpill pins the tentpole equivalence:
-// a resource-governed system whose pool build spilled through disk
-// must produce byte-identical translations — same order, same
-// bit-exact scores — as an unbounded system that kept everything in
-// RAM, including under concurrent load. Spilling is a placement
-// decision, never a quality decision. Runs in the stress target under
-// the race detector.
-func TestParallelTranslateDeterminismSpill(t *testing.T) {
-	ramOpts := core.Options{
 		GeneralizeSize: 300,
 		RetrievalK:     10,
 		EncoderEpochs:  12,
 		RerankEpochs:   40,
 		Seed:           42,
 		NoCache:        true,
-		Workers:        1,
 	}
-	ram := core.New(schematest.Employee(), ramOpts)
-	ram.Prepare(employeeSamples())
-	if err := ram.Train(employeeExamples()); err != nil {
+}
+
+// governed installs a memory budget of limit bytes on sys, the way the
+// fleet installs a tenant's share, and returns sys.
+func governed(sys *core.System, limit int64) *core.System {
+	sys.SetResources(memgov.New("system", limit))
+	return sys
+}
+
+// TestParallelTranslateDeterminismGoverned pins that memory governance
+// is accounting, never a quality decision: a system built under a
+// roomy budget must produce byte-identical translations — same order,
+// same bit-exact scores — as an unbudgeted one, including under
+// concurrent load on eight workers. Runs in the stress target under
+// the race detector.
+func TestParallelTranslateDeterminismGoverned(t *testing.T) {
+	plainOpts := governedOpts()
+	plainOpts.Workers = 1
+	plain := core.New(schematest.Employee(), plainOpts)
+	plain.Prepare(employeeSamples())
+	if err := plain.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
 	}
 
-	spillOpts := governedOpts(t.TempDir())
-	spillOpts.Workers = 8
-	spilled := core.New(schematest.Employee(), spillOpts)
-	spilled.Prepare(employeeSamples())
-	if err := spilled.Train(employeeExamples()); err != nil {
+	govOpts := governedOpts()
+	govOpts.Workers = 8
+	gov := governed(core.New(schematest.Employee(), govOpts), 256<<20)
+	gov.Prepare(employeeSamples())
+	if err := gov.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
 	}
 
-	// The premise must hold: the governed build actually went to disk,
-	// cleanly (no truncation, no degradation), and left no scratch.
-	ms := spilled.MemStats()
-	if ms.SpillFiles == 0 || ms.SpillFrames == 0 {
-		t.Fatalf("governed build never spilled: %+v", ms)
+	// The premise must hold: the governed build was charged to its
+	// budget, cleanly (no truncation, no degradation).
+	ms := gov.MemStats()
+	if ms.Budget == nil || ms.Budget.Used <= 0 || ms.Budget.Used != ms.SnapshotBytes {
+		t.Fatalf("governed build not charged to its budget: %+v", ms)
 	}
 	if ms.Degraded {
 		t.Fatalf("roomy budget degraded: %q", ms.DegradeReason)
 	}
-	if spilled.PoolSize() != ram.PoolSize() {
-		t.Fatalf("pool size diverged: spilled %d, RAM %d", spilled.PoolSize(), ram.PoolSize())
+	if gov.PoolSize() != plain.PoolSize() {
+		t.Fatalf("pool size diverged: governed %d, unbudgeted %d", gov.PoolSize(), plain.PoolSize())
 	}
 
 	questions := []string{
@@ -85,24 +79,24 @@ func TestParallelTranslateDeterminismSpill(t *testing.T) {
 	}
 	want := make(map[string]string, len(questions))
 	for _, q := range questions {
-		tr, err := ram.Translate(q)
+		tr, err := plain.Translate(q)
 		if err != nil {
-			t.Fatalf("RAM translate %q: %v", q, err)
+			t.Fatalf("unbudgeted translate %q: %v", q, err)
 		}
 		want[q] = renderTranslation(tr)
 	}
 	for _, q := range questions {
-		tr, err := spilled.Translate(q)
+		tr, err := gov.Translate(q)
 		if err != nil {
-			t.Fatalf("spilled translate %q: %v", q, err)
+			t.Fatalf("governed translate %q: %v", q, err)
 		}
 		if got := renderTranslation(tr); got != want[q] {
-			t.Fatalf("spilled output diverged for %q:\n--- RAM ---\n%s\n--- spilled ---\n%s", q, want[q], got)
+			t.Fatalf("governed output diverged for %q:\n--- unbudgeted ---\n%s\n--- governed ---\n%s", q, want[q], got)
 		}
 	}
 
-	// Under contention: the spilled system hammered from eight
-	// goroutines must keep matching the RAM reference exactly.
+	// Under contention: the governed system hammered from eight
+	// goroutines must keep matching the unbudgeted reference exactly.
 	const goroutines, rounds = 8, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -112,7 +106,7 @@ func TestParallelTranslateDeterminismSpill(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				q := questions[(g+r)%len(questions)]
-				tr, err := spilled.Translate(q)
+				tr, err := gov.Translate(q)
 				if err != nil {
 					errs <- err
 					return
@@ -131,118 +125,74 @@ func TestParallelTranslateDeterminismSpill(t *testing.T) {
 	}
 }
 
-// TestFaultSpillMatrix drives the spill-disk failure matrix —
-// {short write, bit flip, sync failure} on the write side, {short
-// read, bit flip, read error} on the merge side — through a governed
-// pool build. The contract at every cell: the build never panics and
-// never returns an error; the published state is flagged Degraded with
-// a reason; whatever survived is servable; no spill scratch is left
-// behind; and the next clean build fully recovers. Runs in the stress
-// target under the race detector.
-func TestFaultSpillMatrix(t *testing.T) {
-	cases := []struct {
-		name  string
-		stage faults.Stage
-		plan  faults.Plan
-		// wantPool: the cell must keep a non-empty (truncated) pool.
-		// A sync failure at run finish legitimately loses the whole
-		// unsynced run — crash-safety forbids trusting it — so that
-		// cell only guarantees the degrade-not-panic half.
-		wantPool bool
-	}{
-		{"short write during buffer flush", faults.FSWrite,
-			faults.Plan{Kind: faults.KindShortWrite, Bytes: 7}, true},
-		{"bit flip during spill write", faults.FSWrite,
-			faults.Plan{Kind: faults.KindBitFlip, Offset: 97, After: 2, Times: 1}, true},
-		{"sync failure at run finish", faults.FSSync,
-			faults.Plan{Kind: faults.KindError}, false},
-		{"short read during merge", faults.FSRead,
-			faults.Plan{Kind: faults.KindShortWrite, Bytes: 5, After: 2}, true},
-		{"bit flip during merge", faults.FSRead,
-			faults.Plan{Kind: faults.KindBitFlip, Offset: 41, After: 2, Times: 1}, true},
-		{"read error during merge", faults.FSRead,
-			faults.Plan{Kind: faults.KindError, After: 1}, true},
+// TestBuildPeakIsSnapshot pins what makes a RAM record buffer enough: a
+// governed cold build never charges its budget more than the snapshot
+// it publishes. The stream phase (search frontier plus printed records)
+// and materialization (records plus parsed pool) each peak below the
+// published pool, embeddings and feature table, so any budget that
+// holds the snapshot holds the build, and one that denies a record
+// could not have published the whole pool anyway.
+func TestBuildPeakIsSnapshot(t *testing.T) {
+	check := func(t *testing.T, sys *core.System, build func()) {
+		sys.SetResources(memgov.New("system", 0))
+		build()
+		ms := sys.MemStats()
+		if ms.Degraded {
+			t.Fatalf("unlimited budget degraded: %q", ms.DegradeReason)
+		}
+		if ms.Budget.Peak != ms.SnapshotBytes || ms.Budget.Used != ms.SnapshotBytes {
+			t.Errorf("budget peak %d, used %d; want both the snapshot's %d", ms.Budget.Peak, ms.Budget.Used, ms.SnapshotBytes)
+		}
+		t.Logf("pool %d, snapshot %d B, peak %d B", sys.PoolSize(), ms.SnapshotBytes, ms.Budget.Peak)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spillDir := filepath.Join(t.TempDir(), "spill")
-			sys := core.New(schematest.Employee(), governedOpts(spillDir))
-			inj := faults.NewInjector(1).Inject(tc.stage, tc.plan)
-			sys.SetFaultInjector(inj)
+	t.Run("employee", func(t *testing.T) {
+		sys := core.New(schematest.Employee(), governedOpts())
+		check(t, sys, func() {
 			sys.Prepare(employeeSamples())
-			sys.SetFaultInjector(nil)
-
-			if inj.Fired(tc.stage) == 0 {
-				t.Fatalf("fault at %s never fired; the matrix cell tested nothing", tc.stage)
-			}
-			ms := sys.MemStats()
-			if !ms.Degraded || ms.DegradeReason == "" {
-				t.Fatalf("spill fault not surfaced as degradation: %+v", ms)
-			}
-			if ms.DegradedBuilds == 0 {
-				t.Errorf("degraded-build counter not incremented")
-			}
-			if tc.wantPool && sys.PoolSize() == 0 {
-				t.Fatalf("no candidates survived a recoverable fault")
-			}
-			if n := spillScratch(t, spillDir); n != 0 {
-				t.Errorf("%d spill artifact(s) left behind after a failed build", n)
-			}
-
-			// The fault was transient: the next clean build must publish
-			// a complete, undegraded pool over the degraded one.
-			sys.Prepare(employeeSamples())
-			ms = sys.MemStats()
-			if ms.Degraded || sys.PoolSize() == 0 {
-				t.Fatalf("clean rebuild did not recover: degraded=%v reason=%q pool=%d",
-					ms.Degraded, ms.DegradeReason, sys.PoolSize())
-			}
-			if ms.SpillFiles == 0 {
-				t.Errorf("clean rebuild did not spill; buffer cap not exercised")
-			}
 			if err := sys.Train(employeeExamples()); err != nil {
 				t.Fatal(err)
 			}
-			tr, err := sys.Translate("how many employees are there")
-			if err != nil || len(tr.Ranked) == 0 {
-				t.Fatalf("recovered system cannot translate: %v", err)
+		})
+	})
+	t.Run("spider", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("builds a pool of ~2,000 candidates")
+		}
+		// fleet_churn's first tenant (perfbench): its gold queries as
+		// samples, its first 60 pairs as training examples.
+		bench := datasets.SpiderLike(datasets.SpiderConfig{TrainDBs: 1, TrainPerDB: 1161, ValDBs: 1, ValPerDB: 1, Seed: 1})
+		db := datasets.DBNames(bench.Train)[0]
+		bundle := bench.Bundle(db)
+		var examples []ltr.Example
+		for _, it := range bench.Train[:60] {
+			examples = append(examples, ltr.Example{NL: it.NL, Gold: it.Gold})
+		}
+		opts := core.Options{GeneralizeSize: 2000, RetrievalK: 100, Seed: 1, EncoderEpochs: 1, RerankEpochs: 1, NoCache: true}
+		sys := core.New(bundle.Schema, opts)
+		sys.SetContent(bundle.Content)
+		check(t, sys, func() {
+			sys.Prepare(datasets.GoldQueries(bench.Train, db))
+			if err := sys.Train(examples); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// spillScratch counts spill artifacts (runs and temps) left in dir.
-func spillScratch(t *testing.T, dir string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return 0
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".spill") || strings.HasSuffix(e.Name(), ".tmp") {
-			n++
+		if sys.PoolSize() < 1900 {
+			t.Fatalf("pool of %d candidates; the check wants the tenant's ~1,965", sys.PoolSize())
 		}
-	}
-	return n
+	})
 }
 
 // TestSetResourcesLifecycle pins the fleet-shaped lifecycle: a budget
 // installed after construction via SetResources governs the next build
-// (snapshot and caches both accounted), and ReleaseMemory — the
+// (snapshot and cache both accounted), and ReleaseMemory — the
 // eviction path — returns every byte, including cache reservations.
 func TestSetResourcesLifecycle(t *testing.T) {
-	opts := governedOpts(t.TempDir())
-	opts.MemBudget = 0
-	opts.SpillDir = ""
+	opts := governedOpts()
 	opts.NoCache = false
 	sys := core.New(schematest.Employee(), opts)
 
 	budget := memgov.New("tenant", 64<<20)
-	sys.SetResources(budget, t.TempDir())
+	sys.SetResources(budget)
 	sys.Prepare(employeeSamples())
 	if err := sys.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
@@ -251,15 +201,12 @@ func TestSetResourcesLifecycle(t *testing.T) {
 	if ms.Budget == nil || ms.Budget.Used <= 0 || ms.SnapshotBytes <= 0 {
 		t.Fatalf("installed budget not charged: %+v", ms)
 	}
-	if ms.SpillFiles == 0 {
-		t.Fatalf("installed spill dir unused: %+v", ms)
-	}
-	// A translation populates the governed caches on top of the snapshot.
+	// A translation populates the governed cache on top of the snapshot.
 	if _, err := sys.Translate("how many employees are there"); err != nil {
 		t.Fatal(err)
 	}
 	if budget.Used() <= ms.SnapshotBytes {
-		t.Errorf("caches unaccounted: used %d, snapshot alone %d", budget.Used(), ms.SnapshotBytes)
+		t.Errorf("cache unaccounted: used %d, snapshot alone %d", budget.Used(), ms.SnapshotBytes)
 	}
 
 	sys.ReleaseMemory()
@@ -273,9 +220,7 @@ func TestSetResourcesLifecycle(t *testing.T) {
 // candidates until the snapshot plus its embeddings fit — a degraded,
 // strictly smaller, still-servable system rather than a build error.
 func TestTightBudgetShedsPool(t *testing.T) {
-	tight := governedOpts(t.TempDir())
-	tight.MemBudget = 10 << 10
-	sys := core.New(schematest.Employee(), tight)
+	sys := governed(core.New(schematest.Employee(), governedOpts()), 10<<10)
 	sys.Prepare(employeeSamples())
 
 	ms := sys.MemStats()
@@ -316,14 +261,12 @@ func TestTightBudgetShedsPool(t *testing.T) {
 	}
 }
 
-// TestBudgetPressureDegrades pins rung 2 of the degradation ladder: a
-// budget that cannot hold the whole pool truncates it at the denial
-// point — flagged Degraded with the drop count in the reason — instead
-// of failing the build, and the accountant never exceeds its limit.
+// TestBudgetPressureDegrades pins the degradation contract: a budget
+// that cannot hold the whole pool truncates it at the denial point —
+// flagged Degraded with the drop count in the reason — instead of
+// failing the build, and the accountant never exceeds its limit.
 func TestBudgetPressureDegrades(t *testing.T) {
-	tight := governedOpts(t.TempDir())
-	tight.MemBudget = 32 << 10
-	sys := core.New(schematest.Employee(), tight)
+	sys := governed(core.New(schematest.Employee(), governedOpts()), 32<<10)
 	sys.Prepare(employeeSamples())
 
 	ms := sys.MemStats()
@@ -344,8 +287,7 @@ func TestBudgetPressureDegrades(t *testing.T) {
 	}
 
 	// The same samples under a roomy budget: strictly more pool.
-	roomy := governedOpts(t.TempDir())
-	full := core.New(schematest.Employee(), roomy)
+	full := governed(core.New(schematest.Employee(), governedOpts()), 256<<20)
 	full.Prepare(employeeSamples())
 	if full.PoolSize() <= sys.PoolSize() {
 		t.Errorf("tight budget kept %d candidates, roomy %d; expected a strict truncation",
@@ -360,17 +302,15 @@ func TestBudgetPressureDegrades(t *testing.T) {
 // generation advances, pool and answers are byte-identical, and the
 // budget holds exactly one snapshot's charge.
 func TestSwapHoldsOneSnapshotCharge(t *testing.T) {
-	opts := core.Options{GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 12, RerankEpochs: 40, Seed: 42, NoCache: true,
-		MemBudget: 256 << 20}
-	probe := core.New(schematest.Employee(), opts)
+	opts := governedOpts()
+	probe := governed(core.New(schematest.Employee(), opts), 256<<20)
 	probe.Prepare(employeeSamples())
 	if err := probe.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
 	}
 	snapBytes := probe.MemStats().SnapshotBytes
 
-	opts.MemBudget = snapBytes + snapBytes*15/100
-	sys := core.New(schematest.Employee(), opts)
+	sys := governed(core.New(schematest.Employee(), opts), snapBytes+snapBytes*15/100)
 	sys.Prepare(employeeSamples())
 	if err := sys.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
@@ -424,11 +364,10 @@ func TestSwapHoldsOneSnapshotCharge(t *testing.T) {
 // stay as they were, while a rebuild that shrinks the pool moves the
 // charge down.
 func TestSwapDeniedGrowLeavesLiveState(t *testing.T) {
-	opts := governedOpts(t.TempDir())
-	opts.MemBudget = 0
+	opts := governedOpts()
 	small := employeeSamples()[:4]
 	probe := core.New(schematest.Employee(), opts)
-	probe.SetResources(memgov.New("probe", 0), t.TempDir())
+	probe.SetResources(memgov.New("probe", 0))
 	probe.Prepare(employeeSamples())
 	if err := probe.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
@@ -437,8 +376,7 @@ func TestSwapDeniedGrowLeavesLiveState(t *testing.T) {
 
 	process := memgov.New("process", 2*full)
 	sys := core.New(schematest.Employee(), opts)
-	spillDir := t.TempDir()
-	sys.SetResources(process.Child("tenant", 0), spillDir)
+	sys.SetResources(process.Child("tenant", 0))
 	sys.Prepare(small)
 	if err := sys.Train(employeeExamples()); err != nil {
 		t.Fatal(err)
@@ -466,11 +404,8 @@ func TestSwapDeniedGrowLeavesLiveState(t *testing.T) {
 	if after.SnapshotBytes != before.SnapshotBytes || after.Budget.Used != before.Budget.Used {
 		t.Errorf("denied rebuild moved the charge: %+v -> %+v", before, after)
 	}
-	if after.SpillFrames != before.SpillFrames {
+	if after.Degraded != before.Degraded || after.DegradeReason != before.DegradeReason || after.DegradedBuilds != before.DegradedBuilds {
 		t.Errorf("denied rebuild replaced the build record: %+v -> %+v", before, after)
-	}
-	if n := spillScratch(t, spillDir); n != 0 {
-		t.Errorf("denied rebuild left %d spill files", n)
 	}
 
 	// With the other tenant gone the same rebuild fits, and the charge

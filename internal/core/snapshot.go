@@ -263,10 +263,10 @@ func (s *System) restoreCheckpoint(ck *checkpoint.Checkpoint, prior *guideState)
 	// budget too small for the checkpoint is a plain error (not
 	// corruption): falling back a generation would not help — older
 	// checkpoints are the same size — so the caller should fall through
-	// to a cold build, which streams and spills under the same budget
-	// instead of materializing the checkpoint whole.
+	// to a cold build, which streams under the same budget and keeps
+	// the prefix that fits.
 	f := s.fork()
-	budget := f.resources.Load().budget
+	budget := f.budget.Load()
 	f.snapMem, f.vecMem = budget.Hold(), budget.Hold()
 	var poolBytes, vecsBytes int64
 	for i, e := range entries {

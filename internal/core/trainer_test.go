@@ -122,12 +122,12 @@ func TestTrainerPromotesAndRetrains(t *testing.T) {
 func TestTrainerPromotionPublishesWholeSnapshot(t *testing.T) {
 	opts := trainerOpts()
 	opts.EncoderEpochs, opts.RerankEpochs, opts.Seed = 12, 40, 42
-	opts.NoCache, opts.ExecGuide, opts.SpillBufferBytes = true, true, 2048
+	opts.NoCache, opts.ExecGuide = true, true
 	base := employeeSamples()[:4]
 	db := schematest.Employee()
 	governed := func(samples []*sqlast.Query) *core.System {
 		sys := core.New(db, opts)
-		sys.SetResources(memgov.New("process", 0).Child("tenant", 64<<20), t.TempDir())
+		sys.SetResources(memgov.New("process", 0).Child("tenant", 64<<20))
 		sys.Prepare(samples)
 		if err := sys.Train(employeeExamples()); err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestTrainerPromotionPublishesWholeSnapshot(t *testing.T) {
 		folded = append(folded, q)
 	}
 	cold := governed(folded)
-	before := sys.MemStats()
+	before, beforePrep := sys.MemStats(), sys.PrepStats()
 	if before.SnapshotBytes >= cold.MemStats().SnapshotBytes {
 		t.Fatalf("folded samples do not grow the snapshot: %d -> %d", before.SnapshotBytes, cold.MemStats().SnapshotBytes)
 	}
@@ -174,13 +174,12 @@ func TestTrainerPromotionPublishesWholeSnapshot(t *testing.T) {
 		t.Errorf("promoted charge: snapshot %d, used %d; cold build of the folded samples: %d, %d",
 			got.SnapshotBytes, got.Budget.Used, want.SnapshotBytes, want.Budget.Used)
 	}
-	if got.Degraded != want.Degraded || got.SpillFiles != want.SpillFiles ||
-		got.SpillFrames != want.SpillFrames || got.SpillBytes != want.SpillBytes || sys.PrepStats() != cold.PrepStats() {
+	if got.Degraded != want.Degraded || got.DegradeReason != want.DegradeReason || sys.PrepStats() != cold.PrepStats() {
 		t.Errorf("promoted build record %+v (prep %+v), cold build's %+v (prep %+v)",
 			got, sys.PrepStats(), want, cold.PrepStats())
 	}
-	if got.SpillFrames == before.SpillFrames {
-		t.Errorf("build record still the pre-feedback build's: %+v", got)
+	if sys.PrepStats() == beforePrep {
+		t.Errorf("build record still the pre-feedback build's: %+v (prep %+v)", before, beforePrep)
 	}
 	guide := core.ExecGuide(sys).Instance().Tables
 	if !reflect.DeepEqual(guide, core.ExecGuide(cold).Instance().Tables) {
@@ -542,10 +541,9 @@ func rollbackTrainer(t *testing.T, sys *core.System, log *feedback.Log) *core.Tr
 // snapshot's charge and never went over its limit.
 func TestTrainerRollbackHoldsOneSnapshot(t *testing.T) {
 	opts := trainerOpts()
-	opts.NoCache, opts.MemBudget = true, 256<<20
-	snapBytes := trainedSystem(t, opts).MemStats().SnapshotBytes
-	opts.MemBudget = snapBytes + snapBytes*15/100
-	sys := trainedSystem(t, opts)
+	opts.NoCache = true
+	snapBytes := trainedUnder(t, opts, memgov.New("system", 256<<20)).MemStats().SnapshotBytes
+	sys := trainedUnder(t, opts, memgov.New("system", snapBytes+snapBytes*15/100))
 	oneSnapshot := func(what string) {
 		t.Helper()
 		ms := sys.MemStats()

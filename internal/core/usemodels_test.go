@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ltr"
+	"repro/internal/memgov"
 	"repro/internal/schema/schematest"
 )
 
@@ -55,9 +56,8 @@ func deployedVecs(t *testing.T, sys *core.System) []byte {
 // encoder was replaced, when the training embeddings no longer apply.
 func TestUseModelsDeploysTrainedVecs(t *testing.T) {
 	opts := core.Options{GeneralizeSize: 300, RetrievalK: 10, EncoderEpochs: 4, RerankEpochs: 6, Seed: 42, NoCache: true}
-	probed := opts
-	probed.MemBudget = 256 << 20
-	probe := core.New(schematest.Employee(), probed)
+	probe := core.New(schematest.Employee(), opts)
+	probe.SetResources(memgov.New("system", 256<<20))
 	probe.Prepare(employeeSamples())
 	poolBytes := probe.MemStats().SnapshotBytes
 	if err := probe.Train(employeeExamples()); err != nil {
@@ -81,12 +81,14 @@ func TestUseModelsDeploysTrainedVecs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := opts
-			o.MemBudget = tc.budget
-			sys, twin := core.New(schematest.Employee(), o), core.New(schematest.Employee(), o)
+			sys, twin := core.New(schematest.Employee(), opts), core.New(schematest.Employee(), opts)
+			if tc.budget > 0 {
+				sys.SetResources(memgov.New("system", tc.budget))
+				twin.SetResources(memgov.New("system", tc.budget))
+			}
 			sys.Prepare(employeeSamples())
 			twin.Prepare(employeeSamples())
-			m, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, o)
+			m, err := core.TrainModels([]core.TrainingSet{{Sys: sys, Examples: employeeExamples()}}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,15 +36,6 @@ func (b *DBBundle) Noun(table string) string {
 	return strings.ToLower(table)
 }
 
-// ColNoun returns the primary NL noun for a column.
-func (b *DBBundle) ColNoun(table, column string) string {
-	key := strings.ToLower(table) + "." + strings.ToLower(column)
-	if s, ok := b.Syn[key]; ok && len(s) > 0 {
-		return s[0]
-	}
-	return strings.ToLower(column)
-}
-
 // synOf picks a random synonym (including the primary noun).
 func (b *DBBundle) synOf(rng *rand.Rand, key string) string {
 	s := b.Syn[strings.ToLower(key)]

@@ -1,10 +1,6 @@
 package datasets
 
-import (
-	"strings"
-
-	"repro/internal/hardness"
-)
+import "repro/internal/hardness"
 
 // SplitStats are the Table 3 statistics of one benchmark split.
 type SplitStats struct {
@@ -48,9 +44,4 @@ func StatsOf(bench *Benchmark, items []Item) SplitStats {
 		st.AvgTables = float64(tables) / float64(st.Databases)
 	}
 	return st
-}
-
-// SplitName pretty-prints a split identifier for reports.
-func SplitName(bench, split string) string {
-	return strings.ToUpper(bench) + " " + split
 }

@@ -1,17 +1,16 @@
-// Package durable is the one implementation of what the server's four
+// Package durable is the one implementation of what the server's three
 // on-disk formats share: the models envelope (GARMDL2), checkpoints
-// (GARCKPT1), spill runs (GARSPIL1) and feedback WAL segments
-// (GARFBL01).
+// (GARCKPT1) and feedback WAL segments (GARFBL01).
 //
 //   - Checksum is the CRC-64/ECMA every format uses.
-//   - File and WriteFile write a file atomically. The bytes go to a
-//     temp file in the target directory through the faults.FSWrite
-//     point; Commit then fires faults.FSSync, fsyncs, closes, fires
+//   - WriteFile writes a file atomically. The bytes go to a temp file
+//     in the target directory through the faults.FSWrite point; the
+//     commit then fires faults.FSSync, fsyncs, closes, fires
 //     faults.FSRename, renames over the target and fsyncs the
 //     directory. A failure at any step removes the temp file and leaves
 //     the target as it was.
 //   - A frame, [u32 length][u64 CRC][payload], is the record unit of
-//     spill runs and WAL segments (AppendFrame, FrameReader).
+//     WAL segments (AppendFrame, FrameReader).
 //   - A block, magic + u64 length + payload + u64 CRC, is the models
 //     envelope and the checkpoint manifest header (AppendBlock,
 //     ParseBlock).
@@ -22,9 +21,8 @@
 // Every integer is big-endian and every CRC covers the payload alone.
 // What stays with each format is its magic, its length limits and what
 // a torn or corrupt tail means to it: the WAL truncates a torn tail and
-// skips a corrupt record, a spill reader ends at either, and a
-// checkpoint or models file is rejected whole. Each format wraps the
-// errors here in its own sentinel.
+// skips a corrupt record, and a checkpoint or models file is rejected
+// whole. Each format wraps the errors here in its own sentinel.
 package durable
 
 import (
@@ -64,42 +62,31 @@ var (
 	ErrMagic = errors.New("durable: wrong magic")
 )
 
-// File is a file being written atomically. Until Commit returns nil
-// its bytes exist only under a temp name; after a failed Commit or an
-// Abort they do not exist at all. Not safe for concurrent use.
-type File struct {
+// atomicFile is a file being written atomically. Until commit returns
+// nil its bytes exist only under a temp name; after a failed commit or
+// an abort they do not exist at all. Not safe for concurrent use.
+type atomicFile struct {
 	f    *os.File // nil once committed or aborted
 	name string
 	bw   *bufio.Writer
 	inj  *faults.Injector
 }
 
-// Create starts an atomic file: a temp file in dir named after pattern
-// (os.CreateTemp syntax) that begins with header. The header is
-// written without passing the fault point, so a fault plan aimed at
-// the records that follow never lands in it; every later Write passes
-// the point. inj may be nil.
-func Create(dir, pattern, header string, inj *faults.Injector) (*File, error) {
+// create starts an atomic file: a temp file in dir named after pattern
+// (os.CreateTemp syntax). inj may be nil.
+func create(dir, pattern string, inj *faults.Injector) (*atomicFile, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, fmt.Errorf("creating temp file: %w", err)
 	}
-	a := &File{f: f, name: f.Name(), bw: bufio.NewWriterSize(f, 1<<16), inj: inj}
-	if _, err := a.bw.WriteString(header); err != nil {
-		a.Abort()
-		return nil, fmt.Errorf("writing %s: %w", filepath.Base(a.name), err)
-	}
-	return a, nil
+	return &atomicFile{f: f, name: f.Name(), bw: bufio.NewWriterSize(f, 1<<16), inj: inj}, nil
 }
 
-// Name returns the temp file's path.
-func (a *File) Name() string { return a.name }
-
-// Write passes p through the faults.FSWrite point and writes what the
+// write passes p through the faults.FSWrite point and writes what the
 // point returns. The fault may shorten or corrupt the bytes; its error
 // is the write's error, reported after the shortened bytes are written,
 // as a crash or a full disk would leave them.
-func (a *File) Write(p []byte) (int, error) {
+func (a *atomicFile) write(p []byte) (int, error) {
 	buf, ferr := a.inj.FireData(faults.FSWrite, p)
 	n, err := a.bw.Write(buf)
 	if err != nil {
@@ -108,20 +95,20 @@ func (a *File) Write(p []byte) (int, error) {
 	return n, ferr
 }
 
-// Commit publishes the file under the path final, which must be in the
+// commit publishes the file under the path final, which must be in the
 // temp file's directory: flush, the FSSync point, fsync, close, the
 // FSRename point, rename, and an fsync of the directory so that the
 // rename survives a crash. On any failure the temp file is removed and
 // final is left as it was.
 //
 //garlint:allow ctxpass errlost -- deliberately synchronous: the fsync/rename order is the crash-safety contract and must run to completion, and context.Background only feeds instantaneous test fault points; the directory fsync after the rename is a durability hint with nothing left to unwind
-func (a *File) Commit(final string) error {
+func (a *atomicFile) commit(final string) error {
 	if a.f == nil {
 		return fmt.Errorf("committing %s: file already finished", filepath.Base(a.name))
 	}
 	base := filepath.Base(a.name)
 	fail := func(step string, err error) error {
-		a.Abort()
+		a.abort()
 		return fmt.Errorf("%s %s: %w", step, base, err)
 	}
 	if err := a.bw.Flush(); err != nil {
@@ -150,31 +137,31 @@ func (a *File) Commit(final string) error {
 	return nil
 }
 
-// Abort removes the temp file. It is a no-op after Commit or an
-// earlier Abort.
+// abort removes the temp file. It is a no-op after commit or an
+// earlier abort.
 //
 //garlint:allow errlost -- best-effort cleanup on a path that is already failing or abandoned; the caller's error is the one to surface
-func (a *File) Abort() {
+func (a *atomicFile) abort() {
 	if a.f == nil {
 		return
 	}
-	_ = a.f.Close() // fails harmlessly when Commit already closed it
+	_ = a.f.Close() // fails harmlessly when commit already closed it
 	_ = os.Remove(a.name)
 	a.f = nil
 }
 
 // WriteFile writes data to path atomically through a temp file named
-// after pattern in path's directory: one Write, then Commit.
+// after pattern in path's directory: one write, then commit.
 func WriteFile(path, pattern string, data []byte, inj *faults.Injector) error {
-	a, err := Create(filepath.Dir(path), pattern, "", inj)
+	a, err := create(filepath.Dir(path), pattern, inj)
 	if err != nil {
 		return err
 	}
-	if _, err := a.Write(data); err != nil {
-		a.Abort()
+	if _, err := a.write(data); err != nil {
+		a.abort()
 		return fmt.Errorf("writing %s: %w", filepath.Base(a.name), err)
 	}
-	return a.Commit(path)
+	return a.commit(path)
 }
 
 // Sweep removes every file in dir whose name matches pattern

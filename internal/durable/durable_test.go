@@ -96,73 +96,73 @@ func TestDurableWriteFileFaults(t *testing.T) {
 	})
 }
 
-// TestDurableFileStreams: a streamed file holds its header and every
-// write, in order, only once committed; an aborted one leaves nothing.
+// TestDurableFileStreams: a streamed file holds every write, in order,
+// only once committed; an aborted one leaves nothing.
 func TestDurableFileStreams(t *testing.T) {
 	dir := t.TempDir()
-	f, err := Create(dir, testPattern, "HEAD", nil)
+	f, err := create(dir, testPattern, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Dir(f.Name()) != dir {
-		t.Fatalf("temp file %s is not in %s", f.Name(), dir)
+	if filepath.Dir(f.name) != dir {
+		t.Fatalf("temp file %s is not in %s", f.name, dir)
 	}
 	for _, p := range []string{"one", "two", string(make([]byte, 70_000))} {
-		if n, err := f.Write([]byte(p)); err != nil || n != len(p) {
-			t.Fatalf("Write = %d, %v", n, err)
+		if n, err := f.write([]byte(p)); err != nil || n != len(p) {
+			t.Fatalf("write = %d, %v", n, err)
 		}
 	}
 	final := filepath.Join(dir, "run")
 	if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("file visible before Commit: %v", err)
+		t.Fatalf("file visible before commit: %v", err)
 	}
-	if err := f.Commit(final); err != nil {
+	if err := f.commit(final); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(final)
-	if err != nil || !bytes.Equal(got, append([]byte("HEADonetwo"), make([]byte, 70_000)...)) {
+	if err != nil || !bytes.Equal(got, append([]byte("onetwo"), make([]byte, 70_000)...)) {
 		t.Fatalf("committed %d bytes (%v)", len(got), err)
 	}
-	f.Abort() // a no-op after Commit
+	f.abort() // a no-op after commit
 	if _, err := os.Stat(final); err != nil {
-		t.Fatalf("Abort after Commit removed the file: %v", err)
+		t.Fatalf("abort after commit removed the file: %v", err)
 	}
-	if err := f.Commit(final); err == nil {
-		t.Fatal("a second Commit succeeded")
+	if err := f.commit(final); err == nil {
+		t.Fatal("a second commit succeeded")
 	}
 
-	g, err := Create(dir, testPattern, "HEAD", nil)
+	g, err := create(dir, testPattern, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Write([]byte("doomed")); err != nil {
+	if _, err := g.write([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	g.Abort()
-	g.Abort()
+	g.abort()
+	g.abort()
 	if tmps := temps(t, dir); len(tmps) != 0 {
-		t.Fatalf("Abort left %v", tmps)
+		t.Fatalf("abort left %v", tmps)
 	}
-	if err := g.Commit(filepath.Join(dir, "doomed")); err == nil {
-		t.Fatal("Commit after Abort succeeded")
+	if err := g.commit(filepath.Join(dir, "doomed")); err == nil {
+		t.Fatal("commit after abort succeeded")
 	}
 
 	missing := filepath.Join(dir, "missing")
-	if _, err := Create(missing, testPattern, "", nil); err == nil {
-		t.Fatal("Create in a missing directory succeeded")
+	if _, err := create(missing, testPattern, nil); err == nil {
+		t.Fatal("create in a missing directory succeeded")
 	}
 	if err := WriteFile(filepath.Join(missing, "state"), testPattern, []byte("x"), nil); err == nil {
 		t.Fatal("WriteFile into a missing directory succeeded")
 	}
-	h, err := Create(dir, testPattern, "", nil)
+	h, err := create(dir, testPattern, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Commit(filepath.Join(missing, "state")); err == nil {
-		t.Fatal("Commit into a missing directory succeeded")
+	if err := h.commit(filepath.Join(missing, "state")); err == nil {
+		t.Fatal("commit into a missing directory succeeded")
 	}
 	if tmps := temps(t, dir); len(tmps) != 0 {
-		t.Fatalf("failed Commit left %v", tmps)
+		t.Fatalf("failed commit left %v", tmps)
 	}
 }
 
@@ -170,12 +170,12 @@ func TestDurableFileStreams(t *testing.T) {
 // reached the file and the fault's error.
 func TestDurableFileShortWrite(t *testing.T) {
 	inj := faults.NewInjector(1).Inject(faults.FSWrite, faults.Plan{Kind: faults.KindShortWrite, Bytes: 3})
-	f, err := Create(t.TempDir(), testPattern, "", inj)
+	f, err := create(t.TempDir(), testPattern, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Abort()
-	if n, err := f.Write([]byte("payload")); n != 3 || err == nil {
+	defer f.abort()
+	if n, err := f.write([]byte("payload")); n != 3 || err == nil {
 		t.Fatalf("short write = %d, %v; want 3 and an error", n, err)
 	}
 }

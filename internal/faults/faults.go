@@ -47,11 +47,11 @@ const (
 	FSRename Stage = "fs.rename"
 )
 
-// FSRead is the data fault point of a durable-state read — fired with
-// each spill frame's payload as it comes off disk, before the checksum
-// is verified. Bit-flip plans model media rot the CRC must catch;
-// error plans model a failing disk mid-merge. Like the write points it
-// is exercised through FireData.
+// FSRead is the data fault point of a durable-state read — fired by a
+// durable.FrameReader given an injector with each frame's payload as it
+// comes off disk, before the checksum is verified. Bit-flip plans model
+// media rot the CRC must catch; error plans model a failing disk. Like
+// the write points it is exercised through FireData.
 const FSRead Stage = "fs.read"
 
 // Train is the fault point of a background retraining cycle, fired

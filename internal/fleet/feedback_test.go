@@ -174,14 +174,12 @@ func TestFleetFeedbackInert(t *testing.T) {
 }
 
 // TestFleetFlatState pins the single-database layout: a FlatState
-// registry holds one tenant, whose checkpoints, feedback WAL and spill
-// runs live directly in StateDir, StateDir/feedback and StateDir/spill
-// — never in a StateDir/{tenant} subdirectory.
+// registry holds one tenant, whose checkpoints and feedback WAL live
+// directly in StateDir and StateDir/feedback — never in a
+// StateDir/{tenant} subdirectory.
 func TestFleetFlatState(t *testing.T) {
 	stateDir := t.TempDir()
-	src := newTestSource(t)
-	src.opts.SpillBufferBytes = 512 // forces the pool build to spill
-	reg := fleet.New(&feedbackSource{src}, fleet.Config{
+	reg := fleet.New(&feedbackSource{newTestSource(t)}, fleet.Config{
 		StateDir: stateDir, FlatState: true, Feedback: true, MemLimit: 64 << 20,
 	})
 	if err := reg.Register("solo"); err != nil {
@@ -205,10 +203,8 @@ func TestFleetFlatState(t *testing.T) {
 	if got, _ := filepath.Glob(filepath.Join(stateDir, "gen-*.ckpt")); len(got) == 0 {
 		t.Error("no checkpoint in the state directory")
 	}
-	for _, sub := range []string{"feedback", "spill"} {
-		if st, err := os.Stat(filepath.Join(stateDir, sub)); err != nil || !st.IsDir() {
-			t.Errorf("%s directory not in the state directory: %v", sub, err)
-		}
+	if st, err := os.Stat(filepath.Join(stateDir, "feedback")); err != nil || !st.IsDir() {
+		t.Errorf("feedback directory not in the state directory: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(stateDir, "solo")); !os.IsNotExist(err) {
 		t.Errorf("flat layout created a tenant subdirectory (err=%v)", err)

@@ -9,8 +9,8 @@
 // state directly in the state directory).
 //
 // The registry is the only serving code that wires a tenant's memory
-// budget and spill directory, checkpoint store and checkpointer,
-// feedback WAL and trainer, and the only health renderer.
+// budget, checkpoint store and checkpointer, feedback WAL and trainer,
+// and the only health renderer.
 //
 // Isolation is the point. Every tenant owns its admission controller
 // and circuit breaker, sized from fleet-wide limits, so one saturated
@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/checkpoint"
 	"repro/internal/feedback"
-	"repro/internal/spill"
 )
 
 // ErrUnknownTenant reports a request for a name the registry does not
@@ -124,8 +122,8 @@ type Config struct {
 
 	// MemLimit caps the process-wide bytes of retained tenant state
 	// (candidate pools, embeddings, translation caches); 0 disables
-	// memory governance. Tenants that hit their share spill pool
-	// builds to disk or degrade to truncated pools instead of growing.
+	// memory governance. Tenants that hit their share degrade to
+	// truncated pools instead of growing.
 	MemLimit int64
 	// TenantMemLimit caps each tenant's share of MemLimit (default
 	// MemLimit/MaxActive). 0 with MemLimit set bounds tenants only by
@@ -133,16 +131,13 @@ type Config struct {
 	TenantMemLimit int64
 
 	// StateDir is the root of the multi-tenant state tree: a tenant's
-	// checkpoints live in {StateDir}/{tenant}, its feedback WAL in
-	// {StateDir}/{tenant}/feedback and its spill runs in
-	// {StateDir}/{tenant}/spill. Empty disables durability — evicting a
-	// tenant then drops state that a re-activation must rebuild — and
-	// memory-governed builds spill under a process-private temp
-	// directory ({tmp}/{tenant}) that Shutdown removes.
+	// checkpoints live in {StateDir}/{tenant} and its feedback WAL in
+	// {StateDir}/{tenant}/feedback. Empty disables durability — evicting
+	// a tenant then drops state that a re-activation must rebuild.
 	StateDir string
 	// FlatState lays the registry's one tenant out directly in StateDir
-	// (checkpoints in StateDir, WAL in StateDir/feedback, spill runs in
-	// StateDir/spill): the single-database layout of `gar serve -spec`.
+	// (checkpoints in StateDir, WAL in StateDir/feedback): the
+	// single-database layout of `gar serve -spec`.
 	// Register refuses a second tenant.
 	FlatState bool
 	// Keep is the per-tenant checkpoint retention (default 3).
@@ -303,13 +298,6 @@ type Registry struct {
 	mu      sync.Mutex // guards tenants map and closed
 	tenants map[string]*tenant
 	closed  bool
-
-	// tmpSpill is the process-private spill root of a registry without
-	// a StateDir: the first spillRoot creates it under spillOnce (or
-	// records tmpErr), and Shutdown removes it.
-	spillOnce sync.Once
-	tmpSpill  string
-	tmpErr    error
 
 	capMu  sync.Mutex // serializes working-set accounting
 	active int        // tenants in activating|active|evicting
@@ -698,28 +686,13 @@ type builtTenant struct {
 }
 
 // tenantDir is the one place a tenant's on-disk layout is decided: its
-// checkpoints live in the returned directory, its feedback WAL in
-// {dir}/feedback and its spill runs in {dir}/spill. Empty when the
-// registry has no StateDir.
+// checkpoints live in the returned directory and its feedback WAL in
+// {dir}/feedback. Empty when the registry has no StateDir.
 func (r *Registry) tenantDir(name string) string {
 	if r.cfg.StateDir == "" || r.cfg.FlatState {
 		return r.cfg.StateDir
 	}
 	return filepath.Join(r.cfg.StateDir, name)
-}
-
-// spillRoot returns the process-private spill root of a registry
-// without a StateDir, creating it on first use.
-func (r *Registry) spillRoot() (string, error) {
-	r.spillOnce.Do(func() {
-		if r.tmpSpill, r.tmpErr = os.MkdirTemp("", "gar-spill-"); r.tmpErr != nil {
-			r.tmpErr = fmt.Errorf("fleet: creating spill directory: %w", r.tmpErr)
-		}
-	})
-	if r.tmpSpill == "" && r.tmpErr == nil {
-		return "", ErrClosed // Shutdown claimed the root first
-	}
-	return r.tmpSpill, r.tmpErr
 }
 
 // buildTenant assembles a tenant's serving system: schema shell from
@@ -735,24 +708,8 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 	}
 	dir := r.tenantDir(t.name)
 	if t.budget != nil {
-		// Pool builds charge this tenant's share of the fleet budget and
-		// spill beside its state, or under the process's private spill
-		// root without one. Orphaned spill files from a crashed previous
-		// run are scratch: sweep them now.
-		spillDir := filepath.Join(dir, "spill")
-		if dir == "" {
-			root, rerr := r.spillRoot()
-			if rerr != nil {
-				return builtTenant{}, rerr
-			}
-			spillDir = filepath.Join(root, t.name)
-		}
-		if removed, serr := spill.Sweep(spillDir); serr != nil {
-			r.cfg.Logf("fleet: tenant %s: sweeping spill dir: %v", t.name, serr)
-		} else if len(removed) > 0 {
-			r.cfg.Logf("fleet: tenant %s: removed %d orphaned spill file(s)", t.name, len(removed))
-		}
-		sys.SetResources(t.budget, spillDir)
+		// Pool builds charge this tenant's share of the fleet budget.
+		sys.SetResources(t.budget)
 	}
 	b := builtTenant{sys: sys}
 	var store *checkpoint.Store
@@ -967,9 +924,8 @@ func (r *Registry) AnyReady() bool {
 // Shutdown drains and flushes the whole fleet: new Acquires fail with
 // ErrClosed, every tenant's in-flight work drains, then each tenant's
 // final checkpoint is flushed — all bounded by ctx and run in parallel
-// across tenants — and the private spill root, if any, is removed. The
-// first error is returned after every tenant settles; a second
-// Shutdown is a no-op.
+// across tenants. The first error is returned after every tenant
+// settles; a second Shutdown is a no-op.
 func (r *Registry) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.closed {
@@ -991,12 +947,6 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	}
 	wg.Wait()
 	close(errs)
-	r.spillOnce.Do(func() {}) // no root is created from here on
-	if r.tmpSpill != "" {
-		if err := os.RemoveAll(r.tmpSpill); err != nil {
-			r.cfg.Logf("fleet: removing spill directory: %v", err)
-		}
-	}
 	for err := range errs {
 		if err != nil {
 			return err

@@ -52,14 +52,14 @@ type TenantHealth struct {
 	Admission  admit.Stats          `json:"admission"`
 	Breaker    *breaker.Snapshot    `json:"breaker,omitempty"`
 	Checkpoint *gar.CheckpointStats `json:"checkpoint,omitempty"`
-	// Caches are the translation-path cache counters (embeddings,
-	// translations), absent while the tenant is not resident.
+	// Caches are the translation-cache counters, absent while the
+	// tenant is not resident.
 	Caches *gar.CacheStats `json:"caches,omitempty"`
 	// ExecGuide is the execution-guided stage's block, absent while the
 	// tenant is not resident or the stage is off.
 	ExecGuide *ExecGuideHealth `json:"execguide,omitempty"`
 	// Memory is the tenant's resource-governance block (budget usage,
-	// snapshot bytes, spill gauges, degradation record), absent while
+	// snapshot bytes, degradation record), absent while
 	// the tenant is not resident or has no memory budget.
 	Memory *gar.MemStats `json:"memory,omitempty"`
 	// Feedback is the online-learning block, absent while the tenant is
@@ -158,8 +158,8 @@ func (r *Registry) tenantHealth(t *tenant) TenantHealth {
 	case h.Breaker != nil && h.Breaker.State != breaker.Closed:
 		h.Status = "degraded"
 	case h.Memory != nil && h.Memory.Degraded:
-		// The pool was truncated (or spilled and partially lost) under
-		// resource pressure: the tenant serves, at reduced quality.
+		// The pool was truncated under resource pressure: the tenant
+		// serves, at reduced quality.
 		h.Status = "degraded"
 	default:
 		h.Status = "ok"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -143,18 +142,14 @@ func TestFleetTenantBudgetPressure(t *testing.T) {
 // fit instead of failing outright.
 const tenantPressureLimit = 10 << 10
 
-// TestFleetSpillWithoutStateDir: a memory-governed registry without a
-// StateDir spills pool builds under a process-private temp root instead
-// of truncating them: the pool builds spilled and undegraded, answers
-// like an unbudgeted build, and Shutdown removes the root.
-func TestFleetSpillWithoutStateDir(t *testing.T) {
+// TestFleetMemLimitWithoutStateDir: a memory-governed registry without
+// a StateDir builds the full pool: undegraded, charged to the tenant's
+// share, answering like an unbudgeted build, and writing nothing to
+// disk.
+func TestFleetMemLimitWithoutStateDir(t *testing.T) {
 	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp) // the spill root goes here, where the test can see it
-	opts := fleetOpts()
-	opts.SpillBufferBytes = 512 // far below the fixture pool: forces spill runs
-	src := newTestSource(t)
-	src.opts = opts
-	reg := fleet.New(src, fleet.Config{MaxActive: 2, MemLimit: 64 << 20})
+	t.Setenv("TMPDIR", tmp) // any scratch file would land here
+	reg := fleet.New(newTestSource(t), fleet.Config{MaxActive: 2, MemLimit: 64 << 20})
 	plain := fleet.New(newTestSource(t), fleet.Config{MaxActive: 2})
 	for _, r := range []*fleet.Registry{reg, plain} {
 		if err := r.Register("alpha"); err != nil {
@@ -173,12 +168,12 @@ func TestFleetSpillWithoutStateDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.SQL != want.SQL || got.Generation != want.Generation || len(got.Candidates) != len(want.Candidates) {
-			t.Fatalf("%q: spilled build answered %q gen %d (%d candidates), unbudgeted %q gen %d (%d)", q,
+			t.Fatalf("%q: governed build answered %q gen %d (%d candidates), unbudgeted %q gen %d (%d)", q,
 				got.SQL, got.Generation, len(got.Candidates), want.SQL, want.Generation, len(want.Candidates))
 		}
 		for i := range got.Candidates {
 			if got.Candidates[i] != want.Candidates[i] {
-				t.Fatalf("%q candidate %d: spilled %+v, unbudgeted %+v", q, i, got.Candidates[i], want.Candidates[i])
+				t.Fatalf("%q candidate %d: governed %+v, unbudgeted %+v", q, i, got.Candidates[i], want.Candidates[i])
 			}
 		}
 	}
@@ -186,15 +181,11 @@ func TestFleetSpillWithoutStateDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Memory == nil || row.Memory.SpillFiles == 0 || row.Memory.Degraded {
-		t.Fatalf("memory row = %+v, want a spilled, undegraded build", row.Memory)
+	if row.Memory == nil || row.Memory.Budget == nil || row.Memory.Budget.Used <= 0 || row.Memory.Degraded {
+		t.Fatalf("memory row = %+v, want a charged, undegraded build", row.Memory)
 	}
 	if row.Pool != mustPool(t, plain, "alpha") {
-		t.Fatalf("spilled pool %d, unbudgeted pool %d", row.Pool, mustPool(t, plain, "alpha"))
-	}
-
-	if roots, _ := filepath.Glob(filepath.Join(tmp, "gar-spill-*", "alpha")); len(roots) != 1 {
-		t.Fatalf("tenant spill directories under the temp root: %v, want one", roots)
+		t.Fatalf("governed pool %d, unbudgeted pool %d", row.Pool, mustPool(t, plain, "alpha"))
 	}
 	if err := reg.Shutdown(ctx); err != nil {
 		t.Fatal(err)

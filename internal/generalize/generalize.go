@@ -133,7 +133,8 @@ type limits struct {
 // Generalize runs the compositional generalization algorithm and
 // materializes the whole pool in RAM. It is the collecting wrapper
 // around Stream; large or budget-governed runs should use Stream
-// directly so candidates can flow to disk instead of accumulating.
+// directly so each candidate is accounted as it arrives instead of
+// accumulating.
 func Generalize(db *schema.Database, samples []*sqlast.Query, cfg Config) *Result {
 	var queries []*sqlast.Query
 	res, err := Stream(db, samples, cfg, func(q *sqlast.Query) error {

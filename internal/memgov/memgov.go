@@ -2,15 +2,14 @@
 // resource-governed pool construction and serving.
 //
 // A Budget tracks reserved bytes against an optional limit and chains
-// to a parent, forming a process → per-tenant → per-operation tree:
-// the serve process owns the root (sized by -memlimit), each fleet
-// tenant gets a child share, and individual operations (a pool build's
-// RAM buffer, an embedding batch) charge grandchildren. Reserve walks
-// the ancestor chain charging every level; if any level would exceed
-// its limit the whole reservation is rolled back and a *BudgetError
-// (matching ErrBudgetExceeded via errors.Is) identifies the level that
-// refused. Callers treat a denial as a signal — spill to disk, stop
-// growing, skip a cache insert — never as a fatal condition.
+// to a parent, forming a process → per-tenant tree: the serve process
+// owns the root (sized by -memlimit) and each fleet tenant gets a child
+// share, which its pool builds, snapshots and translation cache charge.
+// Reserve walks the ancestor chain charging every level; if any level
+// would exceed its limit the whole reservation is rolled back and a
+// *BudgetError (matching ErrBudgetExceeded via errors.Is) identifies
+// the level that refused. Callers treat a denial as a signal — stop
+// growing, truncate, skip a cache insert — never as a fatal condition.
 //
 // memgov is an accountant, not an allocator: callers estimate the
 // bytes a structure retains and must pair every successful Reserve

@@ -65,9 +65,6 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 	return m, nil
 }
 
-// InputDim returns the expected feature dimension.
-func (m *MLP) InputDim() int { return m.sizes[0] }
-
 // scoreWidth and scoreLayers bound the networks Score runs on stack
 // buffers; a wider or deeper network allocates its activations.
 const (

@@ -288,21 +288,6 @@ func (d *Database) ResolveColumn(s *sqlast.Select, c *sqlast.ColumnRef) (*Table,
 	return nil, nil
 }
 
-// ResolveTable returns the schema table for a (possibly aliased) table
-// name within a SELECT block's FROM scope.
-func (d *Database) ResolveTable(s *sqlast.Select, name string) *Table {
-	for i := range s.From.Tables {
-		tr := &s.From.Tables[i]
-		if tr.Sub != nil {
-			continue
-		}
-		if strings.EqualFold(name, tr.Name) || strings.EqualFold(name, tr.Alias) {
-			return d.Table(tr.Name)
-		}
-	}
-	return d.Table(name)
-}
-
 // JoinEdges extracts the equi-join edges of a SELECT block with aliases
 // resolved to underlying table names.
 func JoinEdges(d *Database, s *sqlast.Select) []JoinEdge {

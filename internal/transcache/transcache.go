@@ -1,10 +1,12 @@
-// Package transcache is a generation-keyed LRU cache for the
-// translation hot path. Every entry is stamped with the pool generation
-// (internal/core bumps it on Prepare and Rebuild) that produced it, and a
-// lookup only hits when the caller's current generation matches — so a
-// hot reload invalidates the whole cache implicitly, with no
-// flush-coordination between the swap and in-flight readers, and a
-// stale entry can never be served across a snapshot swap.
+// Package transcache is a stamp-keyed LRU cache for the translation
+// hot path. Every entry is stamped with the publication of the serving
+// snapshot that produced it (internal/core numbers every publication:
+// a reload, a model redeploy, a content change), and a lookup only hits
+// when the caller's current stamp matches — so a publication
+// invalidates the whole cache implicitly, with no flush-coordination
+// between the swap and in-flight readers, and a stale entry can never
+// be served across a snapshot swap, even one an in-flight reader of the
+// outgoing snapshot writes after the swap.
 //
 // A nil *Cache is valid and never hits: Get misses, Put drops, Stats is
 // zero. That lets callers disable caching by simply not constructing
@@ -22,10 +24,10 @@ type Stats struct {
 	// Hits counts lookups answered from the cache.
 	Hits uint64 `json:"hits"`
 	// Misses counts lookups that found nothing (including entries
-	// rejected because their generation was stale).
+	// rejected because their stamp was stale).
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped by capacity pressure, budget
-	// pressure or generation staleness.
+	// pressure or stamp staleness.
 	Evictions uint64 `json:"evictions"`
 	// Len is the current number of live entries.
 	Len int `json:"size"`
@@ -41,13 +43,13 @@ type Stats struct {
 // entry is one cached value with its intrusive LRU links.
 type entry[V any] struct {
 	key        string
-	gen        uint64
+	stamp      uint64
 	val        V
 	bytes      int64
 	prev, next *entry[V]
 }
 
-// Cache is a fixed-capacity LRU keyed by (generation, string). It is
+// Cache is a fixed-capacity LRU keyed by (stamp, string). It is
 // safe for concurrent use.
 type Cache[V any] struct {
 	mu       sync.Mutex
@@ -75,10 +77,10 @@ func New[V any](capacity int) *Cache[V] {
 	return &Cache[V]{capacity: capacity, items: make(map[string]*entry[V], capacity)}
 }
 
-// Get returns the value cached under key for the given generation. An
-// entry written by an older (or newer) generation is treated as a miss
-// and evicted on the spot.
-func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
+// Get returns the value cached under key for the given stamp. An entry
+// written under another stamp is treated as a miss and evicted on the
+// spot.
+func (c *Cache[V]) Get(stamp uint64, key string) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
@@ -90,7 +92,7 @@ func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
 		c.misses++
 		return zero, false
 	}
-	if e.gen != gen {
+	if e.stamp != stamp {
 		c.remove(e)
 		c.evictions++
 		c.misses++
@@ -147,10 +149,10 @@ func (c *Cache[V]) reserveEvicting(sz int64, keep *entry[V]) bool {
 	}
 }
 
-// Put stores the value under key for the given generation, replacing
-// any existing entry for the key and evicting least-recently used
-// entries under capacity or budget pressure.
-func (c *Cache[V]) Put(gen uint64, key string, val V) {
+// Put stores the value under key for the given stamp, replacing any
+// existing entry for the key and evicting least-recently used entries
+// under capacity or budget pressure.
+func (c *Cache[V]) Put(stamp uint64, key string, val V) {
 	if c == nil {
 		return
 	}
@@ -167,7 +169,7 @@ func (c *Cache[V]) Put(gen uint64, key string, val V) {
 			c.denied++
 			return
 		}
-		e.gen, e.val, e.bytes = gen, val, sz
+		e.stamp, e.val, e.bytes = stamp, val, sz
 		c.moveToFront(e)
 		return
 	}
@@ -175,7 +177,7 @@ func (c *Cache[V]) Put(gen uint64, key string, val V) {
 		c.denied++
 		return
 	}
-	e := &entry[V]{key: key, gen: gen, val: val, bytes: sz}
+	e := &entry[V]{key: key, stamp: stamp, val: val, bytes: sz}
 	c.items[key] = e
 	c.pushFront(e)
 	if len(c.items) > c.capacity {

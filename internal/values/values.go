@@ -144,8 +144,13 @@ func (l *Linker) Extract(nl string) []NLValue {
 		}
 	}
 
-	// Numbers.
+	// Numbers. A token without an ASCII digit is never one: this keeps
+	// out the words ParseFloat also accepts ("nan", "inf", "infinity")
+	// and spares every other word a failed parse and its error value.
 	for _, tok := range text.Tokenize(nl) {
+		if !strings.ContainsAny(tok, "0123456789") {
+			continue
+		}
 		if _, err := strconv.ParseFloat(tok, 64); err == nil {
 			add(NLValue{Text: tok, IsNum: true})
 		}

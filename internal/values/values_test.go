@@ -41,6 +41,32 @@ func TestExtractNumbersAndQuotes(t *testing.T) {
 	}
 }
 
+// TestExtractNumbersNeedDigits: the words strconv.ParseFloat also
+// accepts ("nan", "inf", "infinity", in any case) are not numbers in a
+// question, while every digit-bearing float still is.
+func TestExtractNumbersNeedDigits(t *testing.T) {
+	l := values.NewLinker(schematest.Employee(), nil)
+	for _, c := range []struct {
+		nl   string
+		nums []string
+	}{
+		{"Which employees are named Nan?", nil},
+		{"salary above infinity", nil},
+		{"bonus between INF and Infinity", nil},
+		{"employees older than 30 with a bonus over 1e3", []string{"30", "1e3"}},
+	} {
+		var nums []string
+		for _, v := range l.Extract(c.nl) {
+			if v.IsNum {
+				nums = append(nums, v.Text)
+			}
+		}
+		if !reflect.DeepEqual(nums, c.nums) {
+			t.Errorf("Extract(%q) numbers = %q, want %q", c.nl, nums, c.nums)
+		}
+	}
+}
+
 func TestExtractCellValues(t *testing.T) {
 	l := linkerWithContent()
 	vals := l.Extract("which employees live in Austin")
